@@ -19,8 +19,7 @@ from .generators import (glucose_formulas, glucose_trace,
 from .logic import (Always, And, Atom, Cumulative, Eventually, Formula, Not,
                     Or, TimeInterval, Until, horizon, iter_nodes,
                     node_horizons, validate)
-from .monitor import (MonitorState, NaiveMonitor, RoSI, Verdict, finalize,
-                      new_monitor, push_sample, rosi_naive)
+from .monitor import MonitorState, NaiveMonitor, RoSI, Verdict, rosi_naive
 from .semantics import (characteristic, max_tau_oracle, robustness,
                         robustness_trace, satisfies)
 from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
@@ -36,18 +35,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Always", "And", "ArityMismatch", "Atom", "CTSTLError", "Cumulative",
     "EmptyAdmissibleRange", "Eventually", "Formula", "InvalidInterval",
-    "MonitorEvent", "MonitorState", "NaiveMonitor", "NonPositiveTau", "Not",
-    "Or", "ParamOutOfRange", "ParseError", "RankOutOfRange", "RoSI",
+    "MonitorEvent", "MonitorState", "NaiveMonitor", "NonPositiveTau",
+    "Not", "Or", "ParamOutOfRange", "ParseError", "RankOutOfRange", "RoSI",
     "Signal", "SignalFormatError", "SlidingExtremum", "SlidingKth",
     "SourceSpan", "TauOutOfRange", "TimeInterval", "TraceTooShort",
     "UnknownVariable", "Until", "UnvalidatedFormula", "ValidationError",
-    "Verdict", "WindowExceedsTrace", "characteristic", "finalize",
-    "format_formula", "glucose_formulas", "glucose_trace", "horizon",
-    "iter_nodes", "max_tau_oracle", "naive_extremum_batch",
-    "naive_kth_batch", "new_monitor", "node_horizons",
-    "open_signal_stream", "overvoltage_formulas", "overvoltage_trace",
-    "parse", "push_sample",
-    "read_signal_csv", "robustness", "robustness_trace", "rosi_naive",
-    "satisfies", "secondary_signal", "sliding_extremum_batch",
-    "sliding_kth_batch", "until_batch", "validate", "write_signal_csv",
+    "Verdict", "WindowExceedsTrace", "characteristic", "format_formula",
+    "glucose_formulas", "glucose_trace", "horizon", "iter_nodes",
+    "max_tau_oracle", "naive_extremum_batch", "naive_kth_batch",
+    "node_horizons", "open_signal_stream", "overvoltage_formulas",
+    "overvoltage_trace", "parse", "read_signal_csv", "robustness",
+    "robustness_trace", "rosi_naive", "satisfies", "secondary_signal",
+    "sliding_extremum_batch", "sliding_kth_batch", "until_batch",
+    "validate", "write_signal_csv",
 ]

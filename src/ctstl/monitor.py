@@ -21,7 +21,9 @@ Update strategy per node kind, chosen at construction:
 
 ``rosi_naive`` recomputes the same intervals by direct recursion and is
 both the correctness oracle and the performance baseline, wrapped as
-:class:`NaiveMonitor` for engine-against-engine runs.
+:class:`NaiveMonitor` for engine-against-engine runs.  Both monitors share
+one verdict contract (:class:`_PrefixMonitor`): the prefix bookkeeping,
+``push_sample`` and ``finalize``; each supplies only its root interval.
 """
 
 from __future__ import annotations
@@ -79,18 +81,6 @@ class RoSI:
         return f"[{self.lb}, {self.ub}]"
 
 
-def rosi_neg(a: RoSI) -> RoSI:
-    return RoSI(-a.ub, -a.lb)
-
-
-def rosi_min(a: RoSI, b: RoSI) -> RoSI:
-    return RoSI(min(a.lb, b.lb), min(a.ub, b.ub))
-
-
-def rosi_max(a: RoSI, b: RoSI) -> RoSI:
-    return RoSI(max(a.lb, b.lb), max(a.ub, b.ub))
-
-
 def rosi_max_tau(windows: Sequence[RoSI], k: int) -> RoSI:
     """Componentwise k-th largest (1-based from the top) of the intervals."""
     if not 1 <= k <= len(windows):
@@ -114,6 +104,69 @@ class Verdict:
 
     def __str__(self) -> str:
         return "Unknown" if self.outcome is None else str(self.outcome)
+
+
+def _judge(root: RoSI, decided_at: int) -> Verdict:
+    if root.lb > 0:
+        return Verdict(True, root, decided_at)
+    if root.ub < 0:
+        return Verdict(False, root, decided_at)
+    return Verdict(None, root, None)
+
+
+class _PrefixMonitor:
+    """Prefix bookkeeping and the verdict contract of both monitors.
+
+    A subclass computes the root interval after each sample in
+    ``_root(i, row)`` and sets the verdict before any sample; once the
+    verdict is decided, further samples are recorded but not evaluated.
+    """
+
+    def __init__(self, formula: Formula, schema: Sequence[str],
+                 delta: float, bounds: Mapping[str, Bounds] | None):
+        self.names = tuple(schema)
+        self.delta = float(delta)
+        self.formula = validate(formula, self.names, self.delta)
+        self.bounds = dict(bounds) if bounds else {}
+        self.horizon = horizon(self.formula)
+        self.i = 0
+        self._rows: list[tuple[float, ...]] = []
+
+    def _prefix(self) -> Signal:
+        return Signal(self.names, np.array(self._rows), self.delta)
+
+    def push_sample(self, x: Sequence[float]) -> Verdict:
+        """Consume one sample vector; returns the (possibly new) verdict."""
+        if len(x) != len(self.names):
+            raise ArityMismatch(len(self.names), len(x))
+        row = tuple(float(v) for v in x)
+        i = self.i
+        self.i += 1
+        self._rows.append(row)
+        if self.verdict.decided:
+            return self.verdict
+        self.verdict = _judge(self._root(i, row), decided_at=i)
+        return self.verdict
+
+    def finalize(self) -> Verdict:
+        """Resolve the verdict at end of stream.
+
+        A point root decides by sign; an exactly-zero point on a complete
+        trace falls back to the qualitative semantics.  Anything else stays
+        Unknown, with the residual interval attached.
+        """
+        if self.verdict.decided:
+            return self.verdict
+        root = self.verdict.rosi
+        last = self.i - 1
+        if root.is_point:
+            r = root.lb
+            if r != 0:
+                self.verdict = Verdict(r > 0, root, last)
+            elif self.i >= self.horizon + 1:
+                self.verdict = Verdict(
+                    satisfies(self.formula, self._prefix(), 0), root, last)
+        return self.verdict
 
 
 def _init_rosi(node: Formula, bounds) -> tuple[float, float]:
@@ -203,7 +256,7 @@ def _until_anchor(left: _Node, right: _Node, t: int,
     return lb, ub
 
 
-class MonitorState:
+class MonitorState(_PrefixMonitor):
     """Single-owner incremental monitor; feed samples with push_sample."""
 
     def __init__(self, formula: Formula, schema: Sequence[str],
@@ -211,20 +264,12 @@ class MonitorState:
                  bounds: Mapping[str, Bounds] | None = None,
                  backend: str | None = None,
                  max_cells: int = DEFAULT_MAX_CELLS):
-        self.names = tuple(schema)
-        self.delta = float(delta)
-        self.formula = validate(formula, self.names, self.delta)
-        self.bounds = dict(bounds) if bounds else {}
+        super().__init__(formula, schema, delta, bounds)
         self.backend = resolve_backend(backend)
-        self.horizon = horizon(self.formula)
-        self.i = 0
-        self._rows: list[tuple[float, ...]] = []
         self._c_push = kernel(_kernels.c_anchor_push_kernel, self.backend)
         self._e_push = kernel(_kernels.ext_anchor_push_kernel, self.backend)
         self._build(max_cells)
-        root = self._post[-1]
-        self.verdict = self._judge(RoSI(float(root.lb[0]), float(root.ub[0])),
-                                   decided_at=-1)
+        self.verdict = _judge(self.root_rosi(), decided_at=-1)
 
     # -- construction -------------------------------------------------
 
@@ -440,52 +485,12 @@ class MonitorState:
             return lo, hi
         raise AssertionError(f"unknown mode {mode}")  # pragma: no cover
 
-    def _judge(self, root: RoSI, decided_at: int) -> Verdict:
-        if root.lb > 0:
-            return Verdict(True, root, decided_at)
-        if root.ub < 0:
-            return Verdict(False, root, decided_at)
-        return Verdict(None, root, None)
-
-    def push_sample(self, x: Sequence[float]) -> Verdict:
-        """Consume one sample vector; returns the (possibly new) verdict."""
-        if len(x) != len(self.names):
-            raise ArityMismatch(len(self.names), len(x))
-        row = tuple(float(v) for v in x)
-        i = self.i
-        self.i += 1
-        self._rows.append(row)
-        if self.verdict.decided:
-            return self.verdict
+    def _root(self, i: int, row: tuple[float, ...]) -> RoSI:
         spans: dict[int, tuple[int, int] | None] = {}
         for node in self._post:
             child_spans = [spans[c.nid] for c in node.children]
             spans[node.nid] = self._update(node, i, row, child_spans)
-        root = self._post[-1]
-        self.verdict = self._judge(
-            RoSI(float(root.lb[0]), float(root.ub[0])), decided_at=i)
-        return self.verdict
-
-    def finalize(self) -> Verdict:
-        """Resolve the verdict at end of stream.
-
-        A point root decides by sign; an exactly-zero point on a complete
-        trace falls back to the qualitative semantics.  Anything else stays
-        Unknown, with the residual interval attached.
-        """
-        if self.verdict.decided:
-            return self.verdict
-        root = self.verdict.rosi
-        last = self.i - 1
-        if root.is_point:
-            r = root.lb
-            if r != 0:
-                self.verdict = Verdict(r > 0, root, last)
-            elif self.i >= self.horizon + 1:
-                sig = Signal(self.names, np.array(self._rows), self.delta)
-                self.verdict = Verdict(satisfies(self.formula, sig, 0),
-                                       root, last)
-        return self.verdict
+        return self.root_rosi()
 
     # -- inspection ---------------------------------------------------
 
@@ -505,23 +510,6 @@ class MonitorState:
                     for r in range(node.size)
                 }
         raise KeyError(nid)
-
-
-def new_monitor(f: Formula, schema: Sequence[str], delta: float = 1.0,
-                bounds: Mapping[str, Bounds] | None = None,
-                backend: str | None = None,
-                max_cells: int = DEFAULT_MAX_CELLS) -> MonitorState:
-    """Construct a monitor with empty prefix and Unknown (or immediate)
-    verdict."""
-    return MonitorState(f, schema, delta, bounds, backend, max_cells)
-
-
-def push_sample(m: MonitorState, x: Sequence[float]) -> Verdict:
-    return m.push_sample(x)
-
-
-def finalize(m: MonitorState) -> Verdict:
-    return m.finalize()
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
@@ -597,7 +585,7 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
     return RoSI(*ev(f, t))
 
 
-class NaiveMonitor:
+class NaiveMonitor(_PrefixMonitor):
     """Same interface and verdict contract, by full prefix recomputation.
 
     Every push rebuilds the root interval with rosi_naive, so a push costs
@@ -607,49 +595,8 @@ class NaiveMonitor:
 
     def __init__(self, f: Formula, schema: Sequence[str], delta: float = 1.0,
                  bounds: Mapping[str, Bounds] | None = None):
-        self.names = tuple(schema)
-        self.delta = float(delta)
-        self.formula = validate(f, self.names, self.delta)
-        self.bounds = dict(bounds) if bounds else {}
-        self.horizon = horizon(self.formula)
-        self.i = 0
-        self._rows: list[tuple[float, ...]] = []
-        empty = Signal(self.names, np.empty((0, len(self.names))), self.delta)
-        root = rosi_naive(self.formula, empty, 0, self.bounds)
-        self.verdict = self._judge(root, -1)
+        super().__init__(f, schema, delta, bounds)
+        self.verdict = _judge(self._root(-1, ()), decided_at=-1)
 
-    def _judge(self, root: RoSI, decided_at: int) -> Verdict:
-        if root.lb > 0:
-            return Verdict(True, root, decided_at)
-        if root.ub < 0:
-            return Verdict(False, root, decided_at)
-        return Verdict(None, root, None)
-
-    def push_sample(self, x: Sequence[float]) -> Verdict:
-        if len(x) != len(self.names):
-            raise ArityMismatch(len(self.names), len(x))
-        row = tuple(float(v) for v in x)
-        i = self.i
-        self.i += 1
-        self._rows.append(row)
-        if self.verdict.decided:
-            return self.verdict
-        sig = Signal(self.names, np.array(self._rows), self.delta)
-        root = rosi_naive(self.formula, sig, 0, self.bounds)
-        self.verdict = self._judge(root, i)
-        return self.verdict
-
-    def finalize(self) -> Verdict:
-        if self.verdict.decided:
-            return self.verdict
-        root = self.verdict.rosi
-        last = self.i - 1
-        if root.is_point:
-            r = root.lb
-            if r != 0:
-                self.verdict = Verdict(r > 0, root, last)
-            elif self.i >= self.horizon + 1:
-                sig = Signal(self.names, np.array(self._rows), self.delta)
-                self.verdict = Verdict(satisfies(self.formula, sig, 0),
-                                       root, last)
-        return self.verdict
+    def _root(self, i: int, row: tuple[float, ...]) -> RoSI:
+        return rosi_naive(self.formula, self._prefix(), 0, self.bounds)

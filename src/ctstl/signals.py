@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, UnknownVariable
+from .errors import UnknownVariable
 from .logic import Atom
 
 Bounds = tuple[float, float]
@@ -75,17 +75,6 @@ def secondary_signal(atom: Atom, signal: Signal) -> np.ndarray:
     acc = np.zeros(len(signal), dtype=np.float64)
     for name, coeff in atom.coeffs:
         acc += coeff * signal.column(name)
-    return atom.sign * (acc - atom.rhs)
-
-
-def atom_margin(atom: Atom, row: Sequence[float],
-                names: Sequence[str]) -> float:
-    """Single-row version of :func:`secondary_signal`."""
-    if len(row) != len(names):
-        raise ArityMismatch(len(names), len(row))
-    acc = 0.0
-    for name, coeff in atom.coeffs:
-        acc += coeff * row[list(names).index(name)]
     return atom.sign * (acc - atom.rhs)
 
 

@@ -1,17 +1,19 @@
 """Sliding-window aggregation engines.
 
-Two streaming classes (:class:`SlidingKth`, :class:`SlidingExtremum`) for
-incremental use, and batch drivers over whole traces that run on the
-selected backend.  The batch rank driver has its own engine per backend:
-the heap kernel in ``_kernels`` when compiled, a bucketed sorted list
-(:func:`_kth_batch_py`) when interpreted.  The naive_* functions recompute
-every window from scratch; they are the re-evaluation baseline the
-incremental engines are benchmarked and tested against.
+The streaming classes are the interpreted engines.  On the ``python``
+backend each sliding algorithm has one implementation: the bucketed sorted
+window (:class:`_SortedWindow`) behind both :class:`SlidingKth` and
+:func:`sliding_kth_batch`, and the monotonic deque of
+:class:`SlidingExtremum`, which :func:`sliding_extremum_batch` runs.  The
+``jit`` backend runs the kernels in ``_kernels`` instead.  The naive_*
+functions recompute every window from scratch; they are the re-evaluation
+baseline the incremental engines are benchmarked and tested against.  NaN
+has no rank, so every entry point rejects it; +-inf is legal.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
@@ -22,22 +24,96 @@ from ._accel import kernel, resolve_backend
 from .errors import RankOutOfRange, WindowExceedsTrace
 from .logic import TimeInterval, _snap_int
 
-# Physical heap size allowed before dead entries are swept out.
-_COMPACT_SLACK = 64
-
-# Target bucket size of the interpreted rank engine.
+# Target bucket size of the sorted window.
 _LOAD = 1000
+
+
+def _no_nan(v: float) -> float:
+    if math.isnan(v):
+        raise ValueError("window values must not be NaN")
+    return v
+
+
+class _SortedWindow:
+    """Multiset of floats as a sorted list cut into buckets.
+
+    The load-factor design of the *sortedcontainers* package on ``bisect``:
+    each update is a ``bisect`` over the bucket maxima plus an ``insort`` or
+    ``del`` inside one bucket, O(log w + _LOAD) C-level work.  Buckets split
+    above 2*_LOAD and merge into a neighbour below _LOAD/2, so there are at
+    most 2w/_LOAD + 1 of them and a rank lookup scans their lengths in
+    O(w/_LOAD).  Callers add before they discard, so no bucket empties.
+    """
+
+    __slots__ = ("lists", "maxes", "size")
+
+    def __init__(self, values=()):
+        first = sorted(values)
+        self.lists = [first[j:j + _LOAD] for j in range(0, len(first), _LOAD)]
+        self.maxes = [b[-1] for b in self.lists]
+        self.size = len(first)
+
+    def add(self, v: float) -> None:
+        lists, maxes = self.lists, self.maxes
+        self.size += 1
+        p = bisect_right(maxes, v)
+        if p == len(maxes):
+            if not p:
+                lists.append([v])
+                maxes.append(v)
+                return
+            p -= 1
+            lists[p].append(v)
+            maxes[p] = v
+        else:
+            insort(lists[p], v)
+        if len(lists[p]) > 2 * _LOAD:
+            self._split(p)
+
+    def discard(self, v: float) -> None:
+        """Remove one entry equal to v, which must be present."""
+        lists, maxes = self.lists, self.maxes
+        self.size -= 1
+        # the first bucket whose max is >= v holds an entry equal to v
+        p = bisect_left(maxes, v)
+        b = lists[p]
+        del b[bisect_left(b, v)]
+        if len(b) > _LOAD >> 1 or len(lists) == 1:
+            maxes[p] = b[-1]
+            return
+        if p == 0:
+            p = 1
+        prev = lists[p - 1]
+        prev.extend(lists[p])
+        maxes[p - 1] = prev[-1]
+        del lists[p]
+        del maxes[p]
+        if len(prev) > 2 * _LOAD:
+            self._split(p - 1)
+
+    def kth(self, k: int) -> float:
+        """k-th largest entry, 1 <= k <= size."""
+        j = self.size - k  # 0-based position in ascending order
+        for b in self.lists:
+            if j < len(b):
+                return b[j]
+            j -= len(b)
+
+    def _split(self, p: int) -> None:
+        """Move the part of bucket p past its first _LOAD entries to p+1."""
+        b = self.lists[p]
+        tail = b[_LOAD:]
+        del b[_LOAD:]
+        self.maxes[p] = b[-1]
+        self.lists.insert(p + 1, tail)
+        self.maxes.insert(p + 1, tail[-1])
 
 
 class SlidingKth:
     """k-th largest over a sliding window, one push at a time.
 
-    Entries are keyed (value, arrival index) for a deterministic total
-    order.  The top heap (min-ordered) holds the k largest live entries,
-    the rest heap (max-ordered, stored negated) holds the others.  Expiry
-    is lazy: the arrival index leaving the window goes into ``tombstones``
-    and the entry is dropped when it surfaces at a heap root, so each push
-    is O(log w) amortized.
+    A ring of the last ``window`` values says which entry leaves; the
+    window itself is a :class:`_SortedWindow`.
     """
 
     def __init__(self, k: int, window: int):
@@ -49,94 +125,33 @@ class SlidingKth:
             raise RankOutOfRange(k, window)
         self.k = k
         self.window = window
-        self._top: list[tuple[float, int]] = []
-        self._rest: list[tuple[float, int]] = []
-        self._loc: dict[int, int] = {}
-        self.tombstones: set[int] = set()
-        self._live_top = 0
-        self._live_rest = 0
+        self._ring: deque[float] = deque()
+        self._sorted = _SortedWindow()
         self._count = 0
 
     @property
     def live_top(self) -> int:
-        return self._live_top
+        """Entries at or above the k-th largest: min(k, entries held)."""
+        return min(self.k, self._sorted.size)
 
     @property
     def live_rest(self) -> int:
-        return self._live_rest
-
-    def _purge_top(self) -> None:
-        while self._top and self._top[0][1] in self.tombstones:
-            self.tombstones.discard(heapq.heappop(self._top)[1])
-
-    def _purge_rest(self) -> None:
-        while self._rest and -self._rest[0][1] in self.tombstones:
-            self.tombstones.discard(-heapq.heappop(self._rest)[1])
-
-    def _compact(self) -> None:
-        if len(self._top) > 2 * self._live_top + _COMPACT_SLACK:
-            keep = []
-            for v, idx in self._top:
-                if idx in self.tombstones:
-                    self.tombstones.discard(idx)
-                else:
-                    keep.append((v, idx))
-            self._top = keep
-            heapq.heapify(self._top)
-        if len(self._rest) > 2 * self._live_rest + _COMPACT_SLACK:
-            keep = []
-            for nv, nidx in self._rest:
-                if -nidx in self.tombstones:
-                    self.tombstones.discard(-nidx)
-                else:
-                    keep.append((nv, nidx))
-            self._rest = keep
-            heapq.heapify(self._rest)
+        return self._sorted.size - self.live_top
 
     def push(self, value: float) -> tuple[int, float] | None:
         """Insert a value; once the window is full, return (start, k-th).
 
-        Nothing is returned during warm-up.  The rest heap takes the entry
-        when it orders below the top heap's root, the top heap otherwise;
-        rebalancing then restores exactly k live entries on top.
+        Nothing is returned during warm-up.
         """
+        v = _no_nan(float(value))
         i = self._count
         self._count += 1
-        self._purge_top()
-        entry = (float(value), i)
-        if self._live_top and entry >= self._top[0]:
-            heapq.heappush(self._top, entry)
-            self._loc[i] = 0
-            self._live_top += 1
-        else:
-            heapq.heappush(self._rest, (-entry[0], -i))
-            self._loc[i] = 1
-            self._live_rest += 1
-        gone = i - self.window
-        if gone >= 0:
-            self.tombstones.add(gone)
-            if self._loc.pop(gone) == 0:
-                self._live_top -= 1
-            else:
-                self._live_rest -= 1
-        while self._live_top > self.k:
-            self._purge_top()
-            v, idx = heapq.heappop(self._top)
-            heapq.heappush(self._rest, (-v, -idx))
-            self._loc[idx] = 1
-            self._live_top -= 1
-            self._live_rest += 1
-        while self._live_top < self.k and self._live_rest > 0:
-            self._purge_rest()
-            nv, nidx = heapq.heappop(self._rest)
-            heapq.heappush(self._top, (-nv, -nidx))
-            self._loc[-nidx] = 0
-            self._live_rest -= 1
-            self._live_top += 1
-        self._compact()
+        self._ring.append(v)
+        self._sorted.add(v)
+        if i >= self.window:
+            self._sorted.discard(self._ring.popleft())
         if i >= self.window - 1:
-            self._purge_top()
-            return i - self.window + 1, self._top[0][0]
+            return i - self.window + 1, self._sorted.kth(self.k)
         return None
 
 
@@ -155,9 +170,9 @@ class SlidingExtremum:
         self._count = 0
 
     def push(self, value: float) -> tuple[int, float] | None:
+        v = _no_nan(float(value))
         i = self._count
         self._count += 1
-        v = float(value)
         if self.mode == "max":
             while self._q and self._q[-1][1] <= v:
                 self._q.pop()
@@ -186,8 +201,15 @@ def _as_span(interval) -> tuple[int, int]:
     return ilo, ihi
 
 
-def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
+def _as_trace(trace) -> np.ndarray:
     arr = np.asarray(trace, dtype=np.float64).ravel()
+    if np.isnan(arr).any():
+        raise ValueError("window values must not be NaN")
+    return arr
+
+
+def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
+    arr = _as_trace(trace)
     lo, hi = _as_span(interval)
     w = hi - lo + 1
     if hi > arr.size - 1:
@@ -195,76 +217,22 @@ def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
     return arr, lo, w
 
 
-def _split(lists, maxes, p) -> None:
-    """Move the part of bucket p past its first _LOAD entries to p+1."""
-    b = lists[p]
-    tail = b[_LOAD:]
-    del b[_LOAD:]
-    maxes[p] = b[-1]
-    lists.insert(p + 1, tail)
-    maxes.insert(p + 1, tail[-1])
-
-
 def _kth_batch_py(values, w, k, out) -> None:
     """k-th largest of every complete width-w window, interpreted engine.
 
-    The window is kept as a sorted list cut into buckets of about _LOAD
-    entries (the load-factor design of the *sortedcontainers* package), so
-    each slide is a ``bisect`` over the bucket maxima plus an ``insort`` or
-    ``del`` inside one bucket: O(log w + _LOAD) C-level work.  Buckets
-    split above 2*_LOAD and merge into a neighbour below _LOAD/2, so there
-    are at most 2w/_LOAD + 1 of them and the rank lookup scans their
-    lengths in O(w/_LOAD).
+    Slides one :class:`_SortedWindow` over the trace; a slide that swaps
+    equal values leaves the window as it was and is skipped.
     """
     vals = values.tolist()
-    n = len(vals)
-    first = sorted(vals[:w])
-    lists = [first[j:j + _LOAD] for j in range(0, w, _LOAD)]
-    maxes = [b[-1] for b in lists]
-    rank = w - k  # 0-based position in ascending order
-    half = _LOAD >> 1
-    twice = _LOAD << 1
-    res = [0.0] * (n - w + 1)
-    for i in range(w, n + 1):
-        j = rank
-        for b in lists:
-            m = len(b)
-            if j < m:
-                res[i - w] = b[j]
-                break
-            j -= m
-        if i == n:
-            break
-        new = vals[i]
-        old = vals[i - w]
-        if new == old:
-            continue
-        # insert first, so the list is never empty when w == 1
-        p = bisect_right(maxes, new)
-        if p == len(maxes):
-            p -= 1
-            lists[p].append(new)
-            maxes[p] = new
-        else:
-            insort(lists[p], new)
-        if len(lists[p]) > twice:
-            _split(lists, maxes, p)
-        # the first bucket whose max is >= old holds an entry equal to old
-        p = bisect_left(maxes, old)
-        b = lists[p]
-        del b[bisect_left(b, old)]
-        if len(b) > half or len(lists) == 1:
-            maxes[p] = b[-1]
-            continue
-        if p == 0:
-            p = 1
-        prev = lists[p - 1]
-        prev.extend(lists[p])
-        maxes[p - 1] = prev[-1]
-        del lists[p]
-        del maxes[p]
-        if len(prev) > twice:
-            _split(lists, maxes, p - 1)
+    win = _SortedWindow(vals[:w])
+    add, discard, kth = win.add, win.discard, win.kth
+    res = [kth(k)]
+    for new, old in zip(vals[w:], vals):
+        if new != old:
+            # insert first, so the window is never empty when w == 1
+            add(new)
+            discard(old)
+        res.append(kth(k))
     out[:] = res
 
 
@@ -293,7 +261,11 @@ def sliding_extremum_batch(trace, interval, mode: str,
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     arr, lo, w = _prep(trace, interval)
     out = np.empty(arr.size - lo - w + 1, dtype=np.float64)
-    kernel(_kernels.extremum_batch_kernel, backend)(
+    if resolve_backend(backend) == "python":
+        push = SlidingExtremum(w, mode).push
+        out[:] = [r[1] for r in map(push, arr[lo:].tolist()) if r]
+        return out
+    kernel(_kernels.extremum_batch_kernel, "jit")(
         arr[lo:], w, mode == "min", out)
     return out
 
@@ -305,8 +277,8 @@ def until_batch(lvals, rvals, a: int, b: int,
     out[t] = max_{d in [a,b]} min(rvals[t+d], min of lvals[t .. t+d-1]).
     Output covers every t for which both argument traces reach far enough.
     """
-    larr = np.asarray(lvals, dtype=np.float64).ravel()
-    rarr = np.asarray(rvals, dtype=np.float64).ravel()
+    larr = _as_trace(lvals)
+    rarr = _as_trace(rvals)
     if not 0 <= a <= b:
         raise ValueError(f"bad window [{a},{b}]")
     m = rarr.size - b

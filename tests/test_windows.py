@@ -68,21 +68,27 @@ class TestSlidingKth:
         assert eng.push(0.0) == (0, 0.0)
         assert eng.push(inf) == (1, inf)
 
-    def test_heap_structure_invariants(self, rng):
-        eng = SlidingKth(4, 9)
-        vals = rng.integers(-5, 6, size=200).astype(float)
-        for i, v in enumerate(vals):
-            eng.push(v)
-            if i >= 8:
-                assert eng.live_top == 4
-                assert eng.live_rest == 5
-                # every live rest entry sits below the top root in the
-                # (value, arrival) order
-                top_root = min(e for e in eng._top
-                               if e[1] not in eng.tombstones)
-                for nv, ni in eng._rest:
-                    if -ni not in eng.tombstones:
-                        assert (-nv, -ni) <= top_root
+    def test_sorted_window_invariants(self, rng):
+        # Widths around 3 * _LOAD keep the window in several buckets that
+        # fill, split, drain and merge as the random walk drifts.  A falling
+        # ramp followed by a plateau low in it drains the top bucket into
+        # an overfull neighbour, so the merge has to split again.
+        traces = []
+        for w in (3 * _LOAD - 1, 3 * _LOAD + 7):
+            traces.append((w, np.cumsum(rng.integers(-3, 4, size=4 * w))))
+            traces.append((w, np.r_[np.arange(w, 0, -1),
+                                    np.full(2 * w, w / 10 + 0.5)]))
+        for w, vals in traces:
+            eng = SlidingKth(w // 2, w)
+            for i, v in enumerate(vals):
+                eng.push(v)
+                win = eng._sorted
+                assert win.size == min(i + 1, w)
+                assert len(win.lists) == len(win.maxes)
+                for b, m in zip(win.lists, win.maxes):
+                    assert b and b == sorted(b) and len(b) <= 2 * _LOAD
+                    assert m == b[-1]
+                assert win.maxes == sorted(win.maxes)
 
 
 @given(st.data())
@@ -171,8 +177,15 @@ class TestBatchDrivers:
         for (a, b), k in (((0, 9), 3), ((2, 2), 1), ((1, 31), 17)):
             assert np.array_equal(sliding_kth_batch(tr, (a, b), k),
                                   naive_kth_batch(tr, (a, b), k))
-            assert np.array_equal(sliding_extremum_batch(tr, (a, b), "max"),
-                                  naive_extremum_batch(tr, (a, b), "max"))
+            for mode in ("min", "max"):
+                want = naive_extremum_batch(tr, (a, b), mode)
+                assert np.array_equal(
+                    sliding_extremum_batch(tr, (a, b), mode), want)
+                # the jit source, run uncompiled, where numba is absent
+                got = np.empty_like(want)
+                _kernels.extremum_batch_kernel(tr[a:], b - a + 1,
+                                               mode == "min", got)
+                assert np.array_equal(got, want)
 
     def test_backends_agree(self, rng):
         tr = rng.standard_normal(300)
@@ -192,7 +205,8 @@ def test_rank_engines_match_naive_across_bucket_sizes(rng):
     # until they split and drain them at the other until they merge.  The
     # flat trace puts equal values, and equal bucket maxima, everywhere.
     # The heap kernel, run uncompiled, is held to the same oracle so the
-    # jit source stays checked where numba is absent.
+    # jit source stays checked where numba is absent, and so is the
+    # streaming class, which shares the batch driver's sorted window.
     for w in (_LOAD - 1, _LOAD, _LOAD + 1, 2 * _LOAD + 1, 4 * _LOAD + 3):
         n = 3 * w
         ramp = np.arange(n) // 4
@@ -209,6 +223,32 @@ def test_rank_engines_match_naive_across_bucket_sizes(rng):
                 heap = np.empty_like(want)
                 _kernels.kth_batch_kernel(tr, w, k, heap)
                 assert np.array_equal(heap, want), (name, w, k)
+                push = SlidingKth(k, w).push
+                stream = [r[1] for r in map(push, tr) if r]
+                assert np.array_equal(stream, want), (name, w, k)
+
+
+def test_nan_is_rejected_by_every_entry_point():
+    # NaN has no rank, so no two rank engines need agree on a trace with it
+    tr = [1, float("nan"), 3, 2, 0, 5, 4]
+    calls = [
+        lambda: sliding_kth_batch(tr, (0, 2), 2),
+        lambda: naive_kth_batch(tr, (0, 2), 2),
+        lambda: sliding_extremum_batch(tr, (0, 2), "min"),
+        lambda: naive_extremum_batch(tr, (0, 2), "min"),
+        lambda: until_batch(tr, [0.0] * 7, 0, 2),
+        lambda: until_batch([0.0] * 7, tr, 0, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+    # a streaming engine refuses the sample and keeps its window as it was
+    streams = ((SlidingKth(2, 3), (0, 2.0)), (SlidingExtremum(3), (0, 1.0)))
+    for eng, want in streams:
+        eng.push(tr[0])
+        with pytest.raises(ValueError, match="NaN"):
+            eng.push(tr[1])
+        assert [eng.push(v) for v in tr[2:4]] == [None, want]
 
 
 @pytest.mark.slow
