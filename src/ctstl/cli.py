@@ -7,22 +7,20 @@ Exit codes form a scriptable contract: 0 satisfied, 1 violated, 2 error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
-import numpy as np
-
 from . import bench as benchmod
-from .errors import CTSTLError, ParamOutOfRange, SignalFormatError
+from .errors import CTSTLError, ParamOutOfRange
 from .generators import glucose_trace, overvoltage_trace
 from .logic import _fmt_num, validate
 from .monitor import MonitorState
 from .semantics import robustness, robustness_trace, satisfies
 from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
-                      write_signal_csv)
+                      samples_at_step, write_signal_csv)
 from .syntax import parse
-
-_REL_TOL = 1e-9
 
 
 def _formula_text(args) -> str:
@@ -40,30 +38,44 @@ def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
         try:
             name, _, rng = item.partition("=")
             lo_s, _, hi_s = rng.partition(":")
-            out[name.strip()] = (float(lo_s), float(hi_s))
+            lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise ParamOutOfRange(
                 f"bad --bounds {item!r}, expected name=lo:hi") from None
+        # samples are finite, so the range must hold a finite value;
+        # this also rejects NaN ends
+        if not (lo <= hi and lo < math.inf and hi > -math.inf):
+            raise ParamOutOfRange(
+                f"bad --bounds {item!r}, need lo <= hi and a finite value "
+                f"between them")
+        out[name.strip()] = (lo, hi)
     return out
 
 
 def _sample_index(at: float, delta: float) -> int:
     q = at / delta
-    i = round(q)
-    if abs(q - i) > 1e-9 or i < 0:
+    if not (math.isfinite(q) and q > -0.5 and abs(q - round(q)) <= 1e-9):
         raise ParamOutOfRange(
             f"--at {at} is not a nonnegative multiple of the step {delta}")
-    return int(i)
+    return round(q)
 
 
+@contextlib.contextmanager
 def _open_source(path: str):
     if path == "-":
-        return sys.stdin, False
-    return open(path, "r", encoding="utf-8", newline=""), True
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+def _read_signal(args):
+    with _open_source(args.signal) as fh:
+        return read_signal_csv(fh, delta=args.step)
 
 
 def cmd_eval(args) -> int:
-    sig = read_signal_csv(args.signal, delta=args.step)
+    sig = _read_signal(args)
     f = validate(parse(_formula_text(args)), sig.names, sig.delta)
     ok = satisfies(f, sig, _sample_index(args.at, sig.delta))
     print("true" if ok else "false")
@@ -71,7 +83,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rob(args) -> int:
-    sig = read_signal_csv(args.signal, delta=args.step)
+    sig = _read_signal(args)
     f = validate(parse(_formula_text(args)), sig.names, sig.delta)
     if args.sweep:
         rho = robustness_trace(f, sig)
@@ -93,72 +105,25 @@ def _trace_rows(mon: MonitorState, i: int, out) -> None:
 
 
 def cmd_monitor(args) -> int:
-    fh, owned = _open_source(args.signal)
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(_open_source(args.signal))
+        trace_fh = stack.enter_context(
+            open(args.trace, "w", encoding="utf-8")) if args.trace else None
         names, has_time, rows = open_signal_stream(fh)
-        delta = args.step
-        prev_t = None
-        mon = None
-        state = {"i": -1}
-        pending = []
-
-        def build():
-            return MonitorState(
-                parse(_formula_text(args)), names,
-                delta=1.0 if delta is None else delta,
-                bounds=_parse_bounds(args.bounds),
-                backend=args.backend)
-
-        def feed(vals) -> bool:
-            state["i"] += 1
-            v = mon.push_sample(np.asarray(vals))
+        delta, samples = samples_at_step(has_time, rows, args.step)
+        mon = MonitorState(parse(_formula_text(args)), names, delta=delta,
+                           bounds=_parse_bounds(args.bounds),
+                           backend=args.backend)
+        for i, vals in enumerate(samples):
+            v = mon.push_sample(vals)
             root = mon.root_rosi()
-            ev = MonitorEvent(state["i"], root.lb, root.ub, v.outcome,
-                              v.decided)
-            print(ev.to_json(), flush=True)
+            print(MonitorEvent(i, root.lb, root.ub, v.outcome,
+                               v.decided).to_json(), flush=True)
             if trace_fh is not None:
-                _trace_rows(mon, state["i"], trace_fh)
-            return v.decided and not args.run_to_end
-
-        stop = False
-        for lineno, vals in rows:
-            if has_time:
-                t, vals = vals[0], vals[1:]
-                if prev_t is not None:
-                    dt = t - prev_t
-                    if delta is None:
-                        delta = dt
-                    elif abs(dt - delta) > _REL_TOL * max(abs(delta), 1.0):
-                        raise SignalFormatError(
-                            f"time step {dt!r} != {delta!r}", lineno)
-                prev_t = t
-            if mon is None:
-                if has_time and delta is None:
-                    # one timestamped row says nothing about the step;
-                    # hold it until the second row fixes the spacing
-                    pending.append(vals)
-                    continue
-                mon = build()
-                for held in pending:
-                    if feed(held):
-                        stop = True
-                        break
-                pending.clear()
-            if stop or feed(vals):
+                _trace_rows(mon, i, trace_fh)
+            if v.decided and not args.run_to_end:
                 break
-        if mon is None:
-            # empty stream, or a single timestamped row
-            mon = build()
-            for held in pending:
-                if feed(held):
-                    break
         verdict = mon.finalize()
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-        if owned:
-            fh.close()
     if verdict.outcome is None:
         return 3
     return 0 if verdict.outcome else 1

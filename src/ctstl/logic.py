@@ -128,8 +128,6 @@ class Cumulative:
 
 Formula = Union[Atom, Not, And, Or, Until, Eventually, Always, Cumulative]
 
-TEMPORAL = (Until, Eventually, Always, Cumulative)
-
 
 def _fmt_num(x: float) -> str:
     x = float(x)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from ._accel import kernel, resolve_backend
-from .errors import ArityMismatch, RankOutOfRange
+from .errors import ArityMismatch
 from .logic import (
     Always,
     And,
@@ -81,15 +81,6 @@ class RoSI:
         return f"[{self.lb}, {self.ub}]"
 
 
-def rosi_max_tau(windows: Sequence[RoSI], k: int) -> RoSI:
-    """Componentwise k-th largest (1-based from the top) of the intervals."""
-    if not 1 <= k <= len(windows):
-        raise RankOutOfRange(k, len(windows))
-    lbs = sorted((iv.lb for iv in windows), reverse=True)
-    ubs = sorted((iv.ub for iv in windows), reverse=True)
-    return RoSI(lbs[k - 1], ubs[k - 1])
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Monitoring outcome: True / False / None (unknown) plus evidence."""
@@ -119,7 +110,9 @@ class _PrefixMonitor:
 
     A subclass computes the root interval after each sample in
     ``_root(i, row)`` and sets the verdict before any sample; once the
-    verdict is decided, further samples are recorded but not evaluated.
+    verdict is decided, further samples are counted but not evaluated.
+    Only the first horizon+1 rows are kept: no later row reaches anchor 0,
+    the only anchor ``finalize`` and the root interval read.
     """
 
     def __init__(self, formula: Formula, schema: Sequence[str],
@@ -140,9 +133,12 @@ class _PrefixMonitor:
         if len(x) != len(self.names):
             raise ArityMismatch(len(self.names), len(x))
         row = tuple(float(v) for v in x)
+        if not all(map(math.isfinite, row)):
+            raise ValueError("signal samples must be finite")
         i = self.i
         self.i += 1
-        self._rows.append(row)
+        if len(self._rows) <= self.horizon:
+            self._rows.append(row)
         if self.verdict.decided:
             return self.verdict
         self.verdict = _judge(self._root(i, row), decided_at=i)
@@ -262,18 +258,17 @@ class MonitorState(_PrefixMonitor):
     def __init__(self, formula: Formula, schema: Sequence[str],
                  delta: float = 1.0,
                  bounds: Mapping[str, Bounds] | None = None,
-                 backend: str | None = None,
-                 max_cells: int = DEFAULT_MAX_CELLS):
+                 backend: str | None = None):
         super().__init__(formula, schema, delta, bounds)
         self.backend = resolve_backend(backend)
         self._c_push = kernel(_kernels.c_anchor_push_kernel, self.backend)
         self._e_push = kernel(_kernels.ext_anchor_push_kernel, self.backend)
-        self._build(max_cells)
+        self._build()
         self.verdict = _judge(self.root_rosi(), decided_at=-1)
 
     # -- construction -------------------------------------------------
 
-    def _build(self, max_cells: int) -> None:
+    def _build(self) -> None:
         ranges = node_horizons(self.formula)
         by_obj: dict[int, _Node] = {}
         pre: list[_Node] = []
@@ -299,7 +294,7 @@ class MonitorState(_PrefixMonitor):
         wire(self.formula)
         self._post = post
 
-        budget = max_cells
+        budget = DEFAULT_MAX_CELLS
         for node in post:
             form = node.form
             ilo, ihi = _init_rosi(form, self.bounds)

@@ -96,9 +96,11 @@ def satisfies(f: Formula, signal: Signal, t: int = 0) -> bool:
             out = all(ev(node.child, t1) for t1 in range(t + a, t + b + 1))
         elif isinstance(node, Cumulative):
             a, b = node.span
+            # count against the rank validate bound, as robustness does;
+            # count * delta >= tau can round the other way (3 * 0.3 < 0.9)
             count = sum(
                 ev(node.child, t1) for t1 in range(t + a, t + b + 1))
-            out = count * signal.delta >= node.tau
+            out = count >= node.order
         else:
             raise TypeError(f"not a formula node: {node!r}")
         out = bool(out)

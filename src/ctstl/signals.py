@@ -58,13 +58,6 @@ class Signal:
             raise UnknownVariable(name, self.names) from None
         return self.values[:, j]
 
-    @classmethod
-    def from_columns(cls, columns: Mapping[str, Sequence[float]],
-                     delta: float = 1.0) -> "Signal":
-        names = tuple(columns)
-        cols = [np.asarray(columns[n], dtype=np.float64) for n in names]
-        return cls(names, np.column_stack(cols), delta)
-
 
 def secondary_signal(atom: Atom, signal: Signal) -> np.ndarray:
     """Oriented margin of an atom over every sample.

@@ -48,8 +48,6 @@ _KEYWORDS = {
     "and": "ANDKW", "or": "ORKW", "not": "NOTKW",
 }
 
-RESERVED_WORDS = frozenset(_KEYWORDS)
-
 _TOKEN_SPEC = [
     ("WS", r"\s+"),
     ("NUM", r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"),

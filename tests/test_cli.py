@@ -3,14 +3,20 @@
 import importlib.metadata
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import sysconfig
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctstl.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FIG4_CSV = "t,x\n0,2\n1,-1\n2,7\n3,10\n4,-5\n5,15\n6,8\n7,-2\n"
 FIG4_FORMULA = "G[0,2] C[1,5]^3 (x > 0)"
@@ -76,6 +82,14 @@ class TestEval:
         code, _, err = run_cli(
             ["eval", "--formula", "x > 0", "--at", "0.25", fig4_file])
         assert code == 2
+
+    def test_dash_reads_stdin(self):
+        code, out, _ = run_cli(["eval", "--formula", "x > 0", "-"],
+                               stdin_text="x\n1\n2\n")
+        assert (code, out.strip()) == (0, "true")
+        code, out, _ = run_cli(["rob", "--formula", "x > 0", "--sweep", "-"],
+                               stdin_text="x\n1\n2\n")
+        assert (code, out.splitlines()) == (0, ["t,rho", "0,1", "1,2"])
 
 
 class TestRob:
@@ -201,6 +215,164 @@ class TestMonitor:
         events = [json.loads(line) for line in out.splitlines()]
         assert code == 0
         assert events[0]["verdict"] is True
+
+
+class TestBadInput:
+    CASES = [
+        (["monitor", "--formula", "G[0,2] (x > 0)", "-"], "t,x\n1,0\n0,1\n",
+         "line 3"),
+        (["monitor", "--formula", "G[0,3] (x > 0)", "-"],
+         "x\n1\nnan\n2\n3\n", "line 3"),
+        (["eval", "--formula", "x > 0", "-"], "t,x\n0,1\n1,nan\n2,1\n",
+         "line 3"),
+        (["rob", "--formula", "x > 0", "--step", "0", "-"], "x\n1\n",
+         "step"),
+        (["monitor", "--formula", "x > 0", "--bounds", "x=3:1", "-"],
+         "x\n1\n", "bounds"),
+        (["monitor", "--formula", "x > 0", "--bounds", "x=nan:1", "-"],
+         "x\n1\n", "bounds"),
+        (["eval", "--formula", "x > 0", "--at", "nan", "-"], "x\n1\n", "--at"),
+        (["rob", "--formula", "x > 0", "--at", "inf", "-"], "x\n1\n", "--at"),
+    ]
+
+    @pytest.mark.parametrize("argv,text,says", CASES)
+    def test_rejected_with_exit_two_and_no_verdict(self, argv, text, says):
+        code, out, err = run_cli(argv, stdin_text=text)
+        assert code == 2
+        assert err.startswith("error: ") and says in err
+        assert '"decided": true' not in out
+        if argv[0] != "monitor":
+            assert out == ""
+
+    def test_inexact_step_product_does_not_flip_the_verdict(self):
+        # 3 * 0.3 is 0.8999999999999999 < 0.9; all three paths must count
+        # against the bound rank 3 and agree
+        text = "t,x\n0,1\n0.3,1\n0.6,1\n0.9,-1\n"
+        f = ["--formula", "C[0,0.9]^0.9 (x > 0)", "-"]
+        assert run_cli(["eval", *f], stdin_text=text)[:2] == (0, "true\n")
+        assert run_cli(["rob", *f], stdin_text=text)[:2] == (0, "1\n")
+        code, out, _ = run_cli(["monitor", *f], stdin_text=text)
+        last = json.loads(out.splitlines()[-1])
+        assert code == 0 and last["verdict"] is True
+
+
+_VALUE = st.integers(-2, 3).map(str)
+_BAD_CELL = st.sampled_from(["oops", " ", "1e", "nan", "inf", "-inf"])
+_BAD_STEPS = ["0", "-1", "nan", "inf"]
+_BAD_BOUNDS = ["x=3:1", "x=nan:1", "x=inf:inf", "x=1"]
+
+
+@st.composite
+def _cli_runs(draw):
+    """A CLI call on generated CSV, and the index of its first bad sample.
+
+    Samples before that index are valid under every flag; a bad header or
+    flag makes it 0.  None means the whole input is valid.
+    """
+    cmd = draw(st.sampled_from(["monitor", "monitor", "eval", "rob"]))
+    has_time = draw(st.booleans())
+    arity = draw(st.integers(1, 2))
+    grid = draw(st.sampled_from([0.5, 1.0]))
+    n = draw(st.integers(0, 8))
+    names = ["x", "y"][:arity]
+    rows = [[str(j * grid)] * has_time + draw(st.lists(_VALUE, min_size=arity,
+                                                       max_size=arity))
+            for j in range(n)]
+    first_bad = None
+    bad_at = draw(st.none() | st.integers(0, n))
+    if bad_at is not None:
+        row = [str(bad_at * grid)] * has_time + ["1"] * arity
+        kind = draw(st.sampled_from(["arity", "cell", "time"]))
+        if kind == "arity":
+            row.append("1")
+        elif kind == "time" and has_time and bad_at >= 1:
+            row[0] = str((bad_at - draw(st.sampled_from([1, 2]))) * grid)
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELL)
+        rows.insert(bad_at, row)
+        first_bad = bad_at
+    header = ["t"] * has_time + names
+    header_kind = draw(st.sampled_from(["ok"] * 12 + ["empty", "blank",
+                                                      "dup", "t"]))
+    if header_kind == "empty":
+        header, rows = [], []
+    elif header_kind != "ok":
+        header = {"blank": header + [""], "dup": header + ["x"],
+                  "t": ["t"]}[header_kind]
+    if header_kind != "ok":
+        first_bad = 0
+    text = "".join(",".join(r) + "\n" for r in [header] * bool(header)
+                   + rows)
+
+    argv = [cmd, "--formula", "G[0,2] (x > 0)"]
+    step = draw(st.sampled_from([None] * 4 + _BAD_STEPS + ["grid", "double"]))
+    if step is not None:
+        value = {"grid": grid, "double": 2 * grid}.get(step, step)
+        argv.append(f"--step={value}")
+        if step in _BAD_STEPS:
+            first_bad = 0
+        elif step == "double" and has_time and len(rows) >= 2:
+            # the second timestamp already breaks the flag's spacing
+            first_bad = 1 if first_bad is None else min(first_bad, 1)
+    if cmd == "monitor":
+        bounds = draw(st.sampled_from([None] * 4 + _BAD_BOUNDS
+                                      + ["x=-5:5", "x=-inf:inf"]))
+        if bounds is not None:
+            argv += ["--bounds", bounds]
+            if bounds in _BAD_BOUNDS:
+                first_bad = 0
+    return argv + ["-"], text, first_bad
+
+
+class TestFuzz:
+    @given(_cli_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_contract_holds_and_bad_rows_get_no_event(self, run):
+        argv, text, first_bad = run
+        # an exception escaping main() fails the test by itself
+        code, out, err = run_cli(argv, stdin_text=text)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if argv[0] != "monitor":
+            if first_bad is not None:
+                assert (code, out) == (2, "")
+            return
+        events = [json.loads(line) for line in out.splitlines()]
+        assert [e["i"] for e in events] == list(range(len(events)))
+        if first_bad is None:
+            assert code in (0, 1, 3)
+            return
+        # no event for the bad sample or any after it; a verdict is only
+        # given when it was decided before the bad sample was read
+        assert len(events) <= first_bad
+        if code != 2:
+            assert events and events[-1]["decided"] is True
+
+
+def test_benchmark_traced_child_runs(tmp_path):
+    # the benchmark's traced child rebinds names in ctstl.cli; a renamed
+    # or bypassed binding shows up here, not only in a benchmark run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("x\n1\n-1\n2\n3\n")
+    calls = [
+        (["monitor", "--formula", "G[0,1] (x > 0)", "-"], "x\n1\n2\n3\n", 0,
+         {"sigfile.stream_row", "monitor.init", "monitor.push",
+          "sigfile.event_json", "syntax.parse"}),
+        (["rob", "--sweep", "--formula", "C[0,2]^2 (x > 0)", str(sweep_csv)],
+         "", 0, {"sigfile.read", "semantics.sweep", "windows.kth.w3",
+                 "syntax.parse"}),
+    ]
+    for j, (argv, text, want_code, want_spans) in enumerate(calls):
+        spans = tmp_path / f"spans{j}.json"
+        env["PERFBENCH_SPANS"] = str(spans)
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+             *argv], input=text, capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == want_code, proc.stderr
+        names = {s[0] for s in json.loads(spans.read_text())["spans"]}
+        assert want_spans <= names
 
 
 class TestGen:

@@ -12,9 +12,10 @@ import pytest
 
 from conftest import make_case
 from ctstl import (MonitorState, NaiveMonitor, RoSI, Signal, Verdict,
-                   horizon, parse, robustness, rosi_naive, validate)
+                   horizon, parse, robustness, rosi_naive, satisfies,
+                   validate)
+from ctstl import monitor
 from ctstl.errors import ArityMismatch
-from ctstl.monitor import rosi_max_tau
 from ctstl.randgen import random_signal
 
 X = ("x",)
@@ -75,12 +76,6 @@ class TestFigureReplay:
 
 
 class TestRoSIAlgebra:
-    def test_rank_combination(self):
-        wins = [RoSI(1, 4), RoSI(-2, 0), RoSI(3, 3)]
-        assert rosi_max_tau(wins, 1) == RoSI(3, 4)
-        assert rosi_max_tau(wins, 2) == RoSI(1, 3)
-        assert rosi_max_tau(wins, 3) == RoSI(-2, 0)
-
     def test_verdict_str(self):
         assert str(Verdict(None, RoSI(-1, 1), None)) == "Unknown"
         assert str(Verdict(True, RoSI(2, 2), 5)) == "True"
@@ -229,15 +224,57 @@ class TestDecisions:
         with pytest.raises(ArityMismatch):
             mon.push_sample([1.0, 2.0])
 
+    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_sample_is_refused(self, cls, bad):
+        f = parse("G[0,3] (x > 0)")
+        mon, clean = cls(f, X), cls(f, X)
+        mon.push_sample([1.0])
+        with pytest.raises(ValueError, match="finite"):
+            mon.push_sample([bad])
+        # refused before any state changed: the stream goes on as if the
+        # sample never came
+        for v in (1.0, 2.0, 3.0):
+            if v != 1.0:
+                mon.push_sample([v])
+            clean.push_sample([v])
+        assert mon.i == clean.i == 3
+        assert mon.verdict == clean.verdict
+        assert mon.verdict.outcome is None
+        assert mon.finalize() == clean.finalize()
+
+    @pytest.mark.parametrize("text,value", [
+        ("F[0,3] (x > 1)", 1.0),   # root stays at exactly 0: undecided
+        ("G[0,2] (x > 0)", 1.0),   # decided at the horizon
+        ("x > 0", 2.0),            # horizon 0, decided at once
+    ])
+    def test_prefix_is_bounded_by_the_horizon(self, text, value):
+        f = validate(parse(text), X)
+        h = horizon(f)
+        mon, ref = MonitorState(f, X), NaiveMonitor(f, X)
+        n = 10 * (h + 1)
+        for _ in range(n):
+            va = mon.push_sample([value])
+            vb = ref.push_sample([value])
+            assert va == vb
+        assert len(mon._rows) == len(ref._rows) == h + 1
+        whole = Signal(X, np.full((n, 1), value), 1.0)
+        assert mon.finalize() == ref.finalize()
+        assert mon.verdict.outcome is satisfies(f, whole, 0)
+
 
 class TestFallbackPaths:
-    def test_budgeted_rank_state_matches_direct_rescan(self, rng):
+    def test_budgeted_rank_state_matches_direct_rescan(self, rng,
+                                                       monkeypatch):
         f = validate(parse("G[0,3] C[0,6]^4 (x > 0)"), X)
         n = horizon(f) + 2
         for trial in range(15):
             sig = random_signal(rng, X, n)
             a = MonitorState(f, X)
-            b = MonitorState(f, X, max_cells=0)
+            with monkeypatch.context() as m:
+                m.setattr(monitor, "DEFAULT_MAX_CELLS", 0)
+                b = MonitorState(f, X)
+            assert [node.mode for node in b._post].count("c_direct") == 1
             for i in range(n):
                 va = a.push_sample(sig.values[i])
                 vb = b.push_sample(sig.values[i])

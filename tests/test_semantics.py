@@ -131,15 +131,25 @@ class TestCumulative:
             assert robustness(f, s, 0) == margins[3]
 
     def test_fractional_step_scales_the_rank(self):
-        # tau = 1.0 over delta = 0.25 needs 4 satisfying samples
-        s = Signal(X, np.array([1, 1, 1, -1, 1.0]).reshape(-1, 1), 0.25)
-        f = validate(parse("C[0,1]^1 (x > 0)"), X, delta=0.25)
-        assert f.order == 4
-        assert satisfies(f, s, 0) is True
-        assert robustness(f, s, 0) == 1.0  # 4th largest of [1,1,1,-1,1]
-        short = Signal(X, np.array([1, 1, 1, -1, -1.0]).reshape(-1, 1), 0.25)
-        assert satisfies(f, short, 0) is False
-        assert robustness(f, short, 0) == -1.0
+        # (formula, step, rank, exactly `rank` satisfying samples, one fewer)
+        cases = [
+            # tau = 1.0 over delta = 0.25 needs 4 satisfying samples
+            ("C[0,1]^1 (x > 0)", 0.25, 4,
+             [1, 1, 1, -1, 1], [1, 1, 1, -1, -1]),
+            # 3 * 0.3 is 0.8999999999999999 < 0.9 in floating point; the
+            # bound rank is still 3, and satisfies must count against it
+            ("C[0,0.9]^0.9 (x > 0)", 0.3, 3, [1, 1, 1, -1], [1, 1, -1, -1]),
+            # tau within the snap tolerance of 3 samples binds rank 3
+            ("C[0,3]^3.0000000001 (x > 0)", 1.0, 3,
+             [1, 1, 1, -1], [1, -1, 1, -1]),
+        ]
+        for text, delta, order, enough, short in cases:
+            f = validate(parse(text), X, delta=delta)
+            assert f.order == order
+            assert satisfies(f, sig(*enough, delta=delta), 0) is True
+            assert robustness(f, sig(*enough, delta=delta), 0) == 1.0
+            assert satisfies(f, sig(*short, delta=delta), 0) is False
+            assert robustness(f, sig(*short, delta=delta), 0) == -1.0
 
 
 class TestTraceBounds:

@@ -40,10 +40,12 @@ def test_time_column_written_back(tmp_path):
 
 
 def test_nonuniform_spacing_reports_line():
-    text = "t,x\n0,1\n1,2\n2.5,3\n"
-    with pytest.raises(SignalFormatError) as e:
-        read_signal_csv(io.StringIO(text))
-    assert "line 4" in str(e.value)
+    for text, line in [("t,x\n0,1\n1,2\n2.5,3\n", 4),
+                       ("t,x\n1,0\n0,1\n", 3),        # decreasing
+                       ("t,x\n0,1\n1,2\n1,3\n", 4)]:  # repeated
+        with pytest.raises(SignalFormatError) as e:
+            read_signal_csv(io.StringIO(text))
+        assert f"line {line}" in str(e.value)
 
 
 def test_explicit_step_must_agree_with_inferred():
@@ -55,10 +57,10 @@ def test_explicit_step_must_agree_with_inferred():
 
 
 def test_bad_cell_reports_line():
-    text = "x\n1\nfoo\n"
-    with pytest.raises(SignalFormatError) as e:
-        read_signal_csv(io.StringIO(text))
-    assert "line 3" in str(e.value)
+    for cell in ("foo", "nan", "inf", "-inf"):
+        with pytest.raises(SignalFormatError) as e:
+            read_signal_csv(io.StringIO(f"x\n1\n{cell}\n"))
+        assert "line 3" in str(e.value)
 
 
 def test_wrong_arity_reports_line():
