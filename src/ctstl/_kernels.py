@@ -215,120 +215,3 @@ def until_batch_kernel(lvals, rvals, a, b, out):
                 if cand > best:
                     best = cand
         out[t] = best
-
-
-@register_jitable
-def _row_push(h, r, n, v):
-    h[r, n] = v
-    j = n
-    while j > 0:
-        p = (j - 1) >> 1
-        if h[r, p] <= h[r, j]:
-            break
-        h[r, p], h[r, j] = h[r, j], h[r, p]
-        j = p
-
-
-@register_jitable
-def _row_replace(h, r, n, v):
-    h[r, 0] = v
-    j = 0
-    while True:
-        left = 2 * j + 1
-        if left >= n:
-            break
-        s = left
-        right = left + 1
-        if right < n and h[r, right] < h[r, left]:
-            s = right
-        if h[r, j] <= h[r, s]:
-            break
-        h[r, j], h[r, s] = h[r, s], h[r, j]
-        j = s
-
-
-def c_anchor_push_kernel(v, r_lo, r_hi, k, w, pad_lb, pad_ub,
-                         top_v, top_n, bot_v, bot_n,
-                         m_cnt, g_lb, g_ub, lb_arr, ub_arr):
-    """Insert one known child value into every affected cumulative anchor.
-
-    Per anchor row r the window holds m known point values and u = w - m
-    unknowns, each unknown contributing the constant pad interval.  The
-    k-th largest of that multiset, per bound, is:
-
-      * the k-th largest known (root of the full top heap) when at least k
-        knowns exceed the pad,
-      * the pad when the knowns above it plus the unknowns reach rank k,
-      * otherwise the (k - u)-th largest known, which is the max of the
-        w - k + 1 smallest knowns (root of the full bottom heap; that heap
-        is full exactly when this branch is reached).
-
-    The knowns are shared between bounds; only the pad and the count of
-    knowns above it (g) differ.  Bottom heap stores negated values.
-    """
-    wb = w - k + 1
-    for r in range(r_lo, r_hi + 1):
-        nt = top_n[r]
-        if nt < k:
-            _row_push(top_v, r, nt, v)
-            top_n[r] = nt + 1
-        elif v > top_v[r, 0]:
-            _row_replace(top_v, r, k, v)
-        nb = bot_n[r]
-        if nb < wb:
-            _row_push(bot_v, r, nb, -v)
-            bot_n[r] = nb + 1
-        elif -v > bot_v[r, 0]:
-            _row_replace(bot_v, r, wb, -v)
-        m = m_cnt[r] + 1
-        m_cnt[r] = m
-        if v > pad_lb:
-            g_lb[r] += 1
-        if v > pad_ub:
-            g_ub[r] += 1
-        u = w - m
-        if g_lb[r] >= k:
-            lb = top_v[r, 0]
-        elif g_lb[r] + u >= k:
-            lb = pad_lb
-        else:
-            lb = -bot_v[r, 0]
-        if g_ub[r] >= k:
-            ub = top_v[r, 0]
-        elif g_ub[r] + u >= k:
-            ub = pad_ub
-        else:
-            ub = -bot_v[r, 0]
-        lb_arr[r] = lb
-        ub_arr[r] = ub
-
-
-def ext_anchor_push_kernel(v, r_lo, r_hi, w, want_min, pad_lb, pad_ub,
-                           run, m_cnt, lb_arr, ub_arr):
-    """Windowed-min/max analog of c_anchor_push_kernel (rank 1 or rank w).
-
-    Only a running extremum of the knowns is needed; unknowns contribute the
-    pads until the window fills.
-    """
-    for r in range(r_lo, r_hi + 1):
-        m = m_cnt[r]
-        if m == 0:
-            run[r] = v
-        elif want_min:
-            if v < run[r]:
-                run[r] = v
-        else:
-            if v > run[r]:
-                run[r] = v
-        m += 1
-        m_cnt[r] = m
-        e = run[r]
-        if m >= w:
-            lb_arr[r] = e
-            ub_arr[r] = e
-        elif want_min:
-            lb_arr[r] = e if e < pad_lb else pad_lb
-            ub_arr[r] = e if e < pad_ub else pad_ub
-        else:
-            lb_arr[r] = e if e > pad_lb else pad_lb
-            ub_arr[r] = e if e > pad_ub else pad_ub

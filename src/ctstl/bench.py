@@ -76,12 +76,13 @@ def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0,
 
 
 def bench_monitor(cases: int = 100, seed: int = 0, depth: int = 3,
-                  length: int = 30, backend: str | None = None) -> dict:
+                  length: int = 30) -> dict:
     """Online monitor vs full-recompute reference on random streams.
 
-    Checks that both engines decide at the same sample with the same
-    outcome; the report carries any mismatch count so a benchmark run
-    doubles as a cross-check.
+    Half the cases carry variable bounds, with the stream drawn inside
+    them.  A case counts as a mismatch when the two engines differ in any
+    verdict, root interval included, after any sample or at the end; the
+    report carries the count so a benchmark run doubles as a cross-check.
     """
     rng = np.random.default_rng(seed)
     names = ("x", "y")
@@ -95,9 +96,14 @@ def bench_monitor(cases: int = 100, seed: int = 0, depth: int = 3,
             validate(f, names)
         except Exception:
             continue
-        sig = random_signal(rng, names, length)
-        mon = MonitorState(f, names, backend=backend)
-        ref = NaiveMonitor(f, names)
+        lo, hi = -8, 8
+        bounds = None
+        if done % 2:
+            lo, hi = int(rng.integers(-8, 1)), int(rng.integers(0, 9))
+            bounds = {name: (float(lo), float(hi)) for name in names}
+        sig = random_signal(rng, names, length, lo=lo, hi=hi)
+        mon = MonitorState(f, names, bounds=bounds)
+        ref = NaiveMonitor(f, names, bounds=bounds)
         for i in range(len(sig)):
             row = sig.values[i]
             t0 = perf_counter()
@@ -106,16 +112,15 @@ def bench_monitor(cases: int = 100, seed: int = 0, depth: int = 3,
             t0 = perf_counter()
             vb = ref.push_sample(row)
             t_naive += perf_counter() - t0
-            if va.outcome != vb.outcome or va.decided_at != vb.decided_at:
+            if va != vb:
                 mismatch += 1
                 break
         else:
-            if mon.finalize().outcome != ref.finalize().outcome:
+            if mon.finalize() != ref.finalize():
                 mismatch += 1
         done += 1
     return {
         "engine": "monitor",
-        "backend": resolve_backend(backend),
         "cases": cases,
         "t_incremental": t_inc,
         "t_recompute": t_naive,

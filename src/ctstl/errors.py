@@ -14,10 +14,12 @@ class ValidationError(CTSTLError):
 
 
 class UnknownVariable(ValidationError):
+    """A predicate or a bounds entry names a variable outside the schema."""
+
     def __init__(self, name: str, schema: tuple[str, ...]):
         self.name = name
         self.schema = schema
-        super().__init__(f"predicate references unknown variable {name!r}; "
+        super().__init__(f"unknown variable {name!r}; "
                          f"schema is {list(schema)}")
 
 
@@ -75,7 +77,7 @@ class ArityMismatch(CTSTLError):
 
 
 class ParamOutOfRange(CTSTLError):
-    """A scenario generator parameter is outside its admissible range."""
+    """A parameter (generator budget, CLI flag, bounds) is out of range."""
 
 
 class SignalFormatError(CTSTLError):

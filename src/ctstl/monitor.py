@@ -12,30 +12,35 @@ Update strategy per node kind, chosen at construction:
 * atoms materialize one point entry per arriving sample;
 * boolean nodes recompute the entries covered by their children's changes
   with vectorized interval min/max;
-* windowed min/max and cumulative-rank nodes whose child has horizon zero
-  (entries are points that never refine) use O(log w) per-anchor
-  incremental state driven through the kernel backend;
-* the same nodes over refining children, and Until, rescan the affected
-  windows directly; this is exact for any child because node arrays always
-  hold the current interval, pads included.
+* ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
+  k = 1 for ``F``, k = w for ``G``, ``order`` for ``C``) with two modes,
+  chosen by the child's horizon.  Over a point-valued child (``suffix``)
+  every affected anchor knows a suffix of the child trace and pads the
+  rest, so one walk down from the newest sample into one capped sorted
+  list serves them all and no per-anchor state survives a push.  Over a
+  refining child (``rescan``) each affected anchor's window is
+  re-partitioned;
+* Until rescans the affected windows directly.  Rescans are exact for any
+  child because node arrays always hold the current interval, pads
+  included.
 
 ``rosi_naive`` recomputes the same intervals by direct recursion and is
 both the correctness oracle and the performance baseline, wrapped as
 :class:`NaiveMonitor` for engine-against-engine runs.  Both monitors share
 one verdict contract (:class:`_PrefixMonitor`): the prefix bookkeeping,
-``push_sample`` and ``finalize``; each supplies only its root interval.
+bounds checking, ``push_sample`` and ``finalize``; each supplies only its
+root interval.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
-from ._accel import kernel, resolve_backend
 from .errors import ArityMismatch
 from .logic import (
     Always,
@@ -53,13 +58,9 @@ from .logic import (
     validate,
 )
 from .semantics import satisfies
-from .signals import Bounds, Signal, atom_bounds
+from .signals import Bounds, Signal, atom_bounds, check_bounds
 
 INF = math.inf
-
-# Largest total heap-cell count the incremental cumulative states may
-# allocate before those nodes fall back to direct window rescans.
-DEFAULT_MAX_CELLS = 32_000_000
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class _PrefixMonitor:
         self.names = tuple(schema)
         self.delta = float(delta)
         self.formula = validate(formula, self.names, self.delta)
-        self.bounds = dict(bounds) if bounds else {}
+        self.bounds = check_bounds(bounds, self.names)
         self.horizon = horizon(self.formula)
         self.i = 0
         self._rows: list[tuple[float, ...]] = []
@@ -199,7 +200,6 @@ class _Node:
     __slots__ = (
         "form", "nid", "lo", "hi", "a", "b", "k", "mode", "children",
         "lb", "ub", "init", "cols", "coefs", "sign", "rhs",
-        "top_v", "bot_v", "top_n", "bot_n", "m_cnt", "g_lb", "g_ub", "run",
     )
 
     def __init__(self, form: Formula, nid: int, lo: int, hi: int):
@@ -216,14 +216,6 @@ class _Node:
         self.coefs = None
         self.sign = 1
         self.rhs = 0.0
-        self.top_v = None
-        self.bot_v = None
-        self.top_n = None
-        self.bot_n = None
-        self.m_cnt = None
-        self.g_lb = None
-        self.g_ub = None
-        self.run = None
 
     @property
     def size(self) -> int:
@@ -252,17 +244,56 @@ def _until_anchor(left: _Node, right: _Node, t: int,
     return lb, ub
 
 
+def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
+    """Update anchors lo..hi, those whose window holds the new child sample c.
+
+    Anchor t in [c-b, c-a] knows child[t+a .. c], m values, and pads the
+    other w-m.  Its k-th largest is the pad clamped to [A, B]: A is the
+    k-th largest known (-inf while m < k), B the (k-(w-m))-th largest
+    known (+inf while w-m >= k).  Both ranks lie among the w-k+1 smallest
+    knowns, and the anchors' known sets are nested suffixes, so one walk
+    from c downward, keeping those smallest values sorted, serves every
+    anchor.  When k < w-k+1 the walk ranks the negated values at w-k+1
+    instead (the k-th largest of x is minus the (w-k+1)-th largest of -x,
+    which swaps and negates A and B), so the list never holds more than
+    min(k, w-k+1) values.
+    """
+    child = node.children[0]
+    w = node.b - node.a + 1
+    k = node.k
+    sgn = 1.0
+    if 2 * k < w + 1:
+        k, sgn = w - k + 1, -1.0
+    cap = w - k + 1
+    known = child.lb[lo + node.a - child.lo:c - child.lo + 1]
+    skip = c - node.a - hi  # walk steps before anchor hi
+    kept: list[float] = []
+    kth: list[float] = []
+    cth: list[float] = []
+    for m, v in enumerate((sgn * known[::-1]).tolist(), 1):
+        if m <= cap:
+            insort(kept, v)
+        elif v < kept[-1]:
+            insort(kept, v)
+            kept.pop()
+        if m > skip:
+            kth.append(kept[m - k] if m >= k else -INF)
+            cth.append(kept[-1] if m >= cap else INF)
+    above, below = np.array(kth[::-1]), np.array(cth[::-1])
+    if sgn < 0:
+        above, below = -below, -above
+    r = slice(lo - node.lo, hi - node.lo + 1)
+    node.lb[r] = np.maximum(above, np.minimum(child.init[0], below))
+    node.ub[r] = np.maximum(above, np.minimum(child.init[1], below))
+
+
 class MonitorState(_PrefixMonitor):
     """Single-owner incremental monitor; feed samples with push_sample."""
 
     def __init__(self, formula: Formula, schema: Sequence[str],
                  delta: float = 1.0,
-                 bounds: Mapping[str, Bounds] | None = None,
-                 backend: str | None = None):
+                 bounds: Mapping[str, Bounds] | None = None):
         super().__init__(formula, schema, delta, bounds)
-        self.backend = resolve_backend(backend)
-        self._c_push = kernel(_kernels.c_anchor_push_kernel, self.backend)
-        self._e_push = kernel(_kernels.ext_anchor_push_kernel, self.backend)
         self._build()
         self.verdict = _judge(self.root_rosi(), decided_at=-1)
 
@@ -294,7 +325,6 @@ class MonitorState(_PrefixMonitor):
         wire(self.formula)
         self._post = post
 
-        budget = DEFAULT_MAX_CELLS
         for node in post:
             form = node.form
             ilo, ihi = _init_rosi(form, self.bounds)
@@ -316,33 +346,13 @@ class MonitorState(_PrefixMonitor):
             elif isinstance(form, Until):
                 node.a, node.b = form.span
                 node.mode = "until"
-            elif isinstance(form, (Eventually, Always)):
+            elif isinstance(form, (Eventually, Always, Cumulative)):
                 node.a, node.b = form.span
+                node.k = (form.order if isinstance(form, Cumulative)
+                          else 1 if isinstance(form, Eventually)
+                          else node.b - node.a + 1)
                 pointlike = horizon(form.child) == 0
-                node.mode = "ext_kernel" if pointlike else "ext_direct"
-                if node.mode == "ext_kernel" and node.size > 0:
-                    node.run = np.zeros(node.size, dtype=np.float64)
-                    node.m_cnt = np.zeros(node.size, dtype=np.int64)
-            elif isinstance(form, Cumulative):
-                node.a, node.b = form.span
-                node.k = form.order
-                w = node.b - node.a + 1
-                cells = node.size * (w + 1)
-                if horizon(form.child) == 0 and cells <= budget:
-                    budget -= cells
-                    node.mode = "c_kernel"
-                    if node.size > 0:
-                        node.top_v = np.empty((node.size, node.k),
-                                              dtype=np.float64)
-                        node.bot_v = np.empty((node.size, w - node.k + 1),
-                                              dtype=np.float64)
-                        node.top_n = np.zeros(node.size, dtype=np.int64)
-                        node.bot_n = np.zeros(node.size, dtype=np.int64)
-                        node.m_cnt = np.zeros(node.size, dtype=np.int64)
-                        node.g_lb = np.zeros(node.size, dtype=np.int64)
-                        node.g_ub = np.zeros(node.size, dtype=np.int64)
-                else:
-                    node.mode = "c_direct"
+                node.mode = "suffix" if pointlike else "rescan"
             else:  # pragma: no cover
                 raise TypeError(f"not a formula node: {form!r}")
 
@@ -404,31 +414,16 @@ class MonitorState(_PrefixMonitor):
             node.ub[lo - node.lo:hi - node.lo + 1] = op(
                 left.ub[ls:le], right.ub[rs:re])
             return lo, hi
-        if mode in ("ext_kernel", "c_kernel"):
+        if mode == "suffix":
             span = spans[0]
             if span is None:
                 return None
             c = span[0]
             got = self._clip(node, c - node.b, c - node.a)
-            if got is None:
-                return None
-            lo, hi = got
-            child = node.children[0]
-            v = float(child.lb[c - child.lo])
-            w = node.b - node.a + 1
-            plo, phi = child.init
-            if mode == "c_kernel":
-                self._c_push(v, lo - node.lo, hi - node.lo, node.k, w,
-                             plo, phi, node.top_v, node.top_n, node.bot_v,
-                             node.bot_n, node.m_cnt, node.g_lb, node.g_ub,
-                             node.lb, node.ub)
-            else:
-                want_min = isinstance(node.form, Always)
-                self._e_push(v, lo - node.lo, hi - node.lo, w, want_min,
-                             plo, phi, node.run, node.m_cnt,
-                             node.lb, node.ub)
-            return lo, hi
-        if mode in ("ext_direct", "c_direct"):
+            if got is not None:
+                _suffix_push(node, c, *got)
+            return got
+        if mode == "rescan":
             span = spans[0]
             if span is None:
                 return None
@@ -438,23 +433,14 @@ class MonitorState(_PrefixMonitor):
             lo, hi = got
             child = node.children[0]
             w = node.b - node.a + 1
+            j = w - node.k
             for t in range(lo, hi + 1):
                 r = t - node.lo
                 if node.lb[r] == node.ub[r]:
                     continue
                 s = t + node.a - child.lo
-                sl = child.lb[s:s + w]
-                su = child.ub[s:s + w]
-                if mode == "ext_direct":
-                    if isinstance(node.form, Always):
-                        node.lb[r] = sl.min()
-                        node.ub[r] = su.min()
-                    else:
-                        node.lb[r] = sl.max()
-                        node.ub[r] = su.max()
-                else:
-                    node.lb[r] = np.partition(sl, w - node.k)[w - node.k]
-                    node.ub[r] = np.partition(su, w - node.k)[w - node.k]
+                node.lb[r] = np.partition(child.lb[s:s + w], j)[j]
+                node.ub[r] = np.partition(child.ub[s:s + w], j)[j]
             return lo, hi
         if mode == "until":
             left, right = node.children
@@ -516,6 +502,7 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
     therefore its oracle.
     """
     f = validate(f, prefix.names, prefix.delta)
+    bounds = check_bounds(bounds, prefix.names)
     n = len(prefix)
     rows = [tuple(float(v) for v in prefix.values[j]) for j in range(n)]
     name_to_col = {name: j for j, name in enumerate(prefix.names)}

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownVariable
+from .errors import ParamOutOfRange, UnknownVariable
 from .logic import Atom
 
 Bounds = tuple[float, float]
@@ -89,10 +89,29 @@ def atom_bounds(atom: Atom,
             vlo, vhi = -math.inf, math.inf
         else:
             vlo, vhi = var_bounds[name]
-            if vlo > vhi:
-                raise ValueError(f"bounds for {name} have lo > hi")
         a, b = c * vlo, c * vhi
         lo += min(a, b)
         hi += max(a, b)
     shift = -atom.sign * atom.rhs
     return lo + shift, hi + shift
+
+
+def check_bounds(var_bounds: Mapping[str, Bounds] | None,
+                 names: Sequence[str]) -> dict[str, Bounds]:
+    """Per-variable ranges checked against a schema, as a fresh dict.
+
+    Every name must be in the schema, and every range must hold a finite
+    value (samples are finite): lo <= hi, no NaN end, not both ends at the
+    same infinity.
+    """
+    out = {}
+    for name, (lo, hi) in (var_bounds or {}).items():
+        if name not in names:
+            raise UnknownVariable(name, tuple(names))
+        lo, hi = float(lo), float(hi)
+        if not (lo <= hi and lo < math.inf and hi > -math.inf):
+            raise ParamOutOfRange(
+                f"bounds {name}={lo}:{hi} need lo <= hi and a finite value "
+                f"between them")
+        out[name] = (lo, hi)
+    return out

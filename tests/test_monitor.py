@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_case
 from ctstl import (MonitorState, NaiveMonitor, RoSI, Signal, Verdict,
                    horizon, parse, robustness, rosi_naive, satisfies,
                    validate)
-from ctstl import monitor
-from ctstl.errors import ArityMismatch
+from ctstl.errors import ArityMismatch, ParamOutOfRange, UnknownVariable
+from ctstl.generators import overvoltage_formulas, overvoltage_trace
 from ctstl.randgen import random_signal
 
 X = ("x",)
@@ -219,6 +221,22 @@ class TestDecisions:
         assert v.outcome is None
         assert v.rosi.ub == 3.0
 
+    @pytest.mark.parametrize("bounds,error", [
+        ({"z": (0.5, 2.0)}, UnknownVariable),
+        ({"x": (3.0, 1.0)}, ParamOutOfRange),
+        ({"x": (math.nan, 1.0)}, ParamOutOfRange),
+        ({"x": (INF, INF)}, ParamOutOfRange),
+    ])
+    def test_bad_bounds_are_refused(self, bounds, error):
+        f = validate(parse("G[0,3] (x > 0)"), X)
+        prefix = Signal(X, np.array([[1.0]]), 1.0)
+        with pytest.raises(error):
+            MonitorState(f, X, bounds=bounds)
+        with pytest.raises(error):
+            NaiveMonitor(f, X, bounds=bounds)
+        with pytest.raises(error):
+            rosi_naive(f, prefix, bounds=bounds)
+
     def test_arity_checked(self):
         mon = MonitorState(parse("x > 0"), X)
         with pytest.raises(ArityMismatch):
@@ -263,33 +281,84 @@ class TestDecisions:
         assert mon.verdict.outcome is satisfies(f, whole, 0)
 
 
-class TestFallbackPaths:
-    def test_budgeted_rank_state_matches_direct_rescan(self, rng,
-                                                       monkeypatch):
-        f = validate(parse("G[0,3] C[0,6]^4 (x > 0)"), X)
-        n = horizon(f) + 2
-        for trial in range(15):
-            sig = random_signal(rng, X, n)
-            a = MonitorState(f, X)
-            with monkeypatch.context() as m:
-                m.setattr(monitor, "DEFAULT_MAX_CELLS", 0)
-                b = MonitorState(f, X)
-            assert [node.mode for node in b._post].count("c_direct") == 1
-            for i in range(n):
-                va = a.push_sample(sig.values[i])
-                vb = b.push_sample(sig.values[i])
-                assert a.root_rosi() == b.root_rosi()
-                assert (va.outcome, va.decided_at) == \
-                    (vb.outcome, vb.decided_at)
+_ATOMS = ("x > 0", "x <= 1", "y >= -1", "x + y < 1", "2*y - x > 0")
 
-    def test_python_backend_matches_jit(self, rng):
-        f = validate(parse("G[0,2] C[1,5]^3 (x > 0)"), X)
-        a = MonitorState(f, X, backend="python")
-        try:
-            b = MonitorState(f, X, backend="jit")
-        except Exception:
-            pytest.skip("jit backend unavailable")
-        for v in FIG4:
-            a.push_sample([v])
-            b.push_sample([v])
-            assert a.root_rosi() == b.root_rosi()
+
+@st.composite
+def _windowed_cases(draw):
+    """A formula with F, G or C over a point or a refining child, bounds
+    half the time, and a stream of tied small integers."""
+    def atom():
+        return draw(st.sampled_from(_ATOMS))
+
+    def span(least_b=0):
+        a = draw(st.integers(0, 3))
+        return a, a + draw(st.integers(least_b, 5))
+
+    def windowed(child):
+        a, b = span()
+        kind = draw(st.sampled_from("FGCC"))
+        if kind != "C":
+            return f"{kind}[{a},{b}] ({child})"
+        # every rank, so k falls on both sides of (w+1)/2; tau inside a
+        # ceiling step half the time
+        k = draw(st.integers(1, (b - a + 2) // 2))
+        k = draw(st.sampled_from([k, b - a + 2 - k]))
+        tau = k - draw(st.sampled_from([0, 0.5]))
+        return f"C[{a},{b}]^{tau} ({child})"
+
+    point = draw(st.sampled_from([
+        "{}", "!({})", "({}) && ({})", "({}) || ({})", "({}) U[0,0] ({})"]))
+    point = point.format(*(atom() for _ in range(point.count("{}"))))
+    a, b = span(least_b=1)
+    child = draw(st.sampled_from([
+        point, windowed(atom()), f"({atom()}) U[{a},{b}] ({atom()})"]))
+    text = windowed(child)
+    text = draw(st.sampled_from(
+        [text, f"({text}) && ({atom()})", f"G[0,2] ({text})"]))
+    bounds = draw(st.none() | st.fixed_dictionaries(
+        {"x": st.tuples(st.integers(-3, 0), st.integers(0, 3))},
+        optional={"y": st.tuples(st.integers(-3, 0), st.integers(0, 3))}))
+    values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=10, max_size=30))
+    # bounds promise the range of every sample, so keep the stream inside
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+              for row in values]
+    return text, bounds, values
+
+
+class TestPerNodeOracle:
+    @given(_windowed_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_entry_matches_rosi_naive_until_the_verdict(self, case):
+        text, bounds, values = case
+        f = validate(parse(text), XY)
+        mon = MonitorState(f, XY, bounds=bounds)
+        for i, row in enumerate(values):
+            if mon.verdict.decided:
+                break
+            mon.push_sample(row)
+            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
+            for nid, node in mon.node_ids():
+                for t, got in mon.node_entries(nid).items():
+                    assert got == rosi_naive(node, prefix, t, bounds), \
+                        (text, bounds, i, nid, t)
+
+
+class TestPaperScale:
+    def test_overvoltage_w10k_decides_false_at_sample_100(self):
+        # the benchmark's stream: 17 samples >= 1.7 in the first 100, the
+        # 18th at sample 100, so the budget of 17 breaks exactly there
+        window, s = 10_000, 100
+        head, r1 = overvoltage_trace(s, 0, over17=17, spread=s)
+        tail, r2 = overvoltage_trace(2 * window + 1 - s, 1, over17=1,
+                                     spread=1)
+        assert r1["v_ge_1.7"] == 17 and tail.values[0, 0] >= 1.7
+        f = parse(overvoltage_formulas(window=window)["phi5"])
+        mon = MonitorState(f, ("v",))
+        for row in np.vstack([head.values, tail.values]):
+            v = mon.push_sample(row)
+            if v.decided:
+                break
+        assert (v.outcome, v.decided_at) == (False, s)
