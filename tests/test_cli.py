@@ -231,10 +231,10 @@ class TestBadInput:
          "x\n1\n", "bounds"),
         (["monitor", "--formula", "x > 0", "--bounds", "x=nan:1", "-"],
          "x\n1\n", "bounds"),
-        (["monitor", "--formula", "G[0,3] (x > 0)", "--bounds", "z=0.5:2",
-          "-"], "x\n1\n", "unknown variable 'z'"),
         (["eval", "--formula", "x > 0", "--at", "nan", "-"], "x\n1\n", "--at"),
         (["rob", "--formula", "x > 0", "--at", "inf", "-"], "x\n1\n", "--at"),
+        (["monitor", "--formula", "G[0,3] (x > 0)", "--bounds", "z=0.5:2",
+          "-"], "x\n1\n", "unknown variable 'z'"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)
