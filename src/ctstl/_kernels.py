@@ -1,9 +1,12 @@
-"""Hot loops shared by both backends.
+"""The jit backend's sliding-rank kernel.
 
 Plain Python over preallocated numpy arrays, written so numba can compile
 every function unchanged; ``_accel.kernel`` picks the compiled or interpreted
-version.  Helpers are registered jitable so the compiled kernels can call
-them; under the interpreted backend they are ordinary functions.
+version.  The ``python`` backend runs its own rank engine
+(``windows._SortedWindow``), and only tests run this kernel uncompiled.  The
+other sliding layers are plain numpy and need no kernel.  Helpers are
+registered jitable so the compiled kernel can call them; under the
+interpreted backend they are ordinary functions.
 
 Heap convention: arrays are binary min-heaps ordered by value only.  A
 max-heap is a min-heap of negated values, which keeps one set of helpers.
@@ -167,51 +170,3 @@ def kth_batch_kernel(values, w, k, out):
             while tx[0] <= thr:
                 nt = _kv_pop(tv, tx, nt)
             out[i - w + 1] = tv[0]
-
-
-def extremum_batch_kernel(values, w, want_min, out):
-    """Sliding min or max over every complete width-w window.
-
-    Monotonic deque of candidate indices in a ring buffer; each index enters
-    and leaves once, so the sweep is O(n).
-    """
-    n = values.shape[0]
-    s = -1.0 if want_min else 1.0
-    cap = w + 1
-    q = np.empty(cap, np.int64)
-    head = 0
-    tail = 0
-    for i in range(n):
-        sv = s * values[i]
-        while tail > head and s * values[q[(tail - 1) % cap]] <= sv:
-            tail -= 1
-        q[tail % cap] = i
-        tail += 1
-        if q[head % cap] <= i - w:
-            head += 1
-        if i >= w - 1:
-            out[i - w + 1] = values[q[head % cap]]
-
-
-def until_batch_kernel(lvals, rvals, a, b, out):
-    """Bounded-until robustness for every admissible anchor.
-
-    out[t] = max over d in [a, b] of min(rvals[t+d], min lvals[t .. t+d-1]),
-    the prefix over the left argument being half-open (empty at d = 0).
-    """
-    m = out.shape[0]
-    for t in range(m):
-        best = -np.inf
-        lmin = np.inf
-        for d in range(b + 1):
-            if d >= 1:
-                x = lvals[t + d - 1]
-                if x < lmin:
-                    lmin = x
-            if d >= a:
-                cand = rvals[t + d]
-                if lmin < cand:
-                    cand = lmin
-                if cand > best:
-                    best = cand
-        out[t] = best

@@ -17,7 +17,7 @@ from .errors import CTSTLError, ParamOutOfRange
 from .generators import glucose_trace, overvoltage_trace
 from .logic import _fmt_num, validate
 from .monitor import MonitorState
-from .semantics import robustness, robustness_trace, satisfies
+from .semantics import _sweep_at, robustness_trace
 from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
                       samples_at_step, write_signal_csv)
 from .syntax import parse
@@ -71,7 +71,8 @@ def _read_signal(args):
 def cmd_eval(args) -> int:
     sig = _read_signal(args)
     f = validate(parse(_formula_text(args)), sig.names, sig.delta)
-    ok = satisfies(f, sig, _sample_index(args.at, sig.delta))
+    ok = _sweep_at(f, sig, _sample_index(args.at, sig.delta),
+                   boolean=True) > 0
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -85,8 +86,8 @@ def cmd_rob(args) -> int:
         for i, r in enumerate(rho):
             print(f"{_fmt_num(i * sig.delta)},{_fmt_num(float(r))}")
         return 0
-    r = robustness(f, sig, _sample_index(args.at, sig.delta))
-    print(_fmt_num(float(r)))
+    r = _sweep_at(f, sig, _sample_index(args.at, sig.delta), boolean=False)
+    print(_fmt_num(r))
     return 0
 
 

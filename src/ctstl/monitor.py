@@ -29,7 +29,8 @@ both the correctness oracle and the performance baseline, wrapped as
 :class:`NaiveMonitor` for engine-against-engine runs.  Both monitors share
 one verdict contract (:class:`_PrefixMonitor`): the prefix bookkeeping,
 bounds checking, ``push_sample`` and ``finalize``; each supplies only its
-root interval.
+root interval.  ``finalize`` settles an exactly-zero root on a complete
+trace with the offline sweep's boolean atom map over the kept rows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, ParamOutOfRange
 from .logic import (
     Always,
     And,
@@ -57,7 +58,7 @@ from .logic import (
     node_horizons,
     validate,
 )
-from .semantics import satisfies
+from .semantics import _sweep_at
 from .signals import Bounds, Signal, atom_bounds, check_bounds
 
 INF = math.inf
@@ -112,6 +113,8 @@ class _PrefixMonitor:
     A subclass computes the root interval after each sample in
     ``_root(i, row)`` and sets the verdict before any sample; once the
     verdict is decided, further samples are counted but not evaluated.
+    Every sample is checked first, even after the verdict: it must be
+    finite and inside its variable's declared bounds.
     Only the first horizon+1 rows are kept: no later row reaches anchor 0,
     the only anchor ``finalize`` and the root interval read.
     """
@@ -136,6 +139,13 @@ class _PrefixMonitor:
         row = tuple(float(v) for v in x)
         if not all(map(math.isfinite, row)):
             raise ValueError("signal samples must be finite")
+        # bounds promise every sample's range; a verdict may rest on them
+        for name, (lo, hi) in self.bounds.items():
+            v = row[self.names.index(name)]
+            if not lo <= v <= hi:
+                raise ParamOutOfRange(
+                    f"sample {self.i} has {name}={v}, outside its bounds "
+                    f"{name}={lo}:{hi}")
         i = self.i
         self.i += 1
         if len(self._rows) <= self.horizon:
@@ -161,8 +171,8 @@ class _PrefixMonitor:
             if r != 0:
                 self.verdict = Verdict(r > 0, root, last)
             elif self.i >= self.horizon + 1:
-                self.verdict = Verdict(
-                    satisfies(self.formula, self._prefix(), 0), root, last)
+                ok = _sweep_at(self.formula, self._prefix(), 0, boolean=True)
+                self.verdict = Verdict(ok > 0, root, last)
         return self.verdict
 
 

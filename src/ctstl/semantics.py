@@ -1,10 +1,15 @@
-"""Reference semantics: satisfaction, robustness, and batch traces.
+"""Reference semantics and the offline sweep.
 
-``satisfies`` and ``robustness`` follow the defining recursions directly and
-are the oracles everything faster is tested against.  ``robustness_trace``
-computes the robustness of every admissible anchor in one bottom-up pass
-using the sliding-window engines, which is what the CLI sweep and the
-benchmarks use.
+``satisfies`` and ``robustness`` follow the defining recursions directly.
+They are the test oracles; nothing outside this module calls them.  Every
+offline answer comes from one bottom-up sweep instead, which runs a
+sliding-window engine per temporal layer.  The sweep has two atom maps:
+the real margin gives the robustness (``robustness_trace``), and +1 where
+the atom holds, -1 elsewhere gives the boolean semantics, since every
+operator is the same lattice operation on {-1, +1} (``C`` at rank k is +1
+exactly when at least k window samples hold).  ``_sweep_at`` reads either
+one at a single anchor t from the rows [t, t + horizon]; ``ctstl eval``,
+``rob --at`` and the monitor's end-of-stream fallback call it.
 
 Window conventions, fixed once here and reused everywhere:
 
@@ -167,13 +172,14 @@ def characteristic(f: Formula, signal: Signal, t: int = 0) -> int:
     return 1 if satisfies(f, signal, t) else -1
 
 
-def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
-    """Robustness at every admissible anchor t = 0 .. n-1-horizon(f).
+def _signs(node: Atom, signal: Signal) -> np.ndarray:
+    """+1 where the atom holds, -1 elsewhere."""
+    y = secondary_signal(node, signal)
+    return np.where(y > 0 if node.strict else y >= 0, 1.0, -1.0)
 
-    One bottom-up sweep; each temporal layer runs a sliding-window engine
-    over its child's trace, so the whole thing is near-linear in trace
-    length for fixed windows.
-    """
+
+def _sweep(f: Formula, signal: Signal, atom_map) -> np.ndarray:
+    """Value at every admissible anchor, atoms mapped by atom_map."""
     f = validate(f, signal.names, signal.delta)
     n = len(signal)
     h = horizon(f)
@@ -183,7 +189,7 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
 
     def ev(node: Formula) -> np.ndarray:
         if isinstance(node, Atom):
-            return secondary_signal(node, signal)
+            return atom_map(node, signal)
         if isinstance(node, Not):
             return -ev(node.child)
         if isinstance(node, (And, Or)):
@@ -193,6 +199,10 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
             return op(left[:m], right[:m])
         if isinstance(node, Until):
             a, b = node.span
+            # U[0,0] never reads its left operand, whose horizon
+            # (uncounted in the formula's) may exceed the trace
+            if b == 0:
+                return ev(node.right)
             return until_batch(ev(node.left), ev(node.right), a, b)
         if isinstance(node, (Eventually, Always)):
             mode = "max" if isinstance(node, Eventually) else "min"
@@ -204,3 +214,27 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
     out = ev(f)
     assert out.size == n - h
     return out
+
+
+def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
+    """Robustness at every admissible anchor t = 0 .. n-1-horizon(f).
+
+    One bottom-up sweep; each temporal layer runs a sliding-window engine
+    over its child's trace, so the whole thing is near-linear in trace
+    length for fixed windows.
+    """
+    return _sweep(f, signal, secondary_signal)
+
+
+def _sweep_at(f: Formula, signal: Signal, t: int, *,
+              boolean: bool) -> float:
+    """The sweep at anchor t alone, over rows [t, t + horizon(f)].
+
+    With ``boolean`` the atoms map to +-1, so the result is +1 exactly when
+    ``satisfies(f, signal, t)``; without, it equals ``robustness``.
+    """
+    f = validate(f, signal.names, signal.delta)
+    _admissible(f, signal, t)
+    rows = Signal(signal.names, signal.values[t:t + horizon(f) + 1],
+                  signal.delta)
+    return float(_sweep(f, rows, _signs if boolean else secondary_signal)[0])

@@ -1,14 +1,16 @@
 """Sliding-window aggregation engines.
 
-The streaming classes are the interpreted engines.  On the ``python``
-backend each sliding algorithm has one implementation: the bucketed sorted
-window (:class:`_SortedWindow`) behind both :class:`SlidingKth` and
-:func:`sliding_kth_batch`, and the monotonic deque of
-:class:`SlidingExtremum`, which :func:`sliding_extremum_batch` runs.  The
-``jit`` backend runs the kernels in ``_kernels`` instead.  The naive_*
-functions recompute every window from scratch; they are the re-evaluation
-baseline the incremental engines are benchmarked and tested against.  NaN
-has no rank, so every entry point rejects it; +-inf is legal.
+Each sliding algorithm has one implementation per backend.  Sliding rank
+on the ``python`` backend is the bucketed sorted window
+(:class:`_SortedWindow`) behind both :class:`SlidingKth` and
+:func:`sliding_kth_batch`; the ``jit`` backend runs
+``_kernels.kth_batch_kernel`` instead.  Sliding min and max
+(:func:`sliding_extremum_batch`, van Herk / Gil-Werman) and the bounded
+Until combine (:func:`until_batch`, one numpy pass per offset) are plain
+numpy and run unchanged on either backend.  The naive_* functions
+recompute every window from scratch; they are the re-evaluation baseline
+the incremental engines are benchmarked and tested against.  NaN has no
+rank, so every entry point rejects it; +-inf is legal.
 """
 
 from __future__ import annotations
@@ -155,38 +157,6 @@ class SlidingKth:
         return None
 
 
-class SlidingExtremum:
-    """Sliding min or max via a monotonic deque of (arrival, value)."""
-
-    def __init__(self, window: int, mode: str = "min"):
-        window = int(window)
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.window = window
-        self.mode = mode
-        self._q: deque[tuple[int, float]] = deque()
-        self._count = 0
-
-    def push(self, value: float) -> tuple[int, float] | None:
-        v = _no_nan(float(value))
-        i = self._count
-        self._count += 1
-        if self.mode == "max":
-            while self._q and self._q[-1][1] <= v:
-                self._q.pop()
-        else:
-            while self._q and self._q[-1][1] >= v:
-                self._q.pop()
-        self._q.append((i, v))
-        if self._q[0][0] <= i - self.window:
-            self._q.popleft()
-        if i >= self.window - 1:
-            return i - self.window + 1, self._q[0][1]
-        return None
-
-
 def _as_span(interval) -> tuple[int, int]:
     if isinstance(interval, TimeInterval):
         lo, hi = interval.lo, interval.hi
@@ -254,28 +224,34 @@ def sliding_kth_batch(trace, interval, k: int,
     return out
 
 
-def sliding_extremum_batch(trace, interval, mode: str,
-                           backend: str | None = None) -> np.ndarray:
-    """Per-window min or max, same indexing as sliding_kth_batch."""
+def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:
+    """Per-window min or max, same indexing as sliding_kth_batch.
+
+    van Herk / Gil-Werman: cut the trace into blocks of width w, padded
+    with +inf, and take the running min forward and backward inside each
+    block.  A window starting at t spans the tail of t's block and the head
+    of the next, so its min is the backward min at t against the forward
+    min at t+w-1.  Max is the negated min of the negated trace.
+    """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     arr, lo, w = _prep(trace, interval)
-    out = np.empty(arr.size - lo - w + 1, dtype=np.float64)
-    if resolve_backend(backend) == "python":
-        push = SlidingExtremum(w, mode).push
-        out[:] = [r[1] for r in map(push, arr[lo:].tolist()) if r]
-        return out
-    kernel(_kernels.extremum_batch_kernel, "jit")(
-        arr[lo:], w, mode == "min", out)
-    return out
+    x = arr[lo:] if mode == "min" else -arr[lo:]
+    m = x.size - w + 1
+    blocks = np.concatenate((x, np.full(-x.size % w, np.inf))).reshape(-1, w)
+    fwd = np.minimum.accumulate(blocks, axis=1).ravel()
+    bwd = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    out = np.minimum(bwd[:m], fwd[w - 1:w - 1 + m])
+    return out if mode == "min" else -out
 
 
-def until_batch(lvals, rvals, a: int, b: int,
-                backend: str | None = None) -> np.ndarray:
+def until_batch(lvals, rvals, a: int, b: int) -> np.ndarray:
     """Bounded-until combine of two robustness traces.
 
     out[t] = max_{d in [a,b]} min(rvals[t+d], min of lvals[t .. t+d-1]).
     Output covers every t for which both argument traces reach far enough.
+    One pass over all anchors per offset d: a running min of lvals[t+d-1],
+    and from d = a on, the max with min(rvals[t+d], running min).
     """
     larr = _as_trace(lvals)
     rarr = _as_trace(rvals)
@@ -286,8 +262,13 @@ def until_batch(lvals, rvals, a: int, b: int,
         m = min(m, larr.size - b + 1)
     if m <= 0:
         raise WindowExceedsTrace(b + 1, min(larr.size, rarr.size))
-    out = np.empty(m, dtype=np.float64)
-    kernel(_kernels.until_batch_kernel, backend)(larr, rarr, a, b, out)
+    out = np.full(m, -np.inf)
+    run = np.full(m, np.inf)
+    for d in range(b + 1):
+        if d >= 1:
+            np.minimum(run, larr[d - 1:d - 1 + m], out=run)
+        if d >= a:
+            np.maximum(out, np.minimum(rarr[d:d + m], run), out=out)
     return out
 
 

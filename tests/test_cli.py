@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import formula_texts
+from ctstl import horizon, parse, validate
 from ctstl.cli import main
+from ctstl.generators import overvoltage_formulas
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +94,22 @@ class TestEval:
                                stdin_text="x\n1\n2\n")
         assert (code, out.splitlines()) == (0, ["t,rho", "0,1", "1,2"])
 
+    def test_paper_scale_w10k_returns_the_generator_truth(self, tmp_path):
+        # the benchmark's eval input: 2W+1 samples, W = 10,000, at the
+        # phi5 budget; then one sample over the 1.7 limit, with every
+        # excursion inside the first window
+        phi5 = overvoltage_formulas(window=10_000)["phi5"]
+        budget = ["--over14", "14", "--over13", "130"]
+        for extra, want in ((["--over17", "17"], 0),
+                            (["--over17", "18", "--spread", "10001"], 1)):
+            out = tmp_path / f"ov{want}.csv"
+            code, _, _ = run_cli(["gen", "overvoltage", "--length", "20001",
+                                  "--seed", "2", *budget, *extra,
+                                  "--out", str(out)])
+            assert code == 0
+            code, text, _ = run_cli(["eval", "--formula", phi5, str(out)])
+            assert (code, text) == (want, ["true\n", "false\n"][want])
+
 
 class TestRob:
     def test_point_values(self, ex_pair_files):
@@ -105,6 +124,15 @@ class TestRob:
             ["rob", "--formula", "C[1,5]^3 (x > 0)", "--sweep", fig4_file])
         assert code == 0
         assert out.splitlines() == ["t,rho", "0,7", "1,8", "2,8"]
+
+    def test_until_zero_width_with_a_longer_left_operand(self):
+        # U[0,0] never reads its left operand, which needs 3 samples here
+        f = ["--formula", "(F[0,2] (x > 0)) U[0,0] (x > 0)", "-"]
+        assert run_cli(["rob", "--sweep", *f], stdin_text="x\n1\n") == \
+            (0, "t,rho\n0,1\n", "")
+        assert run_cli(["rob", *f], stdin_text="x\n1\n") == (0, "1\n", "")
+        assert run_cli(["eval", *f], stdin_text="x\n1\n") == \
+            (0, "true\n", "")
 
     def test_formula_file_flag(self, fig4_file, tmp_path):
         ff = tmp_path / "f.txt"
@@ -235,6 +263,8 @@ class TestBadInput:
         (["rob", "--formula", "x > 0", "--at", "inf", "-"], "x\n1\n", "--at"),
         (["monitor", "--formula", "G[0,3] (x > 0)", "--bounds", "z=0.5:2",
           "-"], "x\n1\n", "unknown variable 'z'"),
+        (["monitor", "--formula", "G[0,1] (x > 0)", "--bounds", "x=0.5:2",
+          "-"], "x\n-3\n-3\n", "outside its bounds"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)
@@ -351,6 +381,54 @@ class TestFuzz:
             assert events and events[-1]["decided"] is True
 
 
+@st.composite
+def _differential_runs(draw):
+    """Formula text, CSV text, step, extra flags and the admissible anchors.
+
+    The trace covers the formula's horizon plus 0-3 samples; a t column
+    carries the step, else --step does when it is not 1.
+    """
+    delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    text = draw(formula_texts(delta, depth=2))
+    h = horizon(validate(parse(text), ("x", "y"), delta))
+    anchors = 1 + draw(st.integers(0, 3))
+    rows = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         min_size=h + anchors, max_size=h + anchors))
+    has_time = draw(st.booleans())
+    lines = [["t"] * has_time + ["x", "y"]]
+    lines += [[f"{j * delta:g}"] * has_time + [str(x), str(y)]
+              for j, (x, y) in enumerate(rows)]
+    flags = [] if has_time or delta == 1.0 else [f"--step={delta:g}"]
+    csv = "".join(",".join(r) + "\n" for r in lines)
+    return text, csv, delta, flags, anchors
+
+
+class TestDifferential:
+    @given(_differential_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_rob_sweep_and_monitor_agree(self, run):
+        text, csv, delta, flags, anchors = run
+        f = ["--formula", text, *flags, "-"]
+        code, out, err = run_cli(["rob", "--sweep", *f], stdin_text=csv)
+        assert code == 0, err
+        sweep = out.splitlines()[1:]
+        assert len(sweep) == anchors
+        for t, row in enumerate(sweep):
+            at = ["--at", f"{t * delta:g}"]
+            ecode, eout, _ = run_cli(["eval", *at, *f], stdin_text=csv)
+            rcode, rout, _ = run_cli(["rob", *at, *f], stdin_text=csv)
+            assert (ecode, eout) in ((0, "true\n"), (1, "false\n"))
+            assert rcode == 0
+            rho = row.split(",")[1]
+            assert rout == rho + "\n", (t, row)
+            if float(rho) != 0:
+                assert ecode == (0 if float(rho) > 0 else 1), (t, rho)
+            if t == 0:
+                mcode, _, _ = run_cli(["monitor", "--run-to-end", *f],
+                                      stdin_text=csv)
+                assert mcode == ecode
+
+
 def test_benchmark_traced_child_runs(tmp_path):
     # the benchmark's traced child rebinds names in ctstl.cli; a renamed
     # or bypassed binding shows up here, not only in a benchmark run
@@ -364,6 +442,9 @@ def test_benchmark_traced_child_runs(tmp_path):
         (["rob", "--sweep", "--formula", "C[0,2]^2 (x > 0)", str(sweep_csv)],
          "", 0, {"sigfile.read", "semantics.sweep", "windows.kth.w3",
                  "syntax.parse"}),
+        (["eval", "--formula", "C[0,2]^2 (x > 0)", str(sweep_csv)], "", 0,
+         {"sigfile.read", "signals.margin", "windows.kth.w3",
+          "syntax.parse"}),
     ]
     for j, (argv, text, want_code, want_spans) in enumerate(calls):
         spans = tmp_path / f"spans{j}.json"

@@ -237,6 +237,27 @@ class TestDecisions:
         with pytest.raises(error):
             rosi_naive(f, prefix, bounds=bounds)
 
+    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    def test_sample_outside_its_bounds_is_refused(self, cls):
+        # the bounds alone decide G[0,1] (x > 0) before any sample; a
+        # sample outside them is refused all the same, before any state
+        # changes, so the stream goes on as if it had never come
+        mon = cls(parse("G[0,1] (x > 0)"), X, bounds={"x": (0.5, 2.0)})
+        assert mon.verdict.outcome is True
+        for bad in (-3.0, 2.5):
+            with pytest.raises(ParamOutOfRange, match="outside its bounds"):
+                mon.push_sample([bad])
+        assert mon.i == 0 and mon._rows == []
+        mon.push_sample([1.0])
+        with pytest.raises(ParamOutOfRange):
+            mon.push_sample([-3.0])
+        assert mon.i == 1 and mon.verdict.outcome is True
+        # the monitors disagreed here when the sample was taken
+        mon = cls(parse("F[0,0] ((x > 0) U[0,1] (x > 0))"), X,
+                  bounds={"x": (0.0, 0.0)})
+        with pytest.raises(ParamOutOfRange):
+            mon.push_sample([1.0])
+
     def test_arity_checked(self):
         mon = MonitorState(parse("x > 0"), X)
         with pytest.raises(ArityMismatch):

@@ -7,13 +7,16 @@ is exact in floating point, so equality assertions are safe.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_case
+from conftest import formula_texts, make_case
 from ctstl import (Signal, characteristic, format_formula, horizon,
                    max_tau_oracle, parse, robustness, robustness_trace,
                    satisfies, validate)
 from ctstl.errors import EmptyAdmissibleRange, RankOutOfRange, TraceTooShort
 from ctstl.randgen import random_signal
+from ctstl.semantics import _signs, _sweep, _sweep_at
 
 X = ("x",)
 XY = ("x", "y")
@@ -186,6 +189,33 @@ class TestRobustnessTrace:
         f = validate(parse("G[0,6] (x > 0)"), X)
         with pytest.raises(EmptyAdmissibleRange):
             robustness_trace(f, sig(1, 2, 3))
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A validated formula and a trace of horizon+1 to horizon+4 samples."""
+    delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    f = validate(parse(draw(formula_texts(delta))), XY, delta)
+    n = horizon(f) + 1 + draw(st.integers(0, 3))
+    vals = draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n))
+    return f, Signal(XY, np.array(vals, dtype=float).reshape(n, 2), delta)
+
+
+class TestSweepAgainstOracles:
+    @given(_sweep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_both_atom_maps_match_the_recursions_at_every_anchor(self, case):
+        # the +-1 atom map gives the boolean semantics over the whole trace
+        # and over the rows [t, t+h] of one anchor; the real margins over
+        # those rows give the robustness
+        f, s = case
+        signs = _sweep(f, s, _signs)
+        assert signs.size == len(s) - horizon(f)
+        for t in range(signs.size):
+            truth = satisfies(f, s, t)
+            assert signs[t] == (1.0 if truth else -1.0), (f, t)
+            assert (_sweep_at(f, s, t, boolean=True) > 0) is truth, (f, t)
+            assert _sweep_at(f, s, t, boolean=False) == robustness(f, s, t)
 
 
 class TestRankOracle:

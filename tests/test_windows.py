@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctstl import (SlidingExtremum, SlidingKth, max_tau_oracle,
-                   naive_extremum_batch, naive_kth_batch,
-                   sliding_extremum_batch, sliding_kth_batch, until_batch)
+from ctstl import (SlidingKth, max_tau_oracle, naive_extremum_batch,
+                   naive_kth_batch, sliding_extremum_batch, sliding_kth_batch,
+                   until_batch)
 from ctstl import _kernels
 from ctstl.errors import WindowExceedsTrace
 from ctstl.windows import _LOAD
@@ -113,23 +113,24 @@ def test_sliding_kth_property(data):
 
 class TestSlidingExtremum:
     def test_small(self):
-        eng = SlidingExtremum(2, "max")
-        assert [eng.push(v) for v in [2, -1, 7]] == [None, (0, 2), (1, 7)]
+        tr = [2, -1, 7]
+        assert sliding_extremum_batch(tr, (0, 1), "max").tolist() == [2, 7]
+        assert sliding_extremum_batch(tr, (0, 1), "min").tolist() == [-1, -1]
+        assert sliding_extremum_batch(tr, (0, 0), "min").tolist() == tr
+        assert sliding_extremum_batch(tr, (1, 2), "max").tolist() == [7]
 
-    def test_streaming_matches_scan(self, rng):
+    def test_batch_matches_scan(self, rng):
+        # widths that divide the trace and widths that leave a padded
+        # last block, windows starting on and off a block boundary
         for mode, red in (("min", min), ("max", max)):
             for _ in range(40):
                 n = int(rng.integers(3, 50))
-                w = int(rng.integers(1, n + 1))
+                a = int(rng.integers(0, 3))
+                b = int(rng.integers(a, n))
                 vals = rng.integers(-9, 10, size=n).astype(float)
-                eng = SlidingExtremum(w, mode)
-                for i, v in enumerate(vals):
-                    got = eng.push(v)
-                    if i >= w - 1:
-                        s = i - w + 1
-                        assert got == (s, red(vals[s:i + 1]))
-                    else:
-                        assert got is None
+                got = sliding_extremum_batch(vals, (a, b), mode)
+                assert got.tolist() == [red(vals[t + a:t + b + 1])
+                                        for t in range(n - b)]
 
 
 class TestBatchDrivers:
@@ -181,11 +182,6 @@ class TestBatchDrivers:
                 want = naive_extremum_batch(tr, (a, b), mode)
                 assert np.array_equal(
                     sliding_extremum_batch(tr, (a, b), mode), want)
-                # the jit source, run uncompiled, where numba is absent
-                got = np.empty_like(want)
-                _kernels.extremum_batch_kernel(tr[a:], b - a + 1,
-                                               mode == "min", got)
-                assert np.array_equal(got, want)
 
     def test_backends_agree(self, rng):
         tr = rng.standard_normal(300)
@@ -242,13 +238,12 @@ def test_nan_is_rejected_by_every_entry_point():
     for call in calls:
         with pytest.raises(ValueError, match="NaN"):
             call()
-    # a streaming engine refuses the sample and keeps its window as it was
-    streams = ((SlidingKth(2, 3), (0, 2.0)), (SlidingExtremum(3), (0, 1.0)))
-    for eng, want in streams:
-        eng.push(tr[0])
-        with pytest.raises(ValueError, match="NaN"):
-            eng.push(tr[1])
-        assert [eng.push(v) for v in tr[2:4]] == [None, want]
+    # the streaming engine refuses the sample and keeps its window as it was
+    eng = SlidingKth(2, 3)
+    eng.push(tr[0])
+    with pytest.raises(ValueError, match="NaN"):
+        eng.push(tr[1])
+    assert [eng.push(v) for v in tr[2:4]] == [None, (0, 2.0)]
 
 
 @pytest.mark.slow
@@ -272,6 +267,17 @@ def test_amortized_cost_is_log_like_in_window_width(rng):
     assert costs[10_000] < 20 * costs[10]
 
 
+def _until_oracle(lv, rv, a, b):
+    """The bounded-until definition, anchor by anchor."""
+    out = []
+    for t in range(min(len(rv) - b, len(lv) - b + 1 if b else len(rv))):
+        best = -np.inf
+        for t1 in range(t + a, t + b + 1):
+            best = max(best, min(rv[t1], min(lv[t:t1], default=np.inf)))
+        out.append(best)
+    return out
+
+
 class TestUntilBatch:
     def test_matches_reference_recursion(self, rng):
         for _ in range(80):
@@ -282,12 +288,26 @@ class TestUntilBatch:
                 continue
             lv = rng.integers(-9, 10, size=n).astype(float)
             rv = rng.integers(-9, 10, size=n).astype(float)
-            got = until_batch(lv, rv, a, b)
-            for t in range(n - b):
-                best = -np.inf
-                for t1 in range(t + a, t + b + 1):
-                    cand = min(rv[t1],
-                               min(lv[t:t1], default=np.inf)
-                               if t1 > t else np.inf)
-                    best = max(best, cand)
-                assert got[t] == best
+            assert until_batch(lv, rv, a, b).tolist() == \
+                _until_oracle(lv, rv, a, b)
+
+
+# ties of 0.0 with -0.0 and of the infinities with each other
+_TIES = st.sampled_from([2.0, -2.0, 1.0, -1.0, 0.0, -0.0,
+                         np.inf, -np.inf])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_numpy_layers_match_their_oracles(data):
+    vals = data.draw(st.lists(_TIES, min_size=1, max_size=40))
+    n = len(vals)
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a, n - 1))
+    for mode in ("min", "max"):
+        want = naive_extremum_batch(vals, (a, b), mode)
+        assert sliding_extremum_batch(vals, (a, b), mode).tolist() == \
+            want.tolist()
+    other = data.draw(st.lists(_TIES, min_size=n, max_size=n))
+    got = until_batch(vals, other, a, b)
+    assert got.tolist() == _until_oracle(vals, other, a, b)
