@@ -26,7 +26,7 @@ from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
                       write_signal_csv)
 from .signals import Signal, secondary_signal
 from .syntax import format_formula, parse
-from .windows import (SlidingKth, naive_extremum_batch, naive_kth_batch,
+from .windows import (naive_extremum_batch, naive_kth_batch,
                       sliding_extremum_batch, sliding_kth_batch, until_batch)
 
 __version__ = "0.1.0"
@@ -36,10 +36,10 @@ __all__ = [
     "EmptyAdmissibleRange", "Eventually", "Formula", "InvalidInterval",
     "MonitorEvent", "MonitorState", "NaiveMonitor", "NonPositiveTau",
     "Not", "Or", "ParamOutOfRange", "ParseError", "RankOutOfRange", "RoSI",
-    "Signal", "SignalFormatError", "SlidingKth",
-    "SourceSpan", "TauOutOfRange", "TimeInterval", "TraceTooShort",
-    "UnknownVariable", "Until", "UnvalidatedFormula", "ValidationError",
-    "Verdict", "WindowExceedsTrace", "characteristic", "format_formula",
+    "Signal", "SignalFormatError", "SourceSpan", "TauOutOfRange",
+    "TimeInterval", "TraceTooShort", "UnknownVariable", "Until",
+    "UnvalidatedFormula", "ValidationError", "Verdict",
+    "WindowExceedsTrace", "characteristic", "format_formula",
     "glucose_formulas", "glucose_trace", "horizon", "iter_nodes",
     "max_tau_oracle", "naive_extremum_batch", "naive_kth_batch",
     "node_horizons", "open_signal_stream", "overvoltage_formulas",

@@ -2,8 +2,8 @@
 
 Plain Python over preallocated numpy arrays, written so numba can compile
 every function unchanged; ``_accel.kernel`` picks the compiled or interpreted
-version.  The ``python`` backend runs its own rank engine
-(``windows._SortedWindow``), and only tests run this kernel uncompiled.  The
+version.  The ``python`` backend runs its own rank engine (the wavelet
+matrix in ``windows``), and only tests run this kernel uncompiled.  The
 other sliding layers are plain numpy and need no kernel.  Helpers are
 registered jitable so the compiled kernel can call them; under the
 interpreted backend they are ordinary functions.

@@ -7,6 +7,7 @@ from time import perf_counter
 import numpy as np
 
 from ._accel import resolve_backend
+from .errors import ParamOutOfRange
 from .logic import validate
 from .monitor import MonitorState, NaiveMonitor
 from .randgen import random_formula, random_signal
@@ -19,16 +20,25 @@ def _time(fn, *args, **kw):
     return perf_counter() - t0, out
 
 
+def _check_sizes(n: int, w: int) -> None:
+    for name, v in (("n", n), ("w", w)):
+        if v < 1:
+            raise ParamOutOfRange(f"{name} must be >= 1, got {v}")
+
+
 def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
               seed: int = 0, backend: str | None = None) -> dict:
-    """Worklist engine vs windowed re-sort on one random trace.
+    """Sliding rank engine vs per-window re-partition on one random trace.
 
-    Warms the selected backend on a small prefix first so jit compile
-    time never lands in the measured run.  Outputs must agree exactly or
-    the report flags it.
+    The engine is the backend's own, the wavelet matrix on ``python`` and
+    the heap kernel on ``jit``; the report calls it ``worklist``.  Warms
+    the selected backend on a small prefix first so jit compile time never
+    lands in the measured run.  Outputs must agree exactly or the report
+    flags it.
     """
+    _check_sizes(n, w)
     if k is None:
-        k = w // 2
+        k = max(1, w // 2)
     backend = resolve_backend(backend)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
@@ -53,7 +63,8 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
 
 def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0,
                   backend: str | None = None) -> dict:
-    """Per-sample worklist cost at window w vs 2w (k tracks w/2)."""
+    """Per-sample engine cost at window w vs 2w (k tracks w/2)."""
+    _check_sizes(n, w)
     backend = resolve_backend(backend)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
@@ -61,7 +72,7 @@ def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0,
     costs = {}
     for wi in (w, w2):
         iv = (0, wi - 1)
-        ki = wi // 2
+        ki = max(1, wi // 2)
         sliding_kth_batch(trace[:min(n, 4 * wi)], iv, ki, backend=backend)
         t, _ = _time(sliding_kth_batch, trace, iv, ki, backend=backend)
         costs[wi] = t / n

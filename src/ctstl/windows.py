@@ -1,23 +1,19 @@
 """Sliding-window aggregation engines.
 
 Each sliding algorithm has one implementation per backend.  Sliding rank
-on the ``python`` backend is the bucketed sorted window
-(:class:`_SortedWindow`) behind both :class:`SlidingKth` and
-:func:`sliding_kth_batch`; the ``jit`` backend runs
-``_kernels.kth_batch_kernel`` instead.  Sliding min and max
-(:func:`sliding_extremum_batch`, van Herk / Gil-Werman) and the bounded
-Until combine (:func:`until_batch`, one numpy pass per offset) are plain
-numpy and run unchanged on either backend.  The naive_* functions
-recompute every window from scratch; they are the re-evaluation baseline
-the incremental engines are benchmarked and tested against.  NaN has no
-rank, so every entry point rejects it; +-inf is legal.
+(:func:`sliding_kth_batch`) on the ``python`` backend is a numpy wavelet
+matrix that answers every window's rank query at once, in O((n + m) log d)
+array work for n samples, m windows and d distinct values, whatever the
+width or the rank; the ``jit`` backend runs ``_kernels.kth_batch_kernel``
+instead.  Sliding min and max (:func:`sliding_extremum_batch`, van Herk /
+Gil-Werman) and the bounded Until combine (:func:`until_batch`, one numpy
+pass per offset) are plain numpy and run unchanged on either backend.  The
+naive_* functions recompute every window from scratch; they are the
+re-evaluation baseline the sliding engines are benchmarked and tested
+against.  NaN has no rank, so every entry point rejects it; +-inf is legal.
 """
 
 from __future__ import annotations
-
-import math
-from bisect import bisect_left, bisect_right, insort
-from collections import deque
 
 import numpy as np
 
@@ -25,136 +21,6 @@ from . import _kernels
 from ._accel import kernel, resolve_backend
 from .errors import RankOutOfRange, WindowExceedsTrace
 from .logic import TimeInterval, _snap_int
-
-# Target bucket size of the sorted window.
-_LOAD = 1000
-
-
-def _no_nan(v: float) -> float:
-    if math.isnan(v):
-        raise ValueError("window values must not be NaN")
-    return v
-
-
-class _SortedWindow:
-    """Multiset of floats as a sorted list cut into buckets.
-
-    The load-factor design of the *sortedcontainers* package on ``bisect``:
-    each update is a ``bisect`` over the bucket maxima plus an ``insort`` or
-    ``del`` inside one bucket, O(log w + _LOAD) C-level work.  Buckets split
-    above 2*_LOAD and merge into a neighbour below _LOAD/2, so there are at
-    most 2w/_LOAD + 1 of them and a rank lookup scans their lengths in
-    O(w/_LOAD).  Callers add before they discard, so no bucket empties.
-    """
-
-    __slots__ = ("lists", "maxes", "size")
-
-    def __init__(self, values=()):
-        first = sorted(values)
-        self.lists = [first[j:j + _LOAD] for j in range(0, len(first), _LOAD)]
-        self.maxes = [b[-1] for b in self.lists]
-        self.size = len(first)
-
-    def add(self, v: float) -> None:
-        lists, maxes = self.lists, self.maxes
-        self.size += 1
-        p = bisect_right(maxes, v)
-        if p == len(maxes):
-            if not p:
-                lists.append([v])
-                maxes.append(v)
-                return
-            p -= 1
-            lists[p].append(v)
-            maxes[p] = v
-        else:
-            insort(lists[p], v)
-        if len(lists[p]) > 2 * _LOAD:
-            self._split(p)
-
-    def discard(self, v: float) -> None:
-        """Remove one entry equal to v, which must be present."""
-        lists, maxes = self.lists, self.maxes
-        self.size -= 1
-        # the first bucket whose max is >= v holds an entry equal to v
-        p = bisect_left(maxes, v)
-        b = lists[p]
-        del b[bisect_left(b, v)]
-        if len(b) > _LOAD >> 1 or len(lists) == 1:
-            maxes[p] = b[-1]
-            return
-        if p == 0:
-            p = 1
-        prev = lists[p - 1]
-        prev.extend(lists[p])
-        maxes[p - 1] = prev[-1]
-        del lists[p]
-        del maxes[p]
-        if len(prev) > 2 * _LOAD:
-            self._split(p - 1)
-
-    def kth(self, k: int) -> float:
-        """k-th largest entry, 1 <= k <= size."""
-        j = self.size - k  # 0-based position in ascending order
-        for b in self.lists:
-            if j < len(b):
-                return b[j]
-            j -= len(b)
-
-    def _split(self, p: int) -> None:
-        """Move the part of bucket p past its first _LOAD entries to p+1."""
-        b = self.lists[p]
-        tail = b[_LOAD:]
-        del b[_LOAD:]
-        self.maxes[p] = b[-1]
-        self.lists.insert(p + 1, tail)
-        self.maxes.insert(p + 1, tail[-1])
-
-
-class SlidingKth:
-    """k-th largest over a sliding window, one push at a time.
-
-    A ring of the last ``window`` values says which entry leaves; the
-    window itself is a :class:`_SortedWindow`.
-    """
-
-    def __init__(self, k: int, window: int):
-        k = int(k)
-        window = int(window)
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not 1 <= k <= window:
-            raise RankOutOfRange(k, window)
-        self.k = k
-        self.window = window
-        self._ring: deque[float] = deque()
-        self._sorted = _SortedWindow()
-        self._count = 0
-
-    @property
-    def live_top(self) -> int:
-        """Entries at or above the k-th largest: min(k, entries held)."""
-        return min(self.k, self._sorted.size)
-
-    @property
-    def live_rest(self) -> int:
-        return self._sorted.size - self.live_top
-
-    def push(self, value: float) -> tuple[int, float] | None:
-        """Insert a value; once the window is full, return (start, k-th).
-
-        Nothing is returned during warm-up.
-        """
-        v = _no_nan(float(value))
-        i = self._count
-        self._count += 1
-        self._ring.append(v)
-        self._sorted.add(v)
-        if i >= self.window:
-            self._sorted.discard(self._ring.popleft())
-        if i >= self.window - 1:
-            return i - self.window + 1, self._sorted.kth(self.k)
-        return None
 
 
 def _as_span(interval) -> tuple[int, int]:
@@ -188,22 +54,38 @@ def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
 
 
 def _kth_batch_py(values, w, k, out) -> None:
-    """k-th largest of every complete width-w window, interpreted engine.
+    """k-th largest of every complete width-w window, as a wavelet matrix.
 
-    Slides one :class:`_SortedWindow` over the trace; a slide that swaps
-    equal values leaves the window as it was and is skipped.
+    The trace becomes ranks into ``uniq``, its distinct values in order, and
+    each window [t, t+w) asks for its (w-k)-th smallest rank.  All windows
+    descend the bit levels together, highest bit first (Claude, Navarro and
+    Ordonez, "The wavelet matrix", SPIRE 2012).  At each level a prefix
+    count of zero bits moves every window's range onto the zero part or the
+    one part of the next level's sequence, whichever holds the rank it
+    seeks, and a stable partition by the bit builds that sequence.  A level
+    is dropped once used, so memory is O(n + m).  After the last level a
+    window's range holds only entries of the answer's rank.  Positions are
+    int32, which holds traces of fewer than 2**31 samples.  0.0 and -0.0
+    share a rank, so which of them answers is unspecified, as in
+    :func:`naive_kth_batch`.
     """
-    vals = values.tolist()
-    win = _SortedWindow(vals[:w])
-    add, discard, kth = win.add, win.discard, win.kth
-    res = [kth(k)]
-    for new, old in zip(vals[w:], vals):
-        if new != old:
-            # insert first, so the window is never empty when w == 1
-            add(new)
-            discard(old)
-        res.append(kth(k))
-    out[:] = res
+    uniq, seq = np.unique(values, return_inverse=True)
+    seq = seq.astype(np.int32)
+    lo = np.arange(out.size, dtype=np.int32)
+    hi = lo + np.int32(w)
+    q = np.full(out.size, w - k, dtype=np.int32)
+    zeros = np.zeros(values.size + 1, dtype=np.int32)
+    for s in reversed(range((uniq.size - 1).bit_length())):
+        one = (seq & (1 << s)) > 0
+        np.cumsum(~one, out=zeros[1:])
+        zl, zh = zeros[lo], zeros[hi]
+        z = zh - zl  # entries of each window with bit s clear
+        up = q >= z  # the rank sought has bit s set
+        q -= z * up
+        lo = np.where(up, lo - zl + zeros[-1], zl)
+        hi = np.where(up, hi - zh + zeros[-1], zh)
+        seq = seq[np.argsort(one, kind="stable")]
+    out[:] = uniq[seq[lo]]
 
 
 def sliding_kth_batch(trace, interval, k: int,

@@ -265,6 +265,9 @@ class TestBadInput:
           "-"], "x\n1\n", "unknown variable 'z'"),
         (["monitor", "--formula", "G[0,1] (x > 0)", "--bounds", "x=0.5:2",
           "-"], "x\n-3\n-3\n", "outside its bounds"),
+        (["bench", "--w", "0", "--cases", "0"], "", "w must be >= 1"),
+        (["bench", "--w", "-5", "--cases", "0"], "", "w must be >= 1"),
+        (["bench", "--n", "-3", "--cases", "0"], "", "n must be >= 1"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)
@@ -386,7 +389,8 @@ def _differential_runs(draw):
     """Formula text, CSV text, step, extra flags and the admissible anchors.
 
     The trace covers the formula's horizon plus 0-3 samples; a t column
-    carries the step, else --step does when it is not 1.
+    of two or more rows carries the step, else --step does when it is not
+    1 (one row has no step to read, and the reader then assumes 1).
     """
     delta = draw(st.sampled_from([1.0, 0.5, 0.25]))
     text = draw(formula_texts(delta, depth=2))
@@ -398,7 +402,8 @@ def _differential_runs(draw):
     lines = [["t"] * has_time + ["x", "y"]]
     lines += [[f"{j * delta:g}"] * has_time + [str(x), str(y)]
               for j, (x, y) in enumerate(rows)]
-    flags = [] if has_time or delta == 1.0 else [f"--step={delta:g}"]
+    carried = has_time and len(rows) > 1
+    flags = [] if carried or delta == 1.0 else [f"--step={delta:g}"]
     csv = "".join(",".join(r) + "\n" for r in lines)
     return text, csv, delta, flags, anchors
 
@@ -511,6 +516,14 @@ class TestBench:
              "--backend", "python"])
         assert code == 0
         assert json.loads(out.splitlines()[0])["agree"] is True
+
+    def test_smallest_sizes_run(self):
+        # the default rank w // 2 would be 0 at w = 1
+        code, out, _ = run_cli(["bench", "--n", "1", "--w", "1",
+                                "--cases", "0", "--backend", "python"])
+        assert code == 0
+        kth = json.loads(out.splitlines()[0])
+        assert (kth["k"], kth["agree"]) == (1, True)
 
 
 def test_console_script_is_installed():

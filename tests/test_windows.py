@@ -5,90 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctstl import (SlidingKth, max_tau_oracle, naive_extremum_batch,
-                   naive_kth_batch, sliding_extremum_batch, sliding_kth_batch,
-                   until_batch)
+from ctstl import (max_tau_oracle, naive_extremum_batch, naive_kth_batch,
+                   sliding_extremum_batch, sliding_kth_batch, until_batch)
 from ctstl import _kernels
 from ctstl.errors import WindowExceedsTrace
-from ctstl.windows import _LOAD
 
 FIG4 = [2, -1, 7, 10, -5, 15, 8, -2]
 
 
 class TestSlidingKth:
-    def test_warm_up_then_emission(self):
-        eng = SlidingKth(3, 5)
-        outs = [eng.push(v) for v in FIG4[:6]]
-        # nothing while fewer than w entries are buffered; the first
-        # full window reports at start index 0
-        assert outs[:4] == [None] * 4
-        assert outs[4] == (0, 2)
-        assert outs[5] == (1, 7)
-        eng.push(8)
-        assert eng.push(-2) == (3, 8)
-
     def test_window_start_indexing(self):
-        eng = SlidingKth(3, 5)
-        results = [r for v in FIG4 for r in [eng.push(v)] if r is not None]
-        assert results == [(0, 2), (1, 7), (2, 8), (3, 8)]
+        # entry t covers the window anchored at t
+        assert sliding_kth_batch(FIG4, (0, 4), 3).tolist() == [2, 7, 8, 8]
 
     def test_identity_window(self):
-        eng = SlidingKth(1, 1)
-        assert eng.push(42.0) == (0, 42.0)
-        assert eng.push(-1.0) == (1, -1.0)
-
-    def test_streaming_matches_oracle(self, rng):
-        for _ in range(60):
-            n = int(rng.integers(5, 60))
-            w = int(rng.integers(1, n + 1))
-            k = int(rng.integers(1, w + 1))
-            vals = rng.integers(-9, 10, size=n).astype(float)
-            eng = SlidingKth(k, w)
-            for i, v in enumerate(vals):
-                got = eng.push(v)
-                if i < w - 1:
-                    assert got is None
-                else:
-                    start = i - w + 1
-                    want = max_tau_oracle(vals[start:i + 1], k)
-                    assert got == (start, want)
-
-    def test_duplicates_keep_live_counts_honest(self):
-        eng = SlidingKth(2, 4)
-        outs = [eng.push(v) for v in [5, 5, 5, 5, 5, 5, 5]]
-        assert outs[3:] == [(0, 5), (1, 5), (2, 5), (3, 5)]
-        assert eng.live_top == 2
-        assert eng.live_rest == 2
+        # one sample, one past the anchor: the trace shifted by one
+        assert sliding_kth_batch([42.0, -1.0, 3.0], (1, 1), 1).tolist() == \
+            [-1.0, 3.0]
 
     def test_infinities_are_legal(self):
         inf = float("inf")
-        eng = SlidingKth(2, 3)
-        eng.push(-inf)
-        eng.push(inf)
-        assert eng.push(0.0) == (0, 0.0)
-        assert eng.push(inf) == (1, inf)
-
-    def test_sorted_window_invariants(self, rng):
-        # Widths around 3 * _LOAD keep the window in several buckets that
-        # fill, split, drain and merge as the random walk drifts.  A falling
-        # ramp followed by a plateau low in it drains the top bucket into
-        # an overfull neighbour, so the merge has to split again.
-        traces = []
-        for w in (3 * _LOAD - 1, 3 * _LOAD + 7):
-            traces.append((w, np.cumsum(rng.integers(-3, 4, size=4 * w))))
-            traces.append((w, np.r_[np.arange(w, 0, -1),
-                                    np.full(2 * w, w / 10 + 0.5)]))
-        for w, vals in traces:
-            eng = SlidingKth(w // 2, w)
-            for i, v in enumerate(vals):
-                eng.push(v)
-                win = eng._sorted
-                assert win.size == min(i + 1, w)
-                assert len(win.lists) == len(win.maxes)
-                for b, m in zip(win.lists, win.maxes):
-                    assert b and b == sorted(b) and len(b) <= 2 * _LOAD
-                    assert m == b[-1]
-                assert win.maxes == sorted(win.maxes)
+        out = sliding_kth_batch([-inf, inf, 0.0, inf], (0, 2), 2)
+        assert out.tolist() == [0.0, inf]
 
 
 @given(st.data())
@@ -98,17 +36,9 @@ def test_sliding_kth_property(data):
                               max_size=50))
     w = data.draw(st.integers(1, len(vals)))
     k = data.draw(st.integers(1, w))
-    eng = SlidingKth(k, w)
-    for i, v in enumerate(vals):
-        got = eng.push(float(v))
-        if i >= w - 1:
-            window = sorted(vals[i - w + 1:i + 1], reverse=True)
-            assert got == (i - w + 1, float(window[k - 1]))
-        else:
-            assert got is None
-        if i >= w - 1:
-            assert eng.live_top == k
-            assert eng.live_rest == w - k
+    want = [float(sorted(vals[t:t + w], reverse=True)[k - 1])
+            for t in range(len(vals) - w + 1)]
+    assert sliding_kth_batch(vals, (0, w - 1), k).tolist() == want
 
 
 class TestSlidingExtremum:
@@ -193,35 +123,32 @@ class TestBatchDrivers:
             assert np.array_equal(out, naive_kth_batch(tr, (0, 24), 7))
 
 
-def test_rank_engines_match_naive_across_bucket_sizes(rng):
-    # The interpreted engine keeps its window in sorted buckets of about
-    # _LOAD entries.  Widths below and at the load stay in one bucket;
-    # above it the window spans several, and the drifting traces (a
-    # zigzag of plateaus, an integer random walk) fill buckets at one end
-    # until they split and drain them at the other until they merge.  The
-    # flat trace puts equal values, and equal bucket maxima, everywhere.
+# sizes on both sides of powers of two, 1 to 257
+_POW2_EDGES = sorted({2 ** j + e for j in (1, 2, 3, 5, 8) for e in (-1, 0, 1)})
+
+
+def test_rank_engines_match_naive_at_level_boundaries(rng):
+    # The wavelet matrix has bit_length(d - 1) levels for d distinct
+    # values, so one more past each power of two, and none for d = 1, an
+    # all-equal trace.  Trace lengths and distinct counts sit on both sides
+    # of powers of two; widths and ranks take both ends of their ranges.
     # The heap kernel, run uncompiled, is held to the same oracle so the
-    # jit source stays checked where numba is absent, and so is the
-    # streaming class, which shares the batch driver's sorted window.
-    for w in (_LOAD - 1, _LOAD, _LOAD + 1, 2 * _LOAD + 1, 4 * _LOAD + 3):
-        n = 3 * w
-        ramp = np.arange(n) // 4
-        traces = {
-            "flat": rng.integers(-3, 4, size=n).astype(float),
-            "zigzag": np.minimum(ramp, ramp[::-1]).astype(float),
-            "walk": np.cumsum(rng.integers(-1, 2, size=n)).astype(float),
-        }
-        for name, tr in traces.items():
-            for k in (1, w // 3 + 1, w):
-                want = naive_kth_batch(tr, (0, w - 1), k)
-                got = sliding_kth_batch(tr, (0, w - 1), k, backend="python")
-                assert np.array_equal(got, want), (name, w, k)
-                heap = np.empty_like(want)
-                _kernels.kth_batch_kernel(tr, w, k, heap)
-                assert np.array_equal(heap, want), (name, w, k)
-                push = SlidingKth(k, w).push
-                stream = [r[1] for r in map(push, tr) if r]
-                assert np.array_equal(stream, want), (name, w, k)
+    # jit source stays checked where numba is absent.
+    for n in _POW2_EDGES:
+        for d in [d for d in _POW2_EDGES if d <= n]:
+            alphabet = rng.permutation(np.arange(d)) * 0.5 - d / 3
+            picks = np.r_[np.arange(d), rng.integers(0, d, size=n - d)]
+            tr = alphabet[rng.permutation(picks)]
+            assert np.unique(tr).size == d
+            for w in sorted({1, n // 2 + 1, n}):
+                for k in sorted({1, w // 3 + 1, w}):
+                    want = naive_kth_batch(tr, (0, w - 1), k)
+                    got = sliding_kth_batch(tr, (0, w - 1), k,
+                                            backend="python")
+                    assert np.array_equal(got, want), (n, d, w, k)
+                    heap = np.empty_like(want)
+                    _kernels.kth_batch_kernel(tr, w, k, heap)
+                    assert np.array_equal(heap, want), (n, d, w, k)
 
 
 def test_nan_is_rejected_by_every_entry_point():
@@ -238,12 +165,6 @@ def test_nan_is_rejected_by_every_entry_point():
     for call in calls:
         with pytest.raises(ValueError, match="NaN"):
             call()
-    # the streaming engine refuses the sample and keeps its window as it was
-    eng = SlidingKth(2, 3)
-    eng.push(tr[0])
-    with pytest.raises(ValueError, match="NaN"):
-        eng.push(tr[1])
-    assert [eng.push(v) for v in tr[2:4]] == [None, (0, 2.0)]
 
 
 @pytest.mark.slow
@@ -308,6 +229,9 @@ def test_numpy_layers_match_their_oracles(data):
         want = naive_extremum_batch(vals, (a, b), mode)
         assert sliding_extremum_batch(vals, (a, b), mode).tolist() == \
             want.tolist()
+    for k in range(1, b - a + 2):
+        assert sliding_kth_batch(vals, (a, b), k).tolist() == \
+            naive_kth_batch(vals, (a, b), k).tolist()
     other = data.draw(st.lists(_TIES, min_size=n, max_size=n))
     got = until_batch(vals, other, a, b)
     assert got.tolist() == _until_oracle(vals, other, a, b)
