@@ -6,45 +6,60 @@ relative to the evaluation instant.  The package parses such formulas,
 computes boolean satisfaction and quantitative robustness over uniformly
 sampled traces, and monitors growing streams online through intervals
 that bracket every robustness value still reachable.
+
+Importing the package imports none of its modules: each export is loaded
+from its module on first use (PEP 562), so a command-line child pays only
+for the modules its command needs.
 """
 
-from .errors import (ArityMismatch, CTSTLError, EmptyAdmissibleRange,
-                     InvalidInterval, NonPositiveTau, ParamOutOfRange,
-                     ParseError, RankOutOfRange, SignalFormatError,
-                     SourceSpan, TauOutOfRange, TraceTooShort,
-                     UnknownVariable, UnvalidatedFormula, ValidationError,
-                     WindowExceedsTrace)
-from .generators import (glucose_formulas, glucose_trace,
-                         overvoltage_formulas, overvoltage_trace)
-from .logic import (Always, And, Atom, Cumulative, Eventually, Formula, Not,
-                    Or, TimeInterval, Until, horizon, iter_nodes,
-                    node_horizons, validate)
-from .monitor import MonitorState, NaiveMonitor, RoSI, Verdict, rosi_naive
-from .semantics import (characteristic, max_tau_oracle, robustness,
-                        robustness_trace, satisfies)
-from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
-                      write_signal_csv)
-from .signals import Signal, secondary_signal
-from .syntax import format_formula, parse
-from .windows import (naive_extremum_batch, naive_kth_batch,
-                      sliding_extremum_batch, sliding_kth_batch, until_batch)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Always", "And", "ArityMismatch", "Atom", "CTSTLError", "Cumulative",
-    "EmptyAdmissibleRange", "Eventually", "Formula", "InvalidInterval",
-    "MonitorEvent", "MonitorState", "NaiveMonitor", "NonPositiveTau",
-    "Not", "Or", "ParamOutOfRange", "ParseError", "RankOutOfRange", "RoSI",
-    "Signal", "SignalFormatError", "SourceSpan", "TauOutOfRange",
-    "TimeInterval", "TraceTooShort", "UnknownVariable", "Until",
-    "UnvalidatedFormula", "ValidationError", "Verdict",
-    "WindowExceedsTrace", "characteristic", "format_formula",
-    "glucose_formulas", "glucose_trace", "horizon", "iter_nodes",
-    "max_tau_oracle", "naive_extremum_batch", "naive_kth_batch",
-    "node_horizons", "open_signal_stream", "overvoltage_formulas",
-    "overvoltage_trace", "parse", "read_signal_csv", "robustness",
-    "robustness_trace", "rosi_naive", "satisfies", "secondary_signal",
-    "sliding_extremum_batch", "sliding_kth_batch", "until_batch",
-    "validate", "write_signal_csv",
-]
+# export name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "ArityMismatch", "CTSTLError", "EmptyAdmissibleRange",
+        "InvalidInterval", "NonPositiveTau", "ParamOutOfRange", "ParseError",
+        "RankOutOfRange", "SignalFormatError", "SourceSpan", "TauOutOfRange",
+        "TraceTooShort", "UnknownVariable", "UnvalidatedFormula",
+        "ValidationError", "WindowExceedsTrace"), "errors"),
+    **dict.fromkeys((
+        "glucose_formulas", "glucose_trace", "overvoltage_formulas",
+        "overvoltage_trace"), "generators"),
+    **dict.fromkeys((
+        "Always", "And", "Atom", "Cumulative", "Eventually", "Formula", "Not",
+        "Or", "TimeInterval", "Until", "horizon", "iter_nodes",
+        "node_horizons", "validate"), "logic"),
+    **dict.fromkeys((
+        "MonitorState", "NaiveMonitor", "RoSI", "Verdict", "rosi_naive"),
+        "monitor"),
+    **dict.fromkeys((
+        "characteristic", "max_tau_oracle", "robustness", "robustness_trace",
+        "satisfies"), "semantics"),
+    **dict.fromkeys((
+        "MonitorEvent", "open_signal_stream", "read_signal_csv",
+        "write_signal_csv"), "sigfile"),
+    **dict.fromkeys(("Signal", "secondary_signal"), "signals"),
+    **dict.fromkeys(("format_formula", "parse"), "syntax"),
+    **dict.fromkeys((
+        "naive_extremum_batch", "naive_kth_batch", "sliding_extremum_batch",
+        "sliding_kth_batch", "until_batch"), "windows"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

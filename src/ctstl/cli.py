@@ -8,19 +8,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from . import bench as benchmod
 from .errors import CTSTLError, ParamOutOfRange
-from .generators import glucose_trace, overvoltage_trace
 from .logic import _fmt_num, validate
-from .monitor import MonitorState
 from .semantics import _sweep_at, robustness_trace
 from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
-                      samples_at_step, write_signal_csv)
+                      samples_at_step, write_rows, write_signal_csv)
 from .syntax import parse
+
+# The monitor, the generators and the benchmark are imported by the
+# commands that use them, so that a batch command does not pay for them.
+if TYPE_CHECKING:
+    from .monitor import MonitorState
 
 
 def _formula_text(args) -> str:
@@ -83,8 +87,7 @@ def cmd_rob(args) -> int:
     if args.sweep:
         rho = robustness_trace(f, sig)
         print("t,rho")
-        for i, r in enumerate(rho):
-            print(f"{_fmt_num(i * sig.delta)},{_fmt_num(float(r))}")
+        write_rows(sys.stdout, rho.reshape(-1, 1), sig.delta)
         return 0
     r = _sweep_at(f, sig, _sample_index(args.at, sig.delta), boolean=False)
     print(_fmt_num(r))
@@ -100,6 +103,8 @@ def _trace_rows(mon: MonitorState, i: int, out) -> None:
 
 
 def cmd_monitor(args) -> int:
+    from .monitor import MonitorState
+
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(_open_source(args.signal))
         trace_fh = stack.enter_context(
@@ -124,6 +129,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import glucose_trace, overvoltage_trace
+
     if args.scenario == "overvoltage":
         sig, report = overvoltage_trace(
             args.length, args.seed, over17=args.over17, over14=args.over14,
@@ -141,6 +148,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as benchmod
+
     print(json.dumps(benchmod.bench_kth(
         n=args.n, w=args.w, k=args.k, seed=args.seed,
         backend=args.backend)))
@@ -240,4 +249,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Everything imported so far lives as long as the process: keep it out
+    # of every later garbage collection, so that a collection's cost does
+    # not depend on how many objects the imports left.
+    gc.freeze()
     sys.exit(main())

@@ -6,12 +6,17 @@ timestamps; it must be uniformly spaced (relative tolerance 1e-9) and sets
 the step unless one is given, then it is dropped.  This module is the only
 place that knows the format: the whole-file reader and the monitor's stream
 share one header parser, one row parser and one step policy
-(:func:`samples_at_step`).  Monitor runs emit one JSON object per line;
-infinities appear as the JSON-style Infinity tokens.
+(:func:`samples_at_step`).  The whole-file reader converts and checks all
+cells at once in numpy and replays the stream's row parser only when that
+check fails, so both raise the same error at the same line.  Both CSV
+writers share one number formatter and write a few thousand rows per call.
+Monitor runs emit one JSON object per line; infinities appear as the
+JSON-style Infinity tokens.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -19,11 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
+import numpy as np
+
 from .errors import SignalFormatError
-from .logic import _fmt_num
 from .signals import Signal
 
 _REL_TOL = 1e-9
+# rows per write call of the CSV writers
+_CHUNK_ROWS = 4096
 
 Rows = Iterator[tuple[int, list[float]]]
 
@@ -48,13 +56,8 @@ def _close_enough(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def open_signal_stream(fh: IO[str]) -> tuple[tuple[str, ...], bool, Rows]:
-    """Header plus a lazy row iterator, for monitoring as data arrives.
-
-    Returns (variable names, had-time-column, iterator of (line, values)).
-    Timestamps stay in the rows; :func:`samples_at_step` checks and drops
-    them.
-    """
+def _read_header(fh: IO[str]) -> tuple[Iterator[list[str]], tuple[str, ...]]:
+    """A CSV reader past the checked header, and the header's names."""
     rd = csv.reader(fh)
     try:
         header = next(rd)
@@ -66,9 +69,20 @@ def open_signal_stream(fh: IO[str]) -> tuple[tuple[str, ...], bool, Rows]:
         raise SignalFormatError("blank column name in header", 1)
     if len(set(names)) != len(names):
         raise SignalFormatError("duplicate column name in header", 1)
-    has_time = names[0] == "t"
-    if has_time and len(names) == 1:
+    if names == ("t",):
         raise SignalFormatError("no variable columns besides t", 1)
+    return rd, names
+
+
+def open_signal_stream(fh: IO[str]) -> tuple[tuple[str, ...], bool, Rows]:
+    """Header plus a lazy row iterator, for monitoring as data arrives.
+
+    Returns (variable names, had-time-column, iterator of (line, values)).
+    Timestamps stay in the rows; :func:`samples_at_step` checks and drops
+    them.
+    """
+    rd, names = _read_header(fh)
+    has_time = names[0] == "t"
 
     def gen() -> Rows:
         for line, cells in enumerate(rd, start=2):
@@ -99,7 +113,7 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
                                         head[1][0])
     if step is None:
         step = 1.0
-    if not (step > 0 and math.isfinite(step)):
+    if not _step_ok(step):
         raise SignalFormatError(f"step must be positive and finite, "
                                 f"got {step}")
     if not has_time:
@@ -121,13 +135,113 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
 
 def read_signal_csv(source: str | IO[str],
                     delta: float | None = None) -> Signal:
-    """Load a whole CSV signal under the step policy of the stream."""
+    """Load a whole CSV signal under the step policy of the stream.
+
+    All cells become one float64 array in a single conversion, which
+    accepts exactly what ``float()`` accepts.  If any check fails (a row's
+    arity, a cell, finiteness, the step or the spacing of the ``t``
+    column), the kept rows are replayed through the stream's parser and
+    step policy, which raise the stream's error at the stream's line.
+    """
     if isinstance(source, str):
         with open(source, newline="") as fh:
             return read_signal_csv(fh, delta)
-    names, has_time, rows = open_signal_stream(source)
-    delta, samples = samples_at_step(has_time, rows, delta)
-    return Signal(names, list(samples), delta)
+    rd, names = _read_header(source)
+    width = len(names)
+    # cells of the rows of the right arity, end to end; the number of such
+    # rows before each blank row; the first row of the wrong arity
+    cells: list[str] = []
+    blanks: list[int] = []
+    bad: list[str] | None = None
+    try:
+        for row in rd:
+            if len(row) == width:
+                cells.extend(row)
+            elif row:
+                bad = row
+                break
+            else:
+                blanks.append(len(cells) // width)
+    except csv.Error:
+        # the stream would raise an error of an earlier row first
+        _replay(names, cells, blanks, None, delta)
+        raise
+    if bad is None:
+        sig = _convert(names, cells, delta)
+        if sig is not None:
+            return sig
+    return _replay(names, cells, blanks, bad, delta)
+
+
+def _convert(names: tuple[str, ...], cells: list[str],
+             delta: float | None) -> Signal | None:
+    """The signal of well-formed cells, or None if any check fails."""
+    try:
+        arr = np.array(cells, dtype=np.float64).reshape(-1, len(names))
+    except ValueError:
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    has_time = names[0] == "t"
+    step = delta
+    if step is None:
+        step = float(arr[1, 0] - arr[0, 0]) if has_time and len(arr) >= 2 \
+            else 1.0
+    if not _step_ok(step):
+        return None
+    if has_time:
+        gap = np.diff(arr[:, 0])
+        tol = _REL_TOL * np.maximum(np.maximum(np.abs(gap), abs(step)), 1.0)
+        if not (np.abs(gap - step) <= tol).all():
+            return None
+        names, arr = names[1:], arr[:, 1:]
+    return Signal(names, arr, step)
+
+
+def _step_ok(step: float) -> bool:
+    return step > 0 and math.isfinite(step)
+
+
+def _replay(names: tuple[str, ...], cells: list[str], blanks: list[int],
+            bad: list[str] | None, delta: float | None) -> Signal:
+    """Kept rows through the stream's parser and step policy, numbered as
+    the stream numbers them; raises the stream's first error."""
+    width = len(names)
+    n = len(cells) // width
+
+    def numbered() -> Iterator[tuple[int, Sequence[str]]]:
+        for i in range(n):
+            yield (2 + i + bisect.bisect_right(blanks, i),
+                   cells[i * width:(i + 1) * width])
+        if bad is not None:
+            yield 2 + n + len(blanks), bad
+
+    has_time = names[0] == "t"
+    rows = ((line, _parse_row(row, width, line)) for line, row in numbered())
+    step, samples = samples_at_step(has_time, rows, delta)
+    return Signal(names[1:] if has_time else names, list(samples), step)
+
+
+def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
+               end: str = "\n") -> None:
+    """Write the rows of a 2-D float array as CSV, each line ended by `end`.
+
+    Numbers follow :func:`ctstl.logic._fmt_num`: an integral value is
+    written without a fraction, any other by ``repr``.  With a step, each
+    row starts with its time, the row index times the step.  A few thousand
+    rows go to each ``write`` call.
+    """
+    n = values.shape[0]
+    for a in range(0, n, _CHUNK_ROWS):
+        b = min(n, a + _CHUNK_ROWS)
+        cols = [_fmt_nums(col) for col in values[a:b].T.tolist()]
+        if step is not None:
+            cols.insert(0, _fmt_nums((np.arange(a, b) * step).tolist()))
+        out.write(end.join(map(",".join, zip(*cols))) + end)
+
+
+def _fmt_nums(xs: list[float]) -> list[str]:
+    return [str(int(x)) if x.is_integer() else repr(x) for x in xs]
 
 
 def write_signal_csv(dest: str | IO[str], signal: Signal,
@@ -136,16 +250,9 @@ def write_signal_csv(dest: str | IO[str], signal: Signal,
         with open(dest, "w", newline="") as fh:
             write_signal_csv(fh, signal, time_column)
             return
-    wr = csv.writer(dest)
-    if time_column:
-        wr.writerow(("t",) + signal.names)
-        for j in range(len(signal)):
-            wr.writerow([_fmt_num(j * signal.delta)]
-                        + [_fmt_num(v) for v in signal.values[j]])
-    else:
-        wr.writerow(signal.names)
-        for j in range(len(signal)):
-            wr.writerow([_fmt_num(v) for v in signal.values[j]])
+    csv.writer(dest).writerow(("t",) * time_column + signal.names)
+    write_rows(dest, signal.values, signal.delta if time_column else None,
+               end="\r\n")
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,30 @@
 """Command-line behavior: exit codes, event streams, determinism."""
 
+import csv
+import gc
 import importlib.metadata
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formula_texts
-from ctstl import horizon, parse, validate
+from ctstl import Signal, horizon, parse, validate, write_signal_csv
+from ctstl import cli, sigfile
 from ctstl.cli import main
 from ctstl.generators import overvoltage_formulas
+from ctstl.logic import _fmt_num
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -432,6 +439,71 @@ class TestDifferential:
                 mcode, _, _ = run_cli(["monitor", "--run-to-end", *f],
                                       stdin_text=csv)
                 assert mcode == ecode
+
+
+_CHUNK = sigfile._CHUNK_ROWS
+_ROB_VALUES = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, 2.0 ** 53 + 2, -(2.0 ** 60), 1e300,
+    5e-324, -2.2250738585072014e-308 / 3, 0.1, -7.0,
+]) | st.floats()
+
+
+class TestSweepOutput:
+    @given(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+           st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+           st.lists(_ROB_VALUES, min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_per_row_format(self, n, delta, pool, seed):
+        # the chunked writer prints what one print per row printed, and
+        # write_signal_csv what csv.writer wrote
+        rho = np.random.default_rng(seed).choice(np.array(pool), n)
+        want = ["t,rho"] + [f"{_fmt_num(i * delta)},{_fmt_num(float(r))}"
+                            for i, r in enumerate(rho)]
+        with mock.patch.object(cli, "robustness_trace",
+                               lambda _f, _sig: rho):
+            code, out, err = run_cli(
+                ["rob", "--sweep", "--formula", "x > 0", f"--step={delta}",
+                 "-"], stdin_text="x\n1\n")
+        assert (code, err) == (0, "")
+        got = out.split("\n")
+        first_bad = next((i for i, (a, b) in enumerate(zip(got, want))
+                          if a != b), None)
+        assert first_bad is None, (got[first_bad], want[first_bad])
+        assert got == [*want, ""]
+        if np.isfinite(rho).all():
+            sig = Signal(("x",), rho.reshape(-1, 1), delta)
+            old = io.StringIO()
+            wr = csv.writer(old)
+            wr.writerow(("t", "x"))
+            for i, r in enumerate(rho):
+                wr.writerow([_fmt_num(i * delta), _fmt_num(r)])
+            new = io.StringIO()
+            write_signal_csv(new, sig, time_column=True)
+            assert new.getvalue().split("\r\n") == \
+                old.getvalue().split("\r\n")
+
+
+def test_entry_point_freezes_import_time_objects():
+    # `python -m ctstl.cli` keeps what its imports left out of later
+    # garbage collections; main(), which tests call in process, does not
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['ctstl', 'eval', '--formula', 'x > 0', '-']\n"
+            "try:\n"
+            "    runpy.run_module('ctstl.cli', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(gc.get_freeze_count())\n")
+    proc = subprocess.run([sys.executable, "-c", code], input="x\n1\n",
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "true"
+    assert int(proc.stdout.splitlines()[1]) > 0
+    before = gc.get_freeze_count()
+    assert run_cli(["eval", "--formula", "x > 0", "-"],
+                   stdin_text="x\n1\n")[:2] == (0, "true\n")
+    assert gc.get_freeze_count() == before
 
 
 def test_benchmark_traced_child_runs(tmp_path):

@@ -1,7 +1,14 @@
-"""The package's export list, and which modules may call the oracles."""
+"""The package's export list, its import boundary, and which modules may
+call the oracles."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ctstl
 
@@ -14,6 +21,41 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(ctstl, n)]
     assert not missing
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter; return what it prints, as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_the_online_and_generator_modules_out():
+    # a batch child pays only for the modules eval and rob use
+    loaded = _fresh(
+        "import json, sys, ctstl.cli\n"
+        "print(json.dumps([m for m in ('ctstl.monitor', 'ctstl.generators',"
+        " 'ctstl.bench', 'ctstl.randgen') if m in sys.modules]))\n")
+    assert loaded == []
+
+
+def test_star_import_and_dir_list_every_export():
+    missing = _fresh(
+        "import json\n"
+        "from ctstl import *\n"
+        "import ctstl\n"
+        "names = dict(globals())\n"
+        "print(json.dumps([[n for n in ctstl.__all__ if n not in names],\n"
+        "                  sorted(set(ctstl.__all__) - set(dir(ctstl)))]))\n")
+    assert missing == [[], []]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_export"):
+        ctstl.no_such_export
+    assert not hasattr(ctstl, "monitor_state")
 
 
 def test_recursive_oracles_have_no_caller_outside_semantics():

@@ -1,14 +1,19 @@
 """CSV signal ingestion and the line-delimited event record."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctstl import (MonitorEvent, Signal, open_signal_stream, read_signal_csv,
                    write_signal_csv)
+from ctstl import sigfile
 from ctstl.errors import SignalFormatError
+from ctstl.sigfile import samples_at_step
 
 
 def test_round_trip_without_time_column():
@@ -87,3 +92,99 @@ def test_event_json_round_trip():
     ev = MonitorEvent(6, 7.0, 7.0, True, True)
     assert MonitorEvent.from_json(ev.to_json()) == ev
     assert '"decided": true' in ev.to_json()
+
+
+# cells the bulk conversion must treat exactly as float() does: quoted,
+# space-padded, underscored, non-finite, overflowing, subnormal, malformed
+_GOOD_CELLS = st.sampled_from([
+    "1", "-2.5", "0", "-0", " 3 ", '"4"', '" 5 "', "1_0", "5e-324",
+    "\u0661",
+]) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_BAD_CELLS = st.sampled_from([
+    "1__0", "nan", "inf", "-inf", "1e400", "-1e400", "1e", "x", "", '"1,5"',
+    "0x10",
+])
+_CELLS = st.integers(0, 29).flatmap(
+    lambda k: _BAD_CELLS if k == 0 else _GOOD_CELLS)
+_STEPS = st.sampled_from([None] * 6 + [1.0, 0.5, 0.25, 0.1]
+                         + [0.0, -1.0, math.inf, math.nan])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with an optional t column, and the step to read it at.
+
+    Timestamps follow a grid of step 1, 0.5, 0.25 or 0.1, some with jitter
+    inside the reader's tolerance and some outside it; rows may be blank
+    or ragged.
+    """
+    has_time = draw(st.booleans())
+    variables = ["x", "y"][:draw(st.integers(1, 2))]
+    names = ["t"] * has_time + variables
+    grid = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
+    lines = [",".join(names)]
+    for j in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        row = draw(st.lists(_CELLS, min_size=len(variables),
+                            max_size=len(variables)))
+        if has_time:
+            jitter = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-13, -1e-13,
+                                           1e-6, 0.3]))
+            row.insert(0, repr(j * grid + jitter * grid))
+        ragged = draw(st.integers(0, 19))
+        if ragged == 0:
+            row.append("1")
+        elif ragged == 1:
+            row.pop()
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n" * draw(st.booleans()), draw(_STEPS)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except SignalFormatError as exc:
+        return (type(exc), str(exc), exc.line)
+
+
+def _via_stream(text, step):
+    names, has_time, rows = open_signal_stream(io.StringIO(text))
+    step, samples = samples_at_step(has_time, rows, step)
+    values = np.array(list(samples), dtype=np.float64)
+    return names, step, values.reshape(-1, len(names)).tobytes()
+
+
+def _via_file(text, step):
+    sig = read_signal_csv(io.StringIO(text), delta=step)
+    return sig.names, sig.delta, np.ascontiguousarray(sig.values).tobytes()
+
+
+@given(_csv_files())
+@settings(max_examples=500, deadline=None)
+def test_whole_file_reader_matches_the_stream_bit_for_bit(case):
+    # same names, step and value bits, or the same error at the same line
+    text, step = case
+    want = _outcome(lambda: _via_stream(text, step))
+    assert _outcome(lambda: _via_file(text, step)) == want
+    if not isinstance(want[0], type):
+        # a valid file takes the bulk conversion, never the row replay
+        rd, names = sigfile._read_header(io.StringIO(text))
+        cells = [cell for row in rd for cell in row]
+        assert sigfile._convert(names, cells, step) is not None
+
+
+def test_csv_error_comes_after_the_errors_of_earlier_rows():
+    # a field over csv's size limit stops the reader; rows before it are
+    # still checked first, as the stream checks them
+    huge = "1" * (csv.field_size_limit() + 1)
+    for text, line in ((f"x\n1\nnan\n{huge}\n", 3),
+                       (f"t,x\n0,1\n1,1\n5,1\n1,{huge}\n", 4)):
+        with pytest.raises(SignalFormatError) as e:
+            read_signal_csv(io.StringIO(text))
+        assert e.value.line == line
+        with pytest.raises(SignalFormatError) as s:
+            _via_stream(text, None)
+        assert str(e.value) == str(s.value)
+    with pytest.raises(csv.Error):
+        read_signal_csv(io.StringIO(f"x\n1\n{huge}\n"))
