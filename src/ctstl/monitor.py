@@ -16,10 +16,13 @@ Update strategy per node kind, chosen at construction:
   k = 1 for ``F``, k = w for ``G``, ``order`` for ``C``) with two modes,
   chosen by the child's horizon.  Over a point-valued child (``suffix``)
   every affected anchor knows a suffix of the child trace and pads the
-  rest, so one walk down from the newest sample into one capped sorted
-  list serves them all and no per-anchor state survives a push.  Over a
-  refining child (``rescan``) each affected anchor's window is
-  re-partitioned;
+  rest, so its entry follows from two order statistics of what it knows,
+  kept per anchor in two arrays.  Each array is monotone in the anchor, so
+  a new sample changes them on one run of anchors each, found by
+  bisection; one walk down from the newest sample into one capped sorted
+  list recomputes just those anchors.  Over a refining child (``rescan``)
+  each affected anchor's window is re-partitioned, or scanned for its
+  minimum or maximum when the rank is the first or the last;
 * Until rescans the affected windows directly.  Rescans are exact for any
   child because node arrays always hold the current interval, pads
   included.
@@ -210,6 +213,7 @@ class _Node:
     __slots__ = (
         "form", "nid", "lo", "hi", "a", "b", "k", "mode", "children",
         "lb", "ub", "init", "cols", "coefs", "sign", "rhs",
+        "neg_above", "below",
     )
 
     def __init__(self, form: Formula, nid: int, lo: int, hi: int):
@@ -254,19 +258,52 @@ def _until_anchor(left: _Node, right: _Node, t: int,
     return lb, ub
 
 
+def _changed_span(node: _Node, c: int, lo: int,
+                  hi: int) -> tuple[int, int] | None:
+    """The anchors of lo..hi whose entry the new child sample c can change.
+
+    Anchor t knows m_t = c-t-a+1 samples.  Its entry is a function of A_t,
+    the k-th largest known (-inf while m_t < k), and B_t, the
+    (w-k+1)-th smallest known (+inf while m_t < w-k+1); the node keeps -A
+    in ``neg_above`` and B in ``below``.  The known sets are nested, so A
+    is non-increasing and B non-decreasing in t.  The new value x raises A
+    exactly where m_t >= k and A_t < x, and lowers B exactly where
+    m_t >= w-k+1 and B_t > x: each a run that ends at the highest anchor
+    of enough samples, found by bisection.  Returns the span of the two
+    runs, or None when neither has an anchor.
+    """
+    child = node.children[0]
+    x = float(child.lb[c - child.lo])
+    top = c - node.a + 1  # m_t = top - t
+    w = node.b - node.a + 1
+    low = high = None
+    for rank, keys, v in ((node.k, node.neg_above, -x),
+                          (w - node.k + 1, node.below, x)):
+        end = min(hi, top - rank)
+        if end < lo:
+            continue
+        start = lo + int(np.searchsorted(
+            keys[lo - node.lo:end - node.lo + 1], v, "right"))
+        if start <= end:
+            low = start if low is None else min(low, start)
+            high = end if high is None else max(high, end)
+    return None if low is None else (low, high)
+
+
 def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
-    """Update anchors lo..hi, those whose window holds the new child sample c.
+    """Recompute anchors lo..hi, whose window holds the new child sample c.
 
     Anchor t in [c-b, c-a] knows child[t+a .. c], m values, and pads the
-    other w-m.  Its k-th largest is the pad clamped to [A, B]: A is the
-    k-th largest known (-inf while m < k), B the (k-(w-m))-th largest
-    known (+inf while w-m >= k).  Both ranks lie among the w-k+1 smallest
-    knowns, and the anchors' known sets are nested suffixes, so one walk
-    from c downward, keeping those smallest values sorted, serves every
-    anchor.  When k < w-k+1 the walk ranks the negated values at w-k+1
-    instead (the k-th largest of x is minus the (w-k+1)-th largest of -x,
-    which swaps and negates A and B), so the list never holds more than
-    min(k, w-k+1) values.
+    other w-m.  Its k-th largest is the pad clamped to [A, B] (see
+    :func:`_changed_span`): B is also the (k-(w-m))-th largest known.  Both
+    ranks lie among the w-k+1 smallest knowns, and the anchors' known sets
+    are nested suffixes, so one walk from c down to anchor lo, keeping
+    those smallest values sorted, serves every anchor of the span.  When
+    k < w-k+1 the walk ranks the negated values at w-k+1 instead (the k-th
+    largest of x is minus the (w-k+1)-th largest of -x, which swaps and
+    negates A and B), so the list never holds more than min(k, w-k+1)
+    values.  The walk reads c-lo-a+1 values; the node's A and B arrays are
+    updated on the span along with its entries.
     """
     child = node.children[0]
     w = node.b - node.a + 1
@@ -293,8 +330,19 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     if sgn < 0:
         above, below = -below, -above
     r = slice(lo - node.lo, hi - node.lo + 1)
+    node.neg_above[r] = -above
+    node.below[r] = below
     node.lb[r] = np.maximum(above, np.minimum(child.init[0], below))
     node.ub[r] = np.maximum(above, np.minimum(child.init[1], below))
+
+
+def _rank_value(x: np.ndarray, j: int) -> float:
+    """The (j+1)-th smallest of x: a min or a max at either end."""
+    if j == 0:
+        return x.min()
+    if j == len(x) - 1:
+        return x.max()
+    return np.partition(x, j)[j]
 
 
 class MonitorState(_PrefixMonitor):
@@ -361,8 +409,13 @@ class MonitorState(_PrefixMonitor):
                 node.k = (form.order if isinstance(form, Cumulative)
                           else 1 if isinstance(form, Eventually)
                           else node.b - node.a + 1)
-                pointlike = horizon(form.child) == 0
-                node.mode = "suffix" if pointlike else "rescan"
+                if horizon(form.child) == 0:
+                    node.mode = "suffix"
+                    # -A and B of every anchor: none known yet
+                    node.neg_above = np.full(max(node.size, 0), INF)
+                    node.below = np.full(max(node.size, 0), INF)
+                else:
+                    node.mode = "rescan"
             else:  # pragma: no cover
                 raise TypeError(f"not a formula node: {form!r}")
 
@@ -431,6 +484,8 @@ class MonitorState(_PrefixMonitor):
             c = span[0]
             got = self._clip(node, c - node.b, c - node.a)
             if got is not None:
+                got = _changed_span(node, c, *got)
+            if got is not None:
                 _suffix_push(node, c, *got)
             return got
         if mode == "rescan":
@@ -449,8 +504,8 @@ class MonitorState(_PrefixMonitor):
                 if node.lb[r] == node.ub[r]:
                     continue
                 s = t + node.a - child.lo
-                node.lb[r] = np.partition(child.lb[s:s + w], j)[j]
-                node.ub[r] = np.partition(child.ub[s:s + w], j)[j]
+                node.lb[r] = _rank_value(child.lb[s:s + w], j)
+                node.ub[r] = _rank_value(child.ub[s:s + w], j)
             return lo, hi
         if mode == "until":
             left, right = node.children

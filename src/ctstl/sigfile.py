@@ -56,6 +56,12 @@ def _close_enough(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
+def _malformed(exc: csv.Error, rd) -> SignalFormatError:
+    """A record the CSV reader refused (say, a field over its size
+    limit), at the line the reader had reached."""
+    return SignalFormatError(str(exc), rd.line_num)
+
+
 def _read_header(fh: IO[str]) -> tuple[Iterator[list[str]], tuple[str, ...]]:
     """A CSV reader past the checked header, and the header's names."""
     rd = csv.reader(fh)
@@ -64,6 +70,8 @@ def _read_header(fh: IO[str]) -> tuple[Iterator[list[str]], tuple[str, ...]]:
     except StopIteration:
         raise SignalFormatError("empty signal stream, header expected", 1) \
             from None
+    except csv.Error as exc:
+        raise _malformed(exc, rd) from None
     names = tuple(h.strip() for h in header)
     if not names or any(not n for n in names):
         raise SignalFormatError("blank column name in header", 1)
@@ -85,10 +93,13 @@ def open_signal_stream(fh: IO[str]) -> tuple[tuple[str, ...], bool, Rows]:
     has_time = names[0] == "t"
 
     def gen() -> Rows:
-        for line, cells in enumerate(rd, start=2):
-            if not cells:
-                continue
-            yield line, _parse_row(cells, len(names), line)
+        try:
+            for line, cells in enumerate(rd, start=2):
+                if not cells:
+                    continue
+                yield line, _parse_row(cells, len(names), line)
+        except csv.Error as exc:
+            raise _malformed(exc, rd) from None
 
     return (names[1:] if has_time else names), has_time, gen()
 
@@ -162,10 +173,10 @@ def read_signal_csv(source: str | IO[str],
                 break
             else:
                 blanks.append(len(cells) // width)
-    except csv.Error:
+    except csv.Error as exc:
         # the stream would raise an error of an earlier row first
         _replay(names, cells, blanks, None, delta)
-        raise
+        raise _malformed(exc, rd) from None
     if bad is None:
         sig = _convert(names, cells, delta)
         if sig is not None:

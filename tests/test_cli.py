@@ -275,6 +275,13 @@ class TestBadInput:
         (["bench", "--w", "0", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--w", "-5", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--n", "-3", "--cases", "0"], "", "n must be >= 1"),
+        # a field over the CSV reader's size limit; explicit ids keep the
+        # long input out of the test names
+        *(pytest.param([cmd, "--formula", "G[0,3] (x > 0)", "-"],
+                       "x\n1\n" + "1" * 200_000 + "\n",
+                       "line 3: field larger than field limit",
+                       id=f"{cmd}-field-over-limit")
+          for cmd in ("eval", "rob", "monitor")),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)

@@ -16,6 +16,7 @@ from conftest import make_case
 from ctstl import (MonitorState, NaiveMonitor, RoSI, Signal, Verdict,
                    horizon, parse, robustness, rosi_naive, satisfies,
                    validate)
+from ctstl import monitor
 from ctstl.errors import ArityMismatch, ParamOutOfRange, UnknownVariable
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
 from ctstl.randgen import random_signal
@@ -383,3 +384,123 @@ class TestPaperScale:
             if v.decided:
                 break
         assert (v.outcome, v.decided_at) == (False, s)
+
+
+@st.composite
+def _frontier_cases(draw):
+    """Rank nodes over point children at windows up to 40 wide, under an
+    optional F or G that gives them several anchors, with bounds half the
+    time and up to 120 tied small integers."""
+    def atom():
+        return draw(st.sampled_from(_ATOMS))
+
+    def ranked():
+        a = draw(st.integers(0, 3))
+        w = draw(st.integers(1, 40))
+        point = draw(st.sampled_from(["{}", "!({})", "({}) && ({})",
+                                      "({}) || ({})"]))
+        point = point.format(*(atom() for _ in range(point.count("{}"))))
+        kind = draw(st.sampled_from("FGCC"))
+        if kind != "C":
+            return f"{kind}[{a},{a + w - 1}] ({point})"
+        # k on both sides of (w+1)/2
+        k = draw(st.integers(1, (w + 1) // 2))
+        k = draw(st.sampled_from([k, w + 1 - k]))
+        tau = k - draw(st.sampled_from([0, 0.5]))
+        return f"C[{a},{a + w - 1}]^{tau} ({point})"
+
+    text = ranked()
+    if draw(st.booleans()):
+        text = f"({text}) && ({ranked()})"
+    g = draw(st.integers(0, 8))
+    text = draw(st.sampled_from([text, f"G[0,{g}] ({text})",
+                                 f"F[0,{g}] ({text})"]))
+    bounds = draw(st.none() | st.fixed_dictionaries(
+        {"x": st.tuples(st.integers(-3, 0), st.integers(0, 3))},
+        optional={"y": st.tuples(st.integers(-3, 0), st.integers(0, 3))}))
+    n = draw(st.integers(1, 120))
+    values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=n, max_size=n))
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+              for row in values]
+    return text, bounds, values
+
+
+class TestChangedAnchorFrontier:
+    @given(_frontier_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_entry_matches_rosi_naive_after_every_push(self, case):
+        # the suffix push rewrites only the anchors whose order statistics
+        # move; every entry it leaves alone must still be exact
+        text, bounds, values = case
+        f = validate(parse(text), XY)
+        mon = MonitorState(f, XY, bounds=bounds)
+        for i, row in enumerate(values):
+            if mon.verdict.decided:
+                break
+            mon.push_sample(row)
+            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
+            for nid, node in mon.node_ids():
+                for t, got in mon.node_entries(nid).items():
+                    assert got == rosi_naive(node, prefix, t, bounds), \
+                        (text, bounds, i, nid, t)
+
+
+class TestWalkBudget:
+    def test_paper_scale_push_walks_only_the_changed_run(self, monkeypatch):
+        # TestPaperScale's stream to its verdict at sample 100: a full
+        # walk reads c+1 values per C node and push, 15,453 in all
+        window, s = 10_000, 100
+        head, _ = overvoltage_trace(s, 0, over17=17, spread=s)
+        tail, _ = overvoltage_trace(2 * window + 1 - s, 1, over17=1,
+                                    spread=1)
+        f = parse(overvoltage_formulas(window=window)["phi5"])
+        mon = MonitorState(f, ("v",))
+        walked: dict[int, int] = {}
+        push = monitor._suffix_push
+
+        def counted(node, c, lo, hi):
+            walked[node.k] = walked.get(node.k, 0) + c - lo - node.a + 1
+            push(node, c, lo, hi)
+
+        monkeypatch.setattr(monitor, "_suffix_push", counted)
+        pushes = 0
+        for row in np.vstack([head.values, tail.values]):
+            pushes += 1
+            if mon.push_sample(row).decided:
+                break
+        assert pushes == s + 1
+        full = 3 * sum(c + 1 for c in range(pushes))
+        assert full == 15_453
+        assert sum(walked.values()) <= 0.6 * full
+        # w - k + 1 = 162 samples before any anchor's B can move
+        assert walked.get(9840, 0) == 0
+
+    @pytest.mark.parametrize("text,sign", [("F[0,499] (x > 0)", -1.0),
+                                           ("G[0,499] (x > 0)", 1.0)])
+    def test_extremum_walks_only_at_a_new_record(self, monkeypatch, text,
+                                                 sign):
+        # x keeps one sign, so the root stays open for all 500 samples;
+        # a push moves the max (F) or the min (G) of every open anchor at
+        # a new record and of none otherwise, about H_500 ~ 6.8 walks of
+        # c+1 values each; the last push also fills anchor 0's window,
+        # which gives the other order statistic its first value
+        xs = sign * np.random.default_rng(7).uniform(1.0, 2.0, 500)
+        mon = MonitorState(parse(text), X)
+        walked = []
+        push = monitor._suffix_push
+
+        def counted(node, c, lo, hi):
+            walked.append(c - lo - node.a + 1)
+            push(node, c, lo, hi)
+
+        monkeypatch.setattr(monitor, "_suffix_push", counted)
+        for x in xs:
+            mon.push_sample([x])
+        assert mon.verdict.decided_at == 499
+        records = np.flatnonzero(
+            sign * xs == np.minimum.accumulate(sign * xs))
+        records = [*records[records < 499], 499]
+        assert walked == [c + 1 for c in records]
+        assert sum(walked) < 0.02 * sum(range(1, 501))

@@ -186,5 +186,13 @@ def test_csv_error_comes_after_the_errors_of_earlier_rows():
         with pytest.raises(SignalFormatError) as s:
             _via_stream(text, None)
         assert str(e.value) == str(s.value)
-    with pytest.raises(csv.Error):
-        read_signal_csv(io.StringIO(f"x\n1\n{huge}\n"))
+    # the over-long field itself is a format error at its line, in the
+    # header and in the rows, for both readers
+    for text, line in ((f"x\n1\n{huge}\n", 3), (f"{huge}\n1\n", 1)):
+        with pytest.raises(SignalFormatError) as e:
+            read_signal_csv(io.StringIO(text))
+        assert e.value.line == line
+        assert "field larger than field limit" in str(e.value)
+        with pytest.raises(SignalFormatError) as s:
+            _via_stream(text, None)
+        assert str(e.value) == str(s.value)
