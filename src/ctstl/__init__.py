@@ -20,10 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "ArityMismatch", "CTSTLError", "EmptyAdmissibleRange",
-        "InvalidInterval", "NonPositiveTau", "ParamOutOfRange", "ParseError",
-        "RankOutOfRange", "SignalFormatError", "SourceSpan", "TauOutOfRange",
-        "TraceTooShort", "UnknownVariable", "UnvalidatedFormula",
-        "ValidationError", "WindowExceedsTrace"), "errors"),
+        "InvalidInterval", "NonFiniteMargin", "NonPositiveTau",
+        "ParamOutOfRange", "ParseError", "RankOutOfRange",
+        "SignalFormatError", "SourceSpan", "TauOutOfRange", "TraceTooShort",
+        "UnknownVariable", "UnvalidatedFormula", "ValidationError",
+        "WindowExceedsTrace"), "errors"),
     **dict.fromkeys((
         "glucose_formulas", "glucose_trace", "overvoltage_formulas",
         "overvoltage_trace"), "generators"),

@@ -113,11 +113,14 @@ def cmd_monitor(args) -> int:
         delta, samples = samples_at_step(has_time, rows, args.step)
         mon = MonitorState(parse(_formula_text(args)), names, delta=delta,
                            bounds=_parse_bounds(args.bounds))
+        out = sys.stdout
         for i, vals in enumerate(samples):
             v = mon.push_sample(vals)
             root = mon.root_rosi()
-            print(MonitorEvent(i, root.lb, root.ub, v.outcome,
-                               v.decided).to_json(), flush=True)
+            # one write call per line; print() writes the newline apart
+            out.write(MonitorEvent(i, root.lb, root.ub, v.outcome,
+                                   v.decided).to_json() + "\n")
+            out.flush()
             if trace_fh is not None:
                 _trace_rows(mon, i, trace_fh)
             if v.decided and not args.run_to_end:

@@ -76,6 +76,17 @@ class ArityMismatch(CTSTLError):
         super().__init__(f"sample has {got} values, schema expects {expected}")
 
 
+class NonFiniteMargin(CTSTLError):
+    """Finite samples gave an atom a NaN or infinite margin (an overflow)."""
+
+    def __init__(self, atom: str, sample: int, value: float):
+        self.atom = atom
+        self.sample = sample
+        self.value = value
+        super().__init__(f"atom {atom} has the non-finite margin {value} "
+                         f"at sample {sample}")
+
+
 class ParamOutOfRange(CTSTLError):
     """A parameter (generator budget, CLI flag, bounds) is out of range."""
 

@@ -7,10 +7,14 @@ contribute the per-atom range derived from optional variable bounds
 (default unbounded).  As soon as the root interval excludes zero the
 verdict is final and further samples are ignored.
 
-Update strategy per node kind, chosen at construction:
+Update strategy: construction builds a push plan, one step per node in
+post order, with the node's kind, window, arrays and children's positions
+bound once.  A push runs the steps; each returns the span of anchors it
+rewrote, or None, into a preallocated list that its parent reads.
 
-* atoms materialize one point entry per arriving sample;
-* boolean nodes recompute the entries covered by their children's changes
+* an atom writes one point entry per arriving sample, and refuses a NaN
+  or infinite margin (finite samples can overflow);
+* boolean nodes recompute the entries covered by their children's spans
   with vectorized interval min/max;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
   k = 1 for ``F``, k = w for ``G``, ``order`` for ``C``) with two modes,
@@ -19,8 +23,8 @@ Update strategy per node kind, chosen at construction:
   rest, so its entry follows from two order statistics of what it knows,
   kept per anchor in two arrays.  Each array is monotone in the anchor, so
   a new sample changes them on one run of anchors each, found by
-  bisection; one walk down from the newest sample into one capped sorted
-  list recomputes just those anchors.  Over a refining child (``rescan``)
+  bisection; one sort seeds a capped sorted list and one walk over the
+  run recomputes just those anchors.  Over a refining child (``rescan``)
   each affected anchor's window is re-partitioned, or scanned for its
   minimum or maximum when the rank is the first or the last;
 * Until rescans the affected windows directly.  Rescans are exact for any
@@ -45,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, ParamOutOfRange
+from .errors import ArityMismatch, NonFiniteMargin, ParamOutOfRange
 from .logic import (
     Always,
     And,
@@ -63,6 +67,7 @@ from .logic import (
 )
 from .semantics import _sweep_at
 from .signals import Bounds, Signal, atom_bounds, check_bounds
+from .syntax import format_formula
 
 INF = math.inf
 
@@ -211,9 +216,8 @@ class _Node:
     """Mutable per-node monitoring state."""
 
     __slots__ = (
-        "form", "nid", "lo", "hi", "a", "b", "k", "mode", "children",
-        "lb", "ub", "init", "cols", "coefs", "sign", "rhs",
-        "neg_above", "below",
+        "form", "nid", "lo", "hi", "a", "b", "k", "children",
+        "lb", "ub", "init", "neg_above", "below",
     )
 
     def __init__(self, form: Formula, nid: int, lo: int, hi: int):
@@ -221,19 +225,8 @@ class _Node:
         self.nid = nid
         self.lo = lo
         self.hi = hi
-        self.a = 0
-        self.b = 0
-        self.k = 0
-        self.mode = ""
+        self.a = self.b = self.k = 0
         self.children: list[_Node] = []
-        self.cols = None
-        self.coefs = None
-        self.sign = 1
-        self.rhs = 0.0
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
 
 def _until_anchor(left: _Node, right: _Node, t: int,
@@ -302,8 +295,10 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     k < w-k+1 the walk ranks the negated values at w-k+1 instead (the k-th
     largest of x is minus the (w-k+1)-th largest of -x, which swaps and
     negates A and B), so the list never holds more than min(k, w-k+1)
-    values.  The walk reads c-lo-a+1 values; the node's A and B arrays are
-    updated on the span along with its entries.
+    values.  The values above anchor hi only seed the list, with one sort
+    (stable, so ties keep the order a value-by-value walk gives them); the
+    walk then reads the span's c-lo-a+1 values.  The node's A and B arrays
+    are updated on the span along with its entries.
     """
     child = node.children[0]
     w = node.b - node.a + 1
@@ -313,19 +308,19 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
         k, sgn = w - k + 1, -1.0
     cap = w - k + 1
     known = child.lb[lo + node.a - child.lo:c - child.lo + 1]
+    vals = (sgn * known[::-1]).tolist()
     skip = c - node.a - hi  # walk steps before anchor hi
-    kept: list[float] = []
+    kept = sorted(vals[:skip])[:cap]
     kth: list[float] = []
     cth: list[float] = []
-    for m, v in enumerate((sgn * known[::-1]).tolist(), 1):
+    for m, v in enumerate(vals[skip:], skip + 1):
         if m <= cap:
             insort(kept, v)
         elif v < kept[-1]:
             insort(kept, v)
             kept.pop()
-        if m > skip:
-            kth.append(kept[m - k] if m >= k else -INF)
-            cth.append(kept[-1] if m >= cap else INF)
+        kth.append(kept[m - k] if m >= k else -INF)
+        cth.append(kept[-1] if m >= cap else INF)
     above, below = np.array(kth[::-1]), np.array(cth[::-1])
     if sgn < 0:
         above, below = -below, -above
@@ -345,6 +340,150 @@ def _rank_value(x: np.ndarray, j: int) -> float:
     return np.partition(x, j)[j]
 
 
+def _make_step(node: _Node, where: list[int], spans: list,
+               names: tuple[str, ...]):
+    """The push step of one node: ``step(i, row)`` rewrites the node's
+    entries that sample i changes and returns their anchor span, or None.
+
+    A child's span is read from ``spans`` at its post-order position in
+    ``where``.  Everything a step needs besides the sample is bound here,
+    once; the module functions above are looked up at each call, so a
+    test can wrap them.
+    """
+    form, lo, hi, lb, ub = node.form, node.lo, node.hi, node.lb, node.ub
+    if isinstance(form, Atom):
+        terms = [(names.index(n), c) for n, c in form.coeffs]
+        sign, rhs = form.sign, form.rhs
+
+        def atom(i, row):
+            if not lo <= i <= hi:
+                return None
+            acc = 0.0
+            for col, coeff in terms:
+                acc += coeff * row[col]
+            y = sign * (acc - rhs)
+            if not -INF < y < INF:
+                raise NonFiniteMargin(format_formula(form), i, y)
+            lb[i - lo] = ub[i - lo] = y
+            return i, i
+
+        return atom
+
+    if isinstance(form, (And, Or, Until)):
+        (lp, rp), (left, right) = where, node.children
+        llo, llb, lub = left.lo, left.lb, left.ub
+        rlo, rlb, rub = right.lo, right.lb, right.ub
+    else:
+        (cp,), (child,) = where, node.children
+        clo, clb, cub = child.lo, child.lb, child.ub
+
+    if isinstance(form, Not):
+        def neg(i, row):
+            span = spans[cp]
+            if span is None:
+                return None
+            s, e = max(span[0], lo), min(span[1], hi)
+            if s > e:
+                return None
+            lb[s - lo:e - lo + 1] = -cub[s - clo:e - clo + 1]
+            ub[s - lo:e - lo + 1] = -clb[s - clo:e - clo + 1]
+            return s, e
+
+        return neg
+
+    if isinstance(form, (And, Or)):
+        op = np.minimum if isinstance(form, And) else np.maximum
+
+        def boolean(i, row):
+            ls, rs = spans[lp], spans[rp]
+            if ls is None:
+                if rs is None:
+                    return None
+                s, e = rs
+            elif rs is None:
+                s, e = ls
+            else:
+                s, e = min(ls[0], rs[0]), max(ls[1], rs[1])
+            s, e = max(s, lo), min(e, hi)
+            if s > e:
+                return None
+            lb[s - lo:e - lo + 1] = op(llb[s - llo:e - llo + 1],
+                                       rlb[s - rlo:e - rlo + 1])
+            ub[s - lo:e - lo + 1] = op(lub[s - llo:e - llo + 1],
+                                       rub[s - rlo:e - rlo + 1])
+            return s, e
+
+        return boolean
+
+    a, b = form.span
+    node.a, node.b = a, b
+    if isinstance(form, Until):
+        def until(i, row):
+            ls, rs = spans[lp], spans[rp]
+            s = e = None
+            if ls is not None and b >= 1:
+                s, e = ls[0] - (b - 1), ls[1]
+            if rs is not None:
+                s = rs[0] - b if s is None else min(s, rs[0] - b)
+                e = rs[1] - a if e is None else max(e, rs[1] - a)
+            if s is None:
+                return None
+            s, e = max(s, lo), min(e, hi)
+            if s > e:
+                return None
+            for t in range(s, e + 1):
+                r = t - lo
+                if lb[r] == ub[r]:
+                    continue
+                lb[r], ub[r] = _until_anchor(left, right, t, a, b)
+            return s, e
+
+        return until
+
+    w = b - a + 1
+    node.k = (form.order if isinstance(form, Cumulative)
+              else 1 if isinstance(form, Eventually) else w)
+    if horizon(form.child) == 0:
+        # -A and B of every anchor: none known yet
+        node.neg_above = np.full(len(lb), INF)
+        node.below = np.full(len(lb), INF)
+
+        def suffix(i, row):
+            span = spans[cp]
+            if span is None:
+                return None
+            c = span[0]
+            s, e = max(c - b, lo), min(c - a, hi)
+            if s > e:
+                return None
+            got = _changed_span(node, c, s, e)
+            if got is not None:
+                _suffix_push(node, c, *got)
+            return got
+
+        return suffix
+
+    j = w - node.k
+
+    def rescan(i, row):
+        span = spans[cp]
+        if span is None:
+            return None
+        s, e = max(span[0] - b, lo), min(span[1] - a, hi)
+        if s > e:
+            return None
+        for t in range(s, e + 1):
+            r = t - lo
+            if lb[r] == ub[r]:
+                continue
+            q = t + a - clo
+            lb[r] = _rank_value(clb[q:q + w], j)
+            ub[r] = _rank_value(cub[q:q + w], j)
+        return s, e
+
+    return rescan
+
+
 class MonitorState(_PrefixMonitor):
     """Single-owner incremental monitor; feed samples with push_sample."""
 
@@ -362,8 +501,7 @@ class MonitorState(_PrefixMonitor):
         by_obj: dict[int, _Node] = {}
         pre: list[_Node] = []
         for nid, form in iter_nodes(self.formula):
-            lo, hi = ranges[nid]
-            node = _Node(form, nid, lo, hi)
+            node = _Node(form, nid, *ranges[nid])
             by_obj[id(form)] = node
             pre.append(node)
         self._pre = pre
@@ -371,11 +509,9 @@ class MonitorState(_PrefixMonitor):
 
         def wire(form: Formula) -> _Node:
             node = by_obj[id(form)]
-            if isinstance(form, Not):
-                node.children = [wire(form.child)]
-            elif isinstance(form, (And, Or, Until)):
+            if isinstance(form, (And, Or, Until)):
                 node.children = [wire(form.left), wire(form.right)]
-            elif isinstance(form, (Eventually, Always, Cumulative)):
+            elif not isinstance(form, Atom):
                 node.children = [wire(form.child)]
             post.append(node)
             return node
@@ -383,159 +519,27 @@ class MonitorState(_PrefixMonitor):
         wire(self.formula)
         self._post = post
 
-        for node in post:
-            form = node.form
-            ilo, ihi = _init_rosi(form, self.bounds)
-            node.init = (ilo, ihi)
-            node.lb = np.full(max(node.size, 0), ilo, dtype=np.float64)
-            node.ub = np.full(max(node.size, 0), ihi, dtype=np.float64)
-            if isinstance(form, Atom):
-                node.mode = "atom"
-                node.cols = [self.names.index(n) for n, _ in form.coeffs]
-                node.coefs = [c for _, c in form.coeffs]
-                node.sign = form.sign
-                node.rhs = form.rhs
-            elif isinstance(form, Not):
-                node.mode = "neg"
-            elif isinstance(form, And):
-                node.mode = "and"
-            elif isinstance(form, Or):
-                node.mode = "or"
-            elif isinstance(form, Until):
-                node.a, node.b = form.span
-                node.mode = "until"
-            elif isinstance(form, (Eventually, Always, Cumulative)):
-                node.a, node.b = form.span
-                node.k = (form.order if isinstance(form, Cumulative)
-                          else 1 if isinstance(form, Eventually)
-                          else node.b - node.a + 1)
-                if horizon(form.child) == 0:
-                    node.mode = "suffix"
-                    # -A and B of every anchor: none known yet
-                    node.neg_above = np.full(max(node.size, 0), INF)
-                    node.below = np.full(max(node.size, 0), INF)
-                else:
-                    node.mode = "rescan"
-            else:  # pragma: no cover
-                raise TypeError(f"not a formula node: {form!r}")
+        # the plan: one step per node with anchors, children first; each
+        # push stores a step's span at the node's post-order position
+        where = {id(node): p for p, node in enumerate(post)}
+        self._spans: list[tuple[int, int] | None] = [None] * len(post)
+        self._plan = []
+        for p, node in enumerate(post):
+            ilo, ihi = node.init = _init_rosi(node.form, self.bounds)
+            size = max(node.hi - node.lo + 1, 0)
+            node.lb = np.full(size, ilo, dtype=np.float64)
+            node.ub = np.full(size, ihi, dtype=np.float64)
+            if size:
+                self._plan.append((p, _make_step(
+                    node, [where[id(c)] for c in node.children],
+                    self._spans, self.names)))
 
     # -- update pass --------------------------------------------------
 
-    def _margin(self, node: _Node, row: tuple[float, ...]) -> float:
-        acc = 0.0
-        for col, coeff in zip(node.cols, node.coefs):
-            acc += coeff * row[col]
-        return node.sign * (acc - node.rhs)
-
-    def _clip(self, node: _Node, lo: int, hi: int) -> tuple[int, int] | None:
-        lo = max(lo, node.lo)
-        hi = min(hi, node.hi)
-        if lo > hi:
-            return None
-        return lo, hi
-
-    def _update(self, node: _Node, i: int, row,
-                spans: list) -> tuple[int, int] | None:
-        if node.size <= 0:
-            return None
-        mode = node.mode
-        if mode == "atom":
-            if node.lo <= i <= node.hi:
-                y = self._margin(node, row)
-                node.lb[i - node.lo] = y
-                node.ub[i - node.lo] = y
-                return i, i
-            return None
-        if mode == "neg":
-            span = spans[0]
-            if span is None:
-                return None
-            got = self._clip(node, *span)
-            if got is None:
-                return None
-            lo, hi = got
-            child = node.children[0]
-            s, e = lo - child.lo, hi - child.lo + 1
-            node.lb[lo - node.lo:hi - node.lo + 1] = -child.ub[s:e]
-            node.ub[lo - node.lo:hi - node.lo + 1] = -child.lb[s:e]
-            return lo, hi
-        if mode in ("and", "or"):
-            where = [s for s in spans if s is not None]
-            if not where:
-                return None
-            got = self._clip(node, min(s[0] for s in where),
-                             max(s[1] for s in where))
-            if got is None:
-                return None
-            lo, hi = got
-            left, right = node.children
-            ls, le = lo - left.lo, hi - left.lo + 1
-            rs, re = lo - right.lo, hi - right.lo + 1
-            op = np.minimum if mode == "and" else np.maximum
-            node.lb[lo - node.lo:hi - node.lo + 1] = op(
-                left.lb[ls:le], right.lb[rs:re])
-            node.ub[lo - node.lo:hi - node.lo + 1] = op(
-                left.ub[ls:le], right.ub[rs:re])
-            return lo, hi
-        if mode == "suffix":
-            span = spans[0]
-            if span is None:
-                return None
-            c = span[0]
-            got = self._clip(node, c - node.b, c - node.a)
-            if got is not None:
-                got = _changed_span(node, c, *got)
-            if got is not None:
-                _suffix_push(node, c, *got)
-            return got
-        if mode == "rescan":
-            span = spans[0]
-            if span is None:
-                return None
-            got = self._clip(node, span[0] - node.b, span[1] - node.a)
-            if got is None:
-                return None
-            lo, hi = got
-            child = node.children[0]
-            w = node.b - node.a + 1
-            j = w - node.k
-            for t in range(lo, hi + 1):
-                r = t - node.lo
-                if node.lb[r] == node.ub[r]:
-                    continue
-                s = t + node.a - child.lo
-                node.lb[r] = _rank_value(child.lb[s:s + w], j)
-                node.ub[r] = _rank_value(child.ub[s:s + w], j)
-            return lo, hi
-        if mode == "until":
-            left, right = node.children
-            lo = hi = None
-            if spans[0] is not None and node.b >= 1:
-                lo, hi = spans[0][0] - (node.b - 1), spans[0][1]
-            if spans[1] is not None:
-                rlo, rhi = spans[1][0] - node.b, spans[1][1] - node.a
-                lo = rlo if lo is None else min(lo, rlo)
-                hi = rhi if hi is None else max(hi, rhi)
-            if lo is None:
-                return None
-            got = self._clip(node, lo, hi)
-            if got is None:
-                return None
-            lo, hi = got
-            for t in range(lo, hi + 1):
-                r = t - node.lo
-                if node.lb[r] == node.ub[r]:
-                    continue
-                node.lb[r], node.ub[r] = _until_anchor(
-                    left, right, t, node.a, node.b)
-            return lo, hi
-        raise AssertionError(f"unknown mode {mode}")  # pragma: no cover
-
     def _root(self, i: int, row: tuple[float, ...]) -> RoSI:
-        spans: dict[int, tuple[int, int] | None] = {}
-        for node in self._post:
-            child_spans = [spans[c.nid] for c in node.children]
-            spans[node.nid] = self._update(node, i, row, child_spans)
+        spans = self._spans
+        for p, step in self._plan:
+            spans[p] = step(i, row)
         return self.root_rosi()
 
     # -- inspection ---------------------------------------------------
@@ -553,7 +557,7 @@ class MonitorState(_PrefixMonitor):
             if node.nid == nid:
                 return {
                     node.lo + r: RoSI(float(node.lb[r]), float(node.ub[r]))
-                    for r in range(node.size)
+                    for r in range(len(node.lb))
                 }
         raise KeyError(nid)
 

@@ -266,6 +266,20 @@ def write_signal_csv(dest: str | IO[str], signal: Signal,
                end="\r\n")
 
 
+_JSON_CONST = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 @dataclass(frozen=True)
 class MonitorEvent:
     """One line of monitor output: sample index, root interval, verdict."""
@@ -277,13 +291,11 @@ class MonitorEvent:
     decided: bool
 
     def to_json(self) -> str:
-        return json.dumps({
-            "i": self.i,
-            "lb": self.lb,
-            "ub": self.ub,
-            "verdict": self.verdict,
-            "decided": self.decided,
-        })
+        """The line ``json.dumps`` writes for the fields, built directly."""
+        return (f'{{"i": {int.__repr__(self.i)}, '
+                f'"lb": {_json_float(self.lb)}, "ub": {_json_float(self.ub)}, '
+                f'"verdict": {_JSON_CONST[self.verdict]}, '
+                f'"decided": {_JSON_CONST[self.decided]}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "MonitorEvent":

@@ -13,8 +13,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParamOutOfRange, UnknownVariable
+from .errors import NonFiniteMargin, ParamOutOfRange, UnknownVariable
 from .logic import Atom
+from .syntax import format_formula
 
 Bounds = tuple[float, float]
 
@@ -63,12 +64,19 @@ def secondary_signal(atom: Atom, signal: Signal) -> np.ndarray:
     """Oriented margin of an atom over every sample.
 
     y[t] >= 0 (or > 0 for strict comparators) iff the atom holds at t, and
-    y is also the atom's robustness at t.
+    y is also the atom's robustness at t.  Finite samples can still
+    overflow to a NaN or infinite margin, which raises NonFiniteMargin.
     """
     acc = np.zeros(len(signal), dtype=np.float64)
-    for name, coeff in atom.coeffs:
-        acc += coeff * signal.column(name)
-    return atom.sign * (acc - atom.rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, coeff in atom.coeffs:
+            acc += coeff * signal.column(name)
+        y = atom.sign * (acc - atom.rhs)
+    ok = np.isfinite(y)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise NonFiniteMargin(format_formula(atom), i, float(y[i]))
+    return y
 
 
 def atom_bounds(atom: Atom,

@@ -251,6 +251,29 @@ class TestMonitor:
         assert code == 0
         assert events[0]["verdict"] is True
 
+    def test_each_event_line_is_one_write(self, fig4_file, monkeypatch):
+        # stdout as python -u (PYTHONUNBUFFERED=1) makes it: every text
+        # write goes straight to the raw stream, one system call each
+        class Raw(io.RawIOBase):
+            def __init__(self):
+                self.calls = []
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.calls.append(bytes(b))
+                return len(b)
+
+        raw = Raw()
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["monitor", "--formula", FIG4_FORMULA, fig4_file]) == 0
+        out.flush()
+        lines = b"".join(raw.calls).splitlines(keepends=True)
+        assert len(lines) == 7
+        assert raw.calls == lines
+
 
 class TestBadInput:
     CASES = [
@@ -282,6 +305,12 @@ class TestBadInput:
                        "line 3: field larger than field limit",
                        id=f"{cmd}-field-over-limit")
           for cmd in ("eval", "rob", "monitor")),
+        # finite samples whose margin overflows: inf - inf is NaN
+        *(pytest.param([*cmd, "--formula", "10*x - 10*y > 0", "-"],
+                       "x,y\n1e308,1e308\n",
+                       "atom 10*x - 10*y > 0 has the non-finite margin nan "
+                       "at sample 0", id=f"{'-'.join(cmd)}-nan-margin")
+          for cmd in (["monitor"], ["eval"], ["rob"], ["rob", "--sweep"])),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)

@@ -6,6 +6,8 @@ verdict must land one sample before the formula horizon.
 """
 
 import math
+from bisect import insort
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,3 +506,86 @@ class TestWalkBudget:
         records = [*records[records < 499], 499]
         assert walked == [c + 1 for c in records]
         assert sum(walked) < 0.02 * sum(range(1, 501))
+
+
+def _insort_walk(node, c, lo, hi):
+    """The suffix push walking value by value from c: each value above
+    anchor hi goes through insort too.  Reference for the seeded walk."""
+    child = node.children[0]
+    w = node.b - node.a + 1
+    k = node.k
+    sgn = 1.0
+    if 2 * k < w + 1:
+        k, sgn = w - k + 1, -1.0
+    cap = w - k + 1
+    known = child.lb[lo + node.a - child.lo:c - child.lo + 1]
+    skip = c - node.a - hi
+    kept, kth, cth = [], [], []
+    for m, v in enumerate((sgn * known[::-1]).tolist(), 1):
+        if m <= cap:
+            insort(kept, v)
+        elif v < kept[-1]:
+            insort(kept, v)
+            kept.pop()
+        if m > skip:
+            kth.append(kept[m - k] if m >= k else -INF)
+            cth.append(kept[-1] if m >= cap else INF)
+    above, below = np.array(kth[::-1]), np.array(cth[::-1])
+    if sgn < 0:
+        above, below = -below, -above
+    r = slice(lo - node.lo, hi - node.lo + 1)
+    node.neg_above[r] = -above
+    node.below[r] = below
+    node.lb[r] = np.maximum(above, np.minimum(child.init[0], below))
+    node.ub[r] = np.maximum(above, np.minimum(child.init[1], below))
+
+
+_WALKED = ("lb", "ub", "neg_above", "below")
+
+
+@st.composite
+def _walk_cases(draw):
+    """A rank node over a point child whose zeros come with both signs
+    (x < 0 at x = 0 gives -0.0), k on both sides of (w+1)/2, under an
+    optional G that gives it anchors the walk passes without writing."""
+    w = draw(st.integers(1, 30))
+    k = draw(st.integers(1, (w + 1) // 2))
+    k = draw(st.sampled_from([k, w + 1 - k]))
+    child = draw(st.sampled_from(["(x > 0) && (y < 0)", "(x > 0) || (y < 0)",
+                                  "x < 0", "!(x > 0)"]))
+    a = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from("FGC"))
+    head = (f"C[{a},{a + w - 1}]^{k}" if kind == "C"
+            else f"{kind}[{a},{a + w - 1}]")
+    text = f"{head} ({child})"
+    g = draw(st.integers(0, 6))
+    if g:
+        text = f"G[0,{g}] ({text})"
+    n = draw(st.integers(1, 80))
+    cell = st.sampled_from([0.0, -0.0]) | st.integers(-2, 2).map(float)
+    values = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    return text, values
+
+
+class TestSeededWalk:
+    @given(_walk_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_seeded_walk_writes_the_bits_of_the_insort_walk(self, case):
+        # == cannot see a flipped -0.0, but an event line would
+        text, values = case
+        push = monitor._suffix_push
+
+        def both(node, c, lo, hi):
+            before = [getattr(node, f).copy() for f in _WALKED]
+            _insort_walk(node, c, lo, hi)
+            want = [getattr(node, f).tobytes() for f in _WALKED]
+            for f, arr in zip(_WALKED, before):
+                getattr(node, f)[:] = arr
+            push(node, c, lo, hi)
+            assert [getattr(node, f).tobytes() for f in _WALKED] == want
+
+        mon = MonitorState(parse(text), XY)
+        with mock.patch.object(monitor, "_suffix_push", both):
+            for row in values:
+                if mon.push_sample(row).decided:
+                    break

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,26 @@ def test_event_json_round_trip():
     ev = MonitorEvent(6, 7.0, 7.0, True, True)
     assert MonitorEvent.from_json(ev.to_json()) == ev
     assert '"decided": true' in ev.to_json()
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, 1e16, 0.1])
+
+
+@given(i=st.integers(0, 2**53 - 1) | st.integers(2**53, 2**70),
+       lb=st.floats() | _EDGE_FLOATS, ub=st.floats() | _EDGE_FLOATS,
+       verdict=st.sampled_from([None, True, False]), decided=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_event_line_is_what_json_dumps_writes(i, lb, ub, verdict, decided):
+    # the encoder writes the line itself; it must keep json's bytes
+    ev = MonitorEvent(i, lb, ub, verdict, decided)
+    line = ev.to_json()
+    assert line == json.dumps({"i": i, "lb": lb, "ub": ub,
+                               "verdict": verdict, "decided": decided})
+    back = MonitorEvent.from_json(line)
+    assert back.to_json() == line
+    assert (back.i, back.verdict, back.decided) == (i, verdict, decided)
 
 
 # cells the bulk conversion must treat exactly as float() does: quoted,
