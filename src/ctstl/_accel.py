@@ -1,75 +1,13 @@
-"""Backend selection for the hot loops.
+"""Environment stamp for the benchmark harness; no ctstl module imports it.
 
-Every kernel in ``_kernels`` is written as a plain Python function over numpy
-arrays, so it runs unmodified under CPython.  When the jit backend is active
-the same function object is compiled with numba and cached.  The backend is
-chosen by the CTSTL_BACKEND environment variable:
-
-* ``python`` (or ``py``, ``numpy``): interpreted fallback, no numba needed;
-* ``jit`` (or ``numba``): compiled; falls back with a warning if numba is
-  missing;
-* unset: jit when numba imports, python otherwise.
-
-Callers may also pass ``backend=`` explicitly to override per call.
+Every engine is plain numpy, so there is one backend, ``python``.
+``HAVE_NUMBA`` records whether numba is installed, without importing it.
 """
 
-from __future__ import annotations
+import importlib.util
 
-import os
-import warnings
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-_PY_NAMES = ("python", "py", "numpy")
-_JIT_NAMES = ("jit", "numba")
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
-def _env_choice() -> str | None:
-    raw = os.environ.get("CTSTL_BACKEND", "").strip().lower()
-    if not raw:
-        return None
-    if raw in _PY_NAMES:
-        return "python"
-    if raw in _JIT_NAMES:
-        return "jit"
-    warnings.warn(
-        f"CTSTL_BACKEND={raw!r} not recognized; expected one of "
-        f"{_PY_NAMES + _JIT_NAMES}, using automatic selection")
-    return None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalize a backend request to 'python' or 'jit'."""
-    if backend is None:
-        backend = _env_choice()
-    elif backend in _PY_NAMES:
-        backend = "python"
-    elif backend in _JIT_NAMES:
-        backend = "jit"
-    elif backend is not None:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend is None:
-        return "jit" if HAVE_NUMBA else "python"
-    if backend == "jit" and not HAVE_NUMBA:
-        warnings.warn("numba unavailable; falling back to python backend")
-        return "python"
-    return backend
-
-
-_compiled: dict[int, object] = {}
-
-
-def kernel(fn, backend: str | None = None):
-    """Return fn itself or its jit-compiled twin, per the chosen backend."""
-    if resolve_backend(backend) == "python":
-        return fn
-    key = id(fn)
-    if key not in _compiled:
-        _compiled[key] = numba.njit(cache=True)(fn)
-    return _compiled[key]
+def resolve_backend() -> str:
+    return "python"

@@ -6,7 +6,6 @@ from time import perf_counter
 
 import numpy as np
 
-from ._accel import resolve_backend
 from .errors import ParamOutOfRange
 from .logic import validate
 from .monitor import MonitorState, NaiveMonitor
@@ -14,9 +13,9 @@ from .randgen import random_formula, random_signal
 from .windows import naive_kth_batch, sliding_kth_batch
 
 
-def _time(fn, *args, **kw):
+def _time(fn, *args):
     t0 = perf_counter()
-    out = fn(*args, **kw)
+    out = fn(*args)
     return perf_counter() - t0, out
 
 
@@ -27,30 +26,22 @@ def _check_sizes(n: int, w: int) -> None:
 
 
 def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
-              seed: int = 0, backend: str | None = None) -> dict:
+              seed: int = 0) -> dict:
     """Sliding rank engine vs per-window re-partition on one random trace.
 
-    The engine is the backend's own, the wavelet matrix on ``python`` and
-    the heap kernel on ``jit``; the report calls it ``worklist``.  Warms
-    the selected backend on a small prefix first so jit compile time never
-    lands in the measured run.  Outputs must agree exactly or the report
-    flags it.
+    The engine is the wavelet matrix of ``windows``; the report calls it
+    ``worklist``.  Outputs must agree exactly or the report flags it.
     """
     _check_sizes(n, w)
     if k is None:
         k = max(1, w // 2)
-    backend = resolve_backend(backend)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
     iv = (0, w - 1)
-    warm = trace[:min(n, 4 * w)]
-    sliding_kth_batch(warm, iv, k, backend=backend)
-    t_work, out_work = _time(sliding_kth_batch, trace, iv, k,
-                             backend=backend)
+    t_work, out_work = _time(sliding_kth_batch, trace, iv, k)
     t_naive, out_naive = _time(naive_kth_batch, trace, iv, k)
     return {
         "engine": "sliding_kth",
-        "backend": backend,
         "n": n, "w": w, "k": k,
         "t_worklist": t_work,
         "t_naive": t_naive,
@@ -61,24 +52,18 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
     }
 
 
-def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0,
-                  backend: str | None = None) -> dict:
+def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0) -> dict:
     """Per-sample engine cost at window w vs 2w (k tracks w/2)."""
     _check_sizes(n, w)
-    backend = resolve_backend(backend)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
     w2 = min(2 * w, n)  # degenerate traces: keep the probe window feasible
     costs = {}
     for wi in (w, w2):
-        iv = (0, wi - 1)
-        ki = max(1, wi // 2)
-        sliding_kth_batch(trace[:min(n, 4 * wi)], iv, ki, backend=backend)
-        t, _ = _time(sliding_kth_batch, trace, iv, ki, backend=backend)
+        t, _ = _time(sliding_kth_batch, trace, (0, wi - 1), max(1, wi // 2))
         costs[wi] = t / n
     return {
         "engine": "sliding_kth_scaling",
-        "backend": backend,
         "n": n, "w": w, "w2": w2,
         "per_sample_w": costs[w],
         "per_sample_2w": costs[w2],

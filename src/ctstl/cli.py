@@ -46,7 +46,10 @@ def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
         except ValueError:
             raise ParamOutOfRange(
                 f"bad --bounds {item!r}, expected name=lo:hi") from None
-        out[name.strip()] = (lo, hi)
+        name = name.strip()
+        if name in out:
+            raise ParamOutOfRange(f"--bounds given twice for {name!r}")
+        out[name] = (lo, hi)
     return out
 
 
@@ -154,10 +157,9 @@ def cmd_bench(args) -> int:
     from . import bench as benchmod
 
     print(json.dumps(benchmod.bench_kth(
-        n=args.n, w=args.w, k=args.k, seed=args.seed,
-        backend=args.backend)))
+        n=args.n, w=args.w, k=args.k, seed=args.seed)))
     print(json.dumps(benchmod.bench_scaling(
-        n=args.n, w=args.w, seed=args.seed, backend=args.backend)))
+        n=args.n, w=args.w, seed=args.seed)))
     if args.cases > 0:
         print(json.dumps(benchmod.bench_monitor(
             cases=args.cases, seed=args.seed)))
@@ -234,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=20,
                    help="random streams for the monitor cross-check")
-    p.add_argument("--backend", default=None)
     p.set_defaults(fn=cmd_bench)
     return ap
 

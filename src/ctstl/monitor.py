@@ -12,8 +12,8 @@ post order, with the node's kind, window, arrays and children's positions
 bound once.  A push runs the steps; each returns the span of anchors it
 rewrote, or None, into a preallocated list that its parent reads.
 
-* an atom writes one point entry per arriving sample, and refuses a NaN
-  or infinite margin (finite samples can overflow);
+* an atom writes the sample's margin, computed and checked once per push
+  by the shared contract, as one point entry;
 * boolean nodes recompute the entries covered by their children's spans
   with vectorized interval min/max;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
@@ -35,9 +35,10 @@ rewrote, or None, into a preallocated list that its parent reads.
 both the correctness oracle and the performance baseline, wrapped as
 :class:`NaiveMonitor` for engine-against-engine runs.  Both monitors share
 one verdict contract (:class:`_PrefixMonitor`): the prefix bookkeeping,
-bounds checking, ``push_sample`` and ``finalize``; each supplies only its
-root interval.  ``finalize`` settles an exactly-zero root on a complete
-trace with the offline sweep's boolean atom map over the kept rows.
+the checks of every sample and its atom margins, ``push_sample`` and
+``finalize``; each supplies only its root interval.  ``finalize`` settles
+an exactly-zero root on a complete trace with the offline sweep's boolean
+atom map over the kept rows.
 """
 
 from __future__ import annotations
@@ -119,12 +120,14 @@ class _PrefixMonitor:
     """Prefix bookkeeping and the verdict contract of both monitors.
 
     A subclass computes the root interval after each sample in
-    ``_root(i, row)`` and sets the verdict before any sample; once the
-    verdict is decided, further samples are counted but not evaluated.
-    Every sample is checked first, even after the verdict: it must be
-    finite and inside its variable's declared bounds.
-    Only the first horizon+1 rows are kept: no later row reaches anchor 0,
-    the only anchor ``finalize`` and the root interval read.
+    ``_root(i, ys)``, where ``ys`` holds the sample's atom margins, and sets
+    the verdict before any sample; once the verdict is decided, further
+    samples are counted but not evaluated.  Every sample is checked first,
+    even after the verdict: it must be finite, inside its variable's
+    declared bounds, and give every atom a finite margin (finite samples
+    can overflow).  A refused sample changes no state.  Only the first
+    horizon+1 rows are kept: no later row reaches anchor 0, the only anchor
+    ``finalize`` and the root interval read.
     """
 
     def __init__(self, formula: Formula, schema: Sequence[str],
@@ -136,6 +139,11 @@ class _PrefixMonitor:
         self.horizon = horizon(self.formula)
         self.i = 0
         self._rows: list[tuple[float, ...]] = []
+        # each distinct atom once, in pre-order, at its position in ys
+        self._atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
+            f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
+        self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
+                        a.sign, a.rhs) for a in self._atom_pos]
 
     def _prefix(self) -> Signal:
         return Signal(self.names, np.array(self._rows), self.delta)
@@ -154,13 +162,22 @@ class _PrefixMonitor:
                 raise ParamOutOfRange(
                     f"sample {self.i} has {name}={v}, outside its bounds "
                     f"{name}={lo}:{hi}")
+        ys = []
+        for atom, terms, sign, rhs in self._atoms:
+            acc = 0.0
+            for col, coeff in terms:
+                acc += coeff * row[col]
+            y = sign * (acc - rhs)
+            if not -INF < y < INF:
+                raise NonFiniteMargin(format_formula(atom), self.i, y)
+            ys.append(y)
         i = self.i
         self.i += 1
         if len(self._rows) <= self.horizon:
             self._rows.append(row)
         if self.verdict.decided:
             return self.verdict
-        self.verdict = _judge(self._root(i, row), decided_at=i)
+        self.verdict = _judge(self._root(i, ys), decided_at=i)
         return self.verdict
 
     def finalize(self) -> Verdict:
@@ -341,9 +358,10 @@ def _rank_value(x: np.ndarray, j: int) -> float:
 
 
 def _make_step(node: _Node, where: list[int], spans: list,
-               names: tuple[str, ...]):
-    """The push step of one node: ``step(i, row)`` rewrites the node's
-    entries that sample i changes and returns their anchor span, or None.
+               atom_pos: dict[Atom, int]):
+    """The push step of one node: ``step(i, ys)`` rewrites the node's
+    entries that sample i, of atom margins ``ys``, changes and returns
+    their anchor span, or None.
 
     A child's span is read from ``spans`` at its post-order position in
     ``where``.  Everything a step needs besides the sample is bound here,
@@ -352,19 +370,12 @@ def _make_step(node: _Node, where: list[int], spans: list,
     """
     form, lo, hi, lb, ub = node.form, node.lo, node.hi, node.lb, node.ub
     if isinstance(form, Atom):
-        terms = [(names.index(n), c) for n, c in form.coeffs]
-        sign, rhs = form.sign, form.rhs
+        q = atom_pos[form]
 
-        def atom(i, row):
+        def atom(i, ys):
             if not lo <= i <= hi:
                 return None
-            acc = 0.0
-            for col, coeff in terms:
-                acc += coeff * row[col]
-            y = sign * (acc - rhs)
-            if not -INF < y < INF:
-                raise NonFiniteMargin(format_formula(form), i, y)
-            lb[i - lo] = ub[i - lo] = y
+            lb[i - lo] = ub[i - lo] = ys[q]
             return i, i
 
         return atom
@@ -378,7 +389,7 @@ def _make_step(node: _Node, where: list[int], spans: list,
         clo, clb, cub = child.lo, child.lb, child.ub
 
     if isinstance(form, Not):
-        def neg(i, row):
+        def neg(i, ys):
             span = spans[cp]
             if span is None:
                 return None
@@ -394,7 +405,7 @@ def _make_step(node: _Node, where: list[int], spans: list,
     if isinstance(form, (And, Or)):
         op = np.minimum if isinstance(form, And) else np.maximum
 
-        def boolean(i, row):
+        def boolean(i, ys):
             ls, rs = spans[lp], spans[rp]
             if ls is None:
                 if rs is None:
@@ -418,7 +429,7 @@ def _make_step(node: _Node, where: list[int], spans: list,
     a, b = form.span
     node.a, node.b = a, b
     if isinstance(form, Until):
-        def until(i, row):
+        def until(i, ys):
             ls, rs = spans[lp], spans[rp]
             s = e = None
             if ls is not None and b >= 1:
@@ -448,7 +459,7 @@ def _make_step(node: _Node, where: list[int], spans: list,
         node.neg_above = np.full(len(lb), INF)
         node.below = np.full(len(lb), INF)
 
-        def suffix(i, row):
+        def suffix(i, ys):
             span = spans[cp]
             if span is None:
                 return None
@@ -465,7 +476,7 @@ def _make_step(node: _Node, where: list[int], spans: list,
 
     j = w - node.k
 
-    def rescan(i, row):
+    def rescan(i, ys):
         span = spans[cp]
         if span is None:
             return None
@@ -532,14 +543,14 @@ class MonitorState(_PrefixMonitor):
             if size:
                 self._plan.append((p, _make_step(
                     node, [where[id(c)] for c in node.children],
-                    self._spans, self.names)))
+                    self._spans, self._atom_pos)))
 
     # -- update pass --------------------------------------------------
 
-    def _root(self, i: int, row: tuple[float, ...]) -> RoSI:
+    def _root(self, i: int, ys: list[float]) -> RoSI:
         spans = self._spans
         for p, step in self._plan:
-            spans[p] = step(i, row)
+            spans[p] = step(i, ys)
         return self.root_rosi()
 
     # -- inspection ---------------------------------------------------
@@ -581,7 +592,10 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
         acc = 0.0
         for name, coeff in node.coeffs:
             acc += coeff * rows[t][name_to_col[name]]
-        return node.sign * (acc - node.rhs)
+        y = node.sign * (acc - node.rhs)
+        if not -INF < y < INF:
+            raise NonFiniteMargin(format_formula(node), t, y)
+        return y
 
     def ev(node: Formula, t: int) -> tuple[float, float]:
         key = (id(node), t)
@@ -647,7 +661,7 @@ class NaiveMonitor(_PrefixMonitor):
     def __init__(self, f: Formula, schema: Sequence[str], delta: float = 1.0,
                  bounds: Mapping[str, Bounds] | None = None):
         super().__init__(f, schema, delta, bounds)
-        self.verdict = _judge(self._root(-1, ()), decided_at=-1)
+        self.verdict = _judge(self._root(-1, []), decided_at=-1)
 
-    def _root(self, i: int, row: tuple[float, ...]) -> RoSI:
+    def _root(self, i: int, ys: list[float]) -> RoSI:
         return rosi_naive(self.formula, self._prefix(), 0, self.bounds)

@@ -1,13 +1,11 @@
 """Sliding-window aggregation engines.
 
-Each sliding algorithm has one implementation per backend.  Sliding rank
-(:func:`sliding_kth_batch`) on the ``python`` backend is a numpy wavelet
-matrix that answers every window's rank query at once, in O((n + m) log d)
-array work for n samples, m windows and d distinct values, whatever the
-width or the rank; the ``jit`` backend runs ``_kernels.kth_batch_kernel``
-instead.  Sliding min and max (:func:`sliding_extremum_batch`, van Herk /
-Gil-Werman) and the bounded Until combine (:func:`until_batch`, one numpy
-pass per offset) are plain numpy and run unchanged on either backend.  The
+Each sliding algorithm has one implementation, in numpy.  Sliding rank
+(:func:`sliding_kth_batch`) is a wavelet matrix that answers every window's
+rank query at once, in O((n + m) log d) array work for n samples, m windows
+and d distinct values, whatever the width or the rank.  Sliding min and max
+(:func:`sliding_extremum_batch`) is van Herk / Gil-Werman, and the bounded
+Until combine (:func:`until_batch`) is one numpy pass per offset.  The
 naive_* functions recompute every window from scratch; they are the
 re-evaluation baseline the sliding engines are benchmarked and tested
 against.  NaN has no rank, so every entry point rejects it; +-inf is legal.
@@ -17,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from ._accel import kernel, resolve_backend
 from .errors import RankOutOfRange, WindowExceedsTrace
 from .logic import TimeInterval, _snap_int
 
@@ -53,7 +49,7 @@ def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
     return arr, lo, w
 
 
-def _kth_batch_py(values, w, k, out) -> None:
+def _wavelet_kth(values, w, k) -> np.ndarray:
     """k-th largest of every complete width-w window, as a wavelet matrix.
 
     The trace becomes ranks into ``uniq``, its distinct values in order, and
@@ -71,9 +67,10 @@ def _kth_batch_py(values, w, k, out) -> None:
     """
     uniq, seq = np.unique(values, return_inverse=True)
     seq = seq.astype(np.int32)
-    lo = np.arange(out.size, dtype=np.int32)
+    m = values.size - w + 1
+    lo = np.arange(m, dtype=np.int32)
     hi = lo + np.int32(w)
-    q = np.full(out.size, w - k, dtype=np.int32)
+    q = np.full(m, w - k, dtype=np.int32)
     zeros = np.zeros(values.size + 1, dtype=np.int32)
     for s in reversed(range((uniq.size - 1).bit_length())):
         one = (seq & (1 << s)) > 0
@@ -85,11 +82,10 @@ def _kth_batch_py(values, w, k, out) -> None:
         lo = np.where(up, lo - zl + zeros[-1], zl)
         hi = np.where(up, hi - zh + zeros[-1], zh)
         seq = seq[np.argsort(one, kind="stable")]
-    out[:] = uniq[seq[lo]]
+    return uniq[seq[lo]]
 
 
-def sliding_kth_batch(trace, interval, k: int,
-                      backend: str | None = None) -> np.ndarray:
+def sliding_kth_batch(trace, interval, k: int) -> np.ndarray:
     """k-th largest of trace[t+lo .. t+hi] for every admissible t.
 
     Output index t runs from 0; entry t covers the window anchored at t.
@@ -98,12 +94,7 @@ def sliding_kth_batch(trace, interval, k: int,
     k = int(k)
     if not 1 <= k <= w:
         raise RankOutOfRange(k, w)
-    out = np.empty(arr.size - lo - w + 1, dtype=np.float64)
-    if resolve_backend(backend) == "python":
-        _kth_batch_py(arr[lo:], w, k, out)
-    else:
-        kernel(_kernels.kth_batch_kernel, "jit")(arr[lo:], w, k, out)
-    return out
+    return _wavelet_kth(arr[lo:], w, k)
 
 
 def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:

@@ -311,6 +311,16 @@ class TestBadInput:
                        "atom 10*x - 10*y > 0 has the non-finite margin nan "
                        "at sample 0", id=f"{'-'.join(cmd)}-nan-margin")
           for cmd in (["monitor"], ["eval"], ["rob"], ["rob", "--sweep"])),
+        # the same overflow after the verdict: the verdict's event stands,
+        # the refused row gets none
+        pytest.param(["monitor", "--formula", "10*x - 10*y > 0",
+                      "--run-to-end", "-"], "x,y\n1,0\n1e308,1e308\n",
+                     "non-finite margin nan at sample 1",
+                     id="monitor-run-to-end-nan-margin-after-verdict"),
+        pytest.param(["monitor", "--formula", "x > 0", "--bounds", "x=0:5",
+                      "--bounds", "x=0:1", "-"], "x\n1\n",
+                     "--bounds given twice for 'x'",
+                     id="monitor-repeated-bounds"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)
@@ -318,7 +328,14 @@ class TestBadInput:
         code, out, err = run_cli(argv, stdin_text=text)
         assert code == 2
         assert err.startswith("error: ") and says in err
-        assert '"decided": true' not in out
+        if "--run-to-end" in argv:
+            # the verdict came before the refused last row, which gets no
+            # event
+            rows = text.count("\n") - 1
+            assert [json.loads(line)["i"] for line in out.splitlines()] == \
+                list(range(rows - 1))
+        else:
+            assert '"decided": true' not in out
         if argv[0] != "monitor":
             assert out == ""
 
@@ -608,8 +625,7 @@ class TestGen:
 class TestBench:
     def test_reports_ratio_and_agreement(self):
         code, out, _ = run_cli(
-            ["bench", "--n", "4000", "--w", "64", "--cases", "3",
-             "--backend", "python"])
+            ["bench", "--n", "4000", "--w", "64", "--cases", "3"])
         assert code == 0
         reports = [json.loads(line) for line in out.splitlines()]
         kth = next(r for r in reports if r["engine"] == "sliding_kth")
@@ -620,15 +636,14 @@ class TestBench:
 
     def test_tiny_trace_no_assertion(self):
         code, out, _ = run_cli(
-            ["bench", "--n", "32", "--w", "32", "--cases", "0",
-             "--backend", "python"])
+            ["bench", "--n", "32", "--w", "32", "--cases", "0"])
         assert code == 0
         assert json.loads(out.splitlines()[0])["agree"] is True
 
     def test_smallest_sizes_run(self):
         # the default rank w // 2 would be 0 at w = 1
         code, out, _ = run_cli(["bench", "--n", "1", "--w", "1",
-                                "--cases", "0", "--backend", "python"])
+                                "--cases", "0"])
         assert code == 0
         kth = json.loads(out.splitlines()[0])
         assert (kth["k"], kth["agree"]) == (1, True)

@@ -2,6 +2,7 @@
 call the oracles."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -56,6 +57,26 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_export"):
         ctstl.no_such_export
     assert not hasattr(ctstl, "monitor_state")
+
+
+def test_one_rank_engine_and_no_backend_switch():
+    # sliding rank has one numpy implementation; ``_accel`` is only the
+    # benchmark harness's environment stamp
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from . import _accel`` names the module as an alias
+                mods = [node.module or "", *(a.name for a in node.names)]
+            else:
+                continue
+            found += [(path.name, node.lineno, m) for m in mods
+                      if {"numba", "_accel"} & set(m.split("."))]
+    assert not found
+    assert "backend" not in inspect.signature(
+        ctstl.sliding_kth_batch).parameters
 
 
 def test_recursive_oracles_have_no_caller_outside_semantics():

@@ -19,7 +19,8 @@ from ctstl import (MonitorState, NaiveMonitor, RoSI, Signal, Verdict,
                    horizon, parse, robustness, rosi_naive, satisfies,
                    validate)
 from ctstl import monitor
-from ctstl.errors import ArityMismatch, ParamOutOfRange, UnknownVariable
+from ctstl.errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange,
+                          UnknownVariable)
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
 from ctstl.randgen import random_signal
 
@@ -284,6 +285,40 @@ class TestDecisions:
         assert mon.verdict == clean.verdict
         assert mon.verdict.outcome is None
         assert mon.finalize() == clean.finalize()
+
+    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    def test_overflowing_margin_is_refused_before_any_state_change(self, cls):
+        # 10*1e308 overflows, so the first atom's margin is inf - inf; the
+        # stream must go on as if the row had never come
+        f = parse("G[0,3] ((10*x - 10*y > 0) && (y < 5))")
+        mon, clean = cls(f, XY), cls(f, XY)
+        mon.push_sample([1.0, 0.0])
+        with pytest.raises(NonFiniteMargin, match="at sample 1"):
+            mon.push_sample([1e308, 1e308])
+        assert mon.i == 1 and len(mon._rows) == 1
+        for _ in range(4):
+            clean.push_sample([1.0, 0.0])
+        for _ in range(3):
+            mon.push_sample([1.0, 0.0])
+        want = Verdict(True, RoSI(5.0, 5.0), 3)
+        assert mon.verdict == clean.verdict == want
+        assert mon.i == clean.i == 4
+        if cls is MonitorState:
+            for nid, _ in mon.node_ids():
+                assert entries(mon, nid) == entries(clean, nid)
+        # after the verdict the margins are still checked, and still
+        # leave the count alone
+        with pytest.raises(NonFiniteMargin, match="at sample 4"):
+            mon.push_sample([1e308, 1e308])
+        assert mon.i == 4 and mon.verdict == clean.verdict
+
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [1e308, -1e308]])
+    def test_oracle_refuses_an_overflowing_margin(self, row):
+        # nan (inf - inf) and -inf, alone and under && with a finite atom
+        prefix = Signal(XY, np.array([row]), 1.0)
+        for text in ("10*x - 10*y > 0", "(10*x - 10*y > 0) && (y < 5)"):
+            with pytest.raises(NonFiniteMargin, match="at sample 0"):
+                rosi_naive(validate(parse(text), XY), prefix)
 
     @pytest.mark.parametrize("text,value", [
         ("F[0,3] (x > 1)", 1.0),   # root stays at exactly 0: undecided

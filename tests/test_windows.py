@@ -1,7 +1,5 @@
 """Sliding rank and extremum engines against brute-force oracles."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,6 @@ from hypothesis import strategies as st
 
 from ctstl import (max_tau_oracle, naive_extremum_batch, naive_kth_batch,
                    sliding_extremum_batch, sliding_kth_batch, until_batch)
-from ctstl import _kernels
-from ctstl._accel import resolve_backend
 from ctstl.errors import WindowExceedsTrace
 
 FIG4 = [2, -1, 7, 10, -5, 15, 8, -2]
@@ -116,15 +112,6 @@ class TestBatchDrivers:
                 assert np.array_equal(
                     sliding_extremum_batch(tr, (a, b), mode), want)
 
-    def test_backends_agree(self, rng):
-        tr = rng.standard_normal(300)
-        for backend in ("python", "jit"):
-            try:
-                out = sliding_kth_batch(tr, (0, 24), 7, backend=backend)
-            except Exception:
-                pytest.skip("jit backend unavailable")
-            assert np.array_equal(out, naive_kth_batch(tr, (0, 24), 7))
-
 
 # sizes on both sides of powers of two, 1 to 257
 _POW2_EDGES = sorted({2 ** j + e for j in (1, 2, 3, 5, 8) for e in (-1, 0, 1)})
@@ -135,8 +122,6 @@ def test_rank_engines_match_naive_at_level_boundaries(rng):
     # values, so one more past each power of two, and none for d = 1, an
     # all-equal trace.  Trace lengths and distinct counts sit on both sides
     # of powers of two; widths and ranks take both ends of their ranges.
-    # The heap kernel, run uncompiled, is held to the same oracle so the
-    # jit source stays checked where numba is absent.
     for n in _POW2_EDGES:
         for d in [d for d in _POW2_EDGES if d <= n]:
             alphabet = rng.permutation(np.arange(d)) * 0.5 - d / 3
@@ -146,12 +131,8 @@ def test_rank_engines_match_naive_at_level_boundaries(rng):
             for w in sorted({1, n // 2 + 1, n}):
                 for k in sorted({1, w // 3 + 1, w}):
                     want = naive_kth_batch(tr, (0, w - 1), k)
-                    got = sliding_kth_batch(tr, (0, w - 1), k,
-                                            backend="python")
+                    got = sliding_kth_batch(tr, (0, w - 1), k)
                     assert np.array_equal(got, want), (n, d, w, k)
-                    heap = np.empty_like(want)
-                    _kernels.kth_batch_kernel(tr, w, k, heap)
-                    assert np.array_equal(heap, want), (n, d, w, k)
 
 
 def test_nan_is_rejected_by_every_entry_point():
@@ -171,23 +152,18 @@ def test_nan_is_rejected_by_every_entry_point():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["python", "jit"])
-def test_amortized_cost_is_log_like_in_window_width(rng, backend):
+def test_amortized_cost_is_log_like_in_window_width(rng):
     # a thousandfold window growth may cost at most the log factor;
     # 20x is the generous empirical bound
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if resolve_backend(backend) != backend:
-            pytest.skip("numba unavailable: jit falls back to python")
     import time
     n = 300_000
     tr = rng.standard_normal(n)
     costs = {}
     for w in (10, 10_000):
         k = max(1, w // 2)
-        sliding_kth_batch(tr[:4 * w], (0, w - 1), k, backend=backend)
+        sliding_kth_batch(tr[:4 * w], (0, w - 1), k)
         t0 = time.perf_counter()
-        sliding_kth_batch(tr, (0, w - 1), k, backend=backend)
+        sliding_kth_batch(tr, (0, w - 1), k)
         costs[w] = time.perf_counter() - t0
     assert costs[10_000] < 20 * costs[10]
 
