@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from statistics import median
 from time import perf_counter
 
 import numpy as np
@@ -53,14 +54,18 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
 
 
 def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0) -> dict:
-    """Per-sample engine cost at window w vs 2w (k tracks w/2)."""
+    """Per-sample engine cost at window w vs 2w (k tracks w/2), each the
+    median of three calls."""
     _check_sizes(n, w)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
     w2 = min(2 * w, n)  # degenerate traces: keep the probe window feasible
     costs = {}
     for wi in (w, w2):
-        t, _ = _time(sliding_kth_batch, trace, (0, wi - 1), max(1, wi // 2))
+        # the median of a few calls, so that one slow call on a busy host
+        # does not read as growth
+        t = median(_time(sliding_kth_batch, trace, (0, wi - 1),
+                         max(1, wi // 2))[0] for _ in range(3))
         costs[wi] = t / n
     return {
         "engine": "sliding_kth_scaling",

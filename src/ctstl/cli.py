@@ -250,6 +250,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        # exc's own position counts from the start of a decoded chunk,
+        # not of the file, so it is left out
+        print(f"error: input is not UTF-8 text ({exc.reason}: "
+              f"{exc.object[exc.start:exc.end]!r})", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # e.g. monitor state for a window too wide to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -217,25 +217,30 @@ def _span(node) -> tuple[int, int]:
     return node.span
 
 
+def _reach(f: Formula) -> list[tuple[Formula, int, int]]:
+    """Each child of f, in pre-order, with its reach (ra, rb): anchor t of
+    f reads the child's anchors t+ra .. t+rb.  The reach is empty when
+    ra > rb."""
+    if isinstance(f, Atom):
+        return []
+    if isinstance(f, Not):
+        return [(f.child, 0, 0)]
+    if isinstance(f, (And, Or)):
+        return [(f.left, 0, 0), (f.right, 0, 0)]
+    if isinstance(f, Until):
+        a, b = _span(f)
+        # the left argument is only read on [t, t1), so never past t + b - 1
+        return [(f.left, 0, b - 1), (f.right, a, b)]
+    if isinstance(f, (Eventually, Always, Cumulative)):
+        a, b = _span(f)
+        return [(f.child, a, b)]
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 def horizon(f: Formula) -> int:
     """Number of future samples (beyond t) an evaluation at t can touch."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return horizon(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon(f.left), horizon(f.right))
-    if isinstance(f, Until):
-        _, hi = _span(f)
-        need = [hi + horizon(f.right)]
-        # Left argument is only read on [t, t1), so never past t + hi - 1.
-        if hi >= 1:
-            need.append(hi - 1 + horizon(f.left))
-        return max(need)
-    if isinstance(f, (Eventually, Always, Cumulative)):
-        _, hi = _span(f)
-        return hi + horizon(f.child)
-    raise TypeError(f"not a formula node: {f!r}")
+    return max((rb + horizon(child) for child, ra, rb in _reach(f)
+                if ra <= rb), default=0)
 
 
 def iter_nodes(f: Formula) -> Iterator[tuple[int, Formula]]:
@@ -261,41 +266,20 @@ def iter_nodes(f: Formula) -> Iterator[tuple[int, Formula]]:
 def node_horizons(f: Formula) -> dict[int, tuple[int, int]]:
     """Anchor range of every node, keyed by pre-order id.
 
-    The root is anchored at [0, 0].  A temporal operator with sample window
-    [a, b] shifts its child's anchors by [a, b] (Minkowski sum); boolean
-    connectives pass anchors through unchanged.  The left argument of Until
-    is read on half-open windows, so its range is [lo, hi + b - 1]; when
-    b == 0 that range is empty and is reported with lo > hi.
+    The root is anchored at [0, 0], and a child of reach (ra, rb) (see
+    :func:`_reach`) at [lo + ra, hi + rb]: a Minkowski sum.  Only the
+    left argument of Until with b == 0 has an empty reach; its range, and
+    that of every node below it, is reported with lo > hi.
     """
-    out: dict[int, tuple[int, int]] = {}
-    ids = dict((id(node), nid) for nid, node in iter_nodes(f))
+    out: list[tuple[int, int]] = []
 
     def walk(node: Formula, lo: int, hi: int) -> None:
-        if lo > hi:
-            # Unreachable subtree (left of an Until with b == 0): mark every
-            # node below as empty rather than shifting a hollow range.
-            out[ids[id(node)]] = (lo, lo - 1)
-            for _, sub in iter_nodes(node):
-                out[ids[id(sub)]] = (lo, lo - 1)
-            return
-        out[ids[id(node)]] = (lo, hi)
-        if isinstance(node, Atom):
-            return
-        if isinstance(node, Not):
-            walk(node.child, lo, hi)
-        elif isinstance(node, (And, Or)):
-            walk(node.left, lo, hi)
-            walk(node.right, lo, hi)
-        elif isinstance(node, Until):
-            a, b = _span(node)
-            if b >= 1:
-                walk(node.left, lo, hi + b - 1)
+        out.append((lo, hi))
+        for child, ra, rb in _reach(node):
+            if lo <= hi and ra <= rb:
+                walk(child, lo + ra, hi + rb)
             else:
-                walk(node.left, lo, lo - 1)
-            walk(node.right, lo + a, hi + b)
-        elif isinstance(node, (Eventually, Always, Cumulative)):
-            a, b = _span(node)
-            walk(node.child, lo + a, hi + b)
+                walk(child, lo, lo - 1)
 
     walk(f, 0, 0)
-    return out
+    return dict(enumerate(out))

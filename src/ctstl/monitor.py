@@ -7,15 +7,19 @@ contribute the per-atom range derived from optional variable bounds
 (default unbounded).  As soon as the root interval excludes zero the
 verdict is final and further samples are ignored.
 
-Update strategy: construction builds a push plan, one step per node in
-post order, with the node's kind, window, arrays and children's positions
-bound once.  A push runs the steps; each returns the span of anchors it
-rewrote, or None, into a preallocated list that its parent reads.
+Update strategy: construction builds a push plan in one recursive pass,
+one step per node in post order, with the node's window, arrays and
+children bound once.  Anchor t of a node reads its children's anchors
+t+ra .. t+rb, the child's reach (``logic._reach``), so a push runs the
+steps in one shape: from the spans of anchors its children rewrote, each
+step takes s-rb .. e-ra within its own anchors, and the writer of its
+kind rewrites those and returns the span it actually rewrote, or None,
+into a preallocated list that its parent reads.
 
 * an atom writes the sample's margin, computed and checked once per push
   by the shared contract, as one point entry;
-* boolean nodes recompute the entries covered by their children's spans
-  with vectorized interval min/max;
+* ``neg`` and ``boolean`` recompute the whole span with vectorized
+  interval min/max;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
   k = 1 for ``F``, k = w for ``G``, ``order`` for ``C``) with two modes,
   chosen by the child's horizon.  Over a point-valued child (``suffix``)
@@ -25,11 +29,11 @@ rewrote, or None, into a preallocated list that its parent reads.
   a new sample changes them on one run of anchors each, found by
   bisection; one sort seeds a capped sorted list and one walk over the
   run recomputes just those anchors.  Over a refining child (``rescan``)
-  each affected anchor's window is re-partitioned, or scanned for its
+  each open anchor's window is re-partitioned, or scanned for its
   minimum or maximum when the rank is the first or the last;
-* Until rescans the affected windows directly.  Rescans are exact for any
-  child because node arrays always hold the current interval, pads
-  included.
+* Until rescans each open anchor's windows directly, in the same loop.
+  Rescans are exact for any child because node arrays always hold the
+  current interval, pads included; a settled (point) entry never moves.
 
 ``rosi_naive`` recomputes the same intervals by direct recursion and is
 both the correctness oracle and the performance baseline, wrapped as
@@ -61,6 +65,7 @@ from .logic import (
     Not,
     Or,
     Until,
+    _reach,
     horizon,
     iter_nodes,
     node_horizons,
@@ -201,49 +206,39 @@ class _PrefixMonitor:
         return self.verdict
 
 
-def _init_rosi(node: Formula, bounds) -> tuple[float, float]:
-    """Entry value before any sample: atom ranges propagated upward."""
-    if isinstance(node, Atom):
-        return atom_bounds(node, bounds)
-    if isinstance(node, Not):
-        lo, hi = _init_rosi(node.child, bounds)
-        return -hi, -lo
-    if isinstance(node, (And, Or)):
-        llo, lhi = _init_rosi(node.left, bounds)
-        rlo, rhi = _init_rosi(node.right, bounds)
-        if isinstance(node, And):
-            return min(llo, rlo), min(lhi, rhi)
-        return max(llo, rlo), max(lhi, rhi)
-    if isinstance(node, Until):
-        rlo, rhi = _init_rosi(node.right, bounds)
-        a, _ = node.span
-        if a == 0:
-            # d = 0 contributes the bare right entry, which dominates the
-            # min-with-left candidates at larger d.
-            return rlo, rhi
-        llo, lhi = _init_rosi(node.left, bounds)
-        return min(rlo, llo), min(rhi, lhi)
-    if isinstance(node, (Eventually, Always, Cumulative)):
-        # any rank statistic of identical entries is that entry
-        return _init_rosi(node.child, bounds)
-    raise TypeError(f"not a formula node: {node!r}")
-
-
 class _Node:
     """Mutable per-node monitoring state."""
 
     __slots__ = (
-        "form", "nid", "lo", "hi", "a", "b", "k", "children",
+        "form", "lo", "hi", "a", "b", "k", "children",
         "lb", "ub", "init", "neg_above", "below",
     )
 
-    def __init__(self, form: Formula, nid: int, lo: int, hi: int):
+    def __init__(self, form: Formula, lo: int, hi: int):
         self.form = form
-        self.nid = nid
         self.lo = lo
         self.hi = hi
         self.a = self.b = self.k = 0
         self.children: list[_Node] = []
+
+
+def _initial_entry(node: _Node, bounds) -> tuple[float, float]:
+    """Entry before any sample: atom ranges, propagated from the children's
+    initial entries."""
+    form = node.form
+    if isinstance(form, Atom):
+        return atom_bounds(form, bounds)
+    kids = [child.init for child in node.children]
+    if isinstance(form, Not):
+        lo, hi = kids[0]
+        return -hi, -lo
+    if isinstance(form, Until):
+        # right first; at a = 0, d = 0 contributes the bare right entry,
+        # which dominates the min-with-left candidates at larger d
+        kids = kids[::-1][:1 if form.span[0] == 0 else 2]
+    # F, G and C: any rank statistic of identical entries is that entry
+    op = max if isinstance(form, Or) else min
+    return op(lo for lo, _ in kids), op(hi for _, hi in kids)
 
 
 def _until_anchor(left: _Node, right: _Node, t: int,
@@ -357,16 +352,19 @@ def _rank_value(x: np.ndarray, j: int) -> float:
     return np.partition(x, j)[j]
 
 
-def _make_step(node: _Node, where: list[int], spans: list,
+def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
                atom_pos: dict[Atom, int]):
     """The push step of one node: ``step(i, ys)`` rewrites the node's
     entries that sample i, of atom margins ``ys``, changes and returns
     their anchor span, or None.
 
-    A child's span is read from ``spans`` at its post-order position in
-    ``where``.  Everything a step needs besides the sample is bound here,
-    once; the module functions above are looked up at each call, so a
-    test can wrap them.
+    ``kids`` holds each child's position in ``spans``, where the child's
+    step left its span s..e, and its reach (ra, rb).  The step hands the
+    hull of the anchors s-rb .. e-ra, within the node's own, to the
+    writer of the node's kind, which returns the span it rewrote.
+    Everything a step needs besides the sample is bound here, once; the
+    module functions above are looked up at each call, so a test can wrap
+    them.
     """
     form, lo, hi, lb, ub = node.form, node.lo, node.hi, node.lb, node.ub
     if isinstance(form, Atom):
@@ -381,118 +379,79 @@ def _make_step(node: _Node, where: list[int], spans: list,
         return atom
 
     if isinstance(form, (And, Or, Until)):
-        (lp, rp), (left, right) = where, node.children
+        left, right = node.children
         llo, llb, lub = left.lo, left.lb, left.ub
         rlo, rlb, rub = right.lo, right.lb, right.ub
     else:
-        (cp,), (child,) = where, node.children
+        (child,) = node.children
         clo, clb, cub = child.lo, child.lb, child.ub
 
     if isinstance(form, Not):
-        def neg(i, ys):
-            span = spans[cp]
-            if span is None:
-                return None
-            s, e = max(span[0], lo), min(span[1], hi)
-            if s > e:
-                return None
+        def write(i, s, e):  # neg
             lb[s - lo:e - lo + 1] = -cub[s - clo:e - clo + 1]
             ub[s - lo:e - lo + 1] = -clb[s - clo:e - clo + 1]
             return s, e
-
-        return neg
-
-    if isinstance(form, (And, Or)):
+    elif isinstance(form, (And, Or)):
         op = np.minimum if isinstance(form, And) else np.maximum
 
-        def boolean(i, ys):
-            ls, rs = spans[lp], spans[rp]
-            if ls is None:
-                if rs is None:
-                    return None
-                s, e = rs
-            elif rs is None:
-                s, e = ls
-            else:
-                s, e = min(ls[0], rs[0]), max(ls[1], rs[1])
-            s, e = max(s, lo), min(e, hi)
-            if s > e:
-                return None
+        def write(i, s, e):  # boolean
             lb[s - lo:e - lo + 1] = op(llb[s - llo:e - llo + 1],
                                        rlb[s - rlo:e - rlo + 1])
             ub[s - lo:e - lo + 1] = op(lub[s - llo:e - llo + 1],
                                        rub[s - rlo:e - rlo + 1])
             return s, e
+    else:
+        a, b = node.a, node.b = form.span
+        if isinstance(form, Until):
+            def anchor(t):
+                return _until_anchor(left, right, t, a, b)
+        else:
+            w = b - a + 1
+            node.k = (form.order if isinstance(form, Cumulative)
+                      else 1 if isinstance(form, Eventually) else w)
+            j = w - node.k
 
-        return boolean
+            def anchor(t):
+                q = t + a - clo
+                return (_rank_value(clb[q:q + w], j),
+                        _rank_value(cub[q:q + w], j))
 
-    a, b = form.span
-    node.a, node.b = a, b
-    if isinstance(form, Until):
-        def until(i, ys):
-            ls, rs = spans[lp], spans[rp]
-            s = e = None
-            if ls is not None and b >= 1:
-                s, e = ls[0] - (b - 1), ls[1]
-            if rs is not None:
-                s = rs[0] - b if s is None else min(s, rs[0] - b)
-                e = rs[1] - a if e is None else max(e, rs[1] - a)
-            if s is None:
-                return None
-            s, e = max(s, lo), min(e, hi)
-            if s > e:
-                return None
-            for t in range(s, e + 1):
-                r = t - lo
-                if lb[r] == ub[r]:
-                    continue
-                lb[r], ub[r] = _until_anchor(left, right, t, a, b)
-            return s, e
+        if isinstance(form, Until) or horizon(form.child) > 0:
+            def write(i, s, e):  # rescan
+                for t in range(s, e + 1):
+                    r = t - lo
+                    if lb[r] != ub[r]:  # a settled entry stays settled
+                        lb[r], ub[r] = anchor(t)
+                return s, e
+        else:
+            # -A and B of every anchor: none known yet
+            node.neg_above = np.full(len(lb), INF)
+            node.below = np.full(len(lb), INF)
 
-        return until
+            def write(i, s, e):  # suffix
+                # over a point-valued child, sample i changes child
+                # anchor i alone
+                got = _changed_span(node, i, s, e)
+                if got is not None:
+                    _suffix_push(node, i, *got)
+                return got
 
-    w = b - a + 1
-    node.k = (form.order if isinstance(form, Cumulative)
-              else 1 if isinstance(form, Eventually) else w)
-    if horizon(form.child) == 0:
-        # -A and B of every anchor: none known yet
-        node.neg_above = np.full(len(lb), INF)
-        node.below = np.full(len(lb), INF)
+    def step(i, ys):
+        s, e = hi + 1, lo - 1
+        for p, ra, rb in kids:
+            span = spans[p]
+            if span is not None:
+                if span[0] - rb < s:
+                    s = span[0] - rb
+                if span[1] - ra > e:
+                    e = span[1] - ra
+        if s < lo:
+            s = lo
+        if e > hi:
+            e = hi
+        return write(i, s, e) if s <= e else None
 
-        def suffix(i, ys):
-            span = spans[cp]
-            if span is None:
-                return None
-            c = span[0]
-            s, e = max(c - b, lo), min(c - a, hi)
-            if s > e:
-                return None
-            got = _changed_span(node, c, s, e)
-            if got is not None:
-                _suffix_push(node, c, *got)
-            return got
-
-        return suffix
-
-    j = w - node.k
-
-    def rescan(i, ys):
-        span = spans[cp]
-        if span is None:
-            return None
-        s, e = max(span[0] - b, lo), min(span[1] - a, hi)
-        if s > e:
-            return None
-        for t in range(s, e + 1):
-            r = t - lo
-            if lb[r] == ub[r]:
-                continue
-            q = t + a - clo
-            lb[r] = _rank_value(clb[q:q + w], j)
-            ub[r] = _rank_value(cub[q:q + w], j)
-        return s, e
-
-    return rescan
+    return step
 
 
 class MonitorState(_PrefixMonitor):
@@ -508,42 +467,37 @@ class MonitorState(_PrefixMonitor):
     # -- construction -------------------------------------------------
 
     def _build(self) -> None:
+        """The push plan: one step per node with anchors, children first.
+
+        Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
+        and each push stores a step's span at the node's post-order
+        position in ``_spans``.
+        """
         ranges = node_horizons(self.formula)
-        by_obj: dict[int, _Node] = {}
         pre: list[_Node] = []
-        for nid, form in iter_nodes(self.formula):
-            node = _Node(form, nid, *ranges[nid])
-            by_obj[id(form)] = node
+        spans: list[tuple[int, int] | None] = []
+        plan = []
+
+        def build(form: Formula) -> tuple[_Node, int]:
+            node = _Node(form, *ranges[len(pre)])
             pre.append(node)
-        self._pre = pre
-        post: list[_Node] = []
-
-        def wire(form: Formula) -> _Node:
-            node = by_obj[id(form)]
-            if isinstance(form, (And, Or, Until)):
-                node.children = [wire(form.left), wire(form.right)]
-            elif not isinstance(form, Atom):
-                node.children = [wire(form.child)]
-            post.append(node)
-            return node
-
-        wire(self.formula)
-        self._post = post
-
-        # the plan: one step per node with anchors, children first; each
-        # push stores a step's span at the node's post-order position
-        where = {id(node): p for p, node in enumerate(post)}
-        self._spans: list[tuple[int, int] | None] = [None] * len(post)
-        self._plan = []
-        for p, node in enumerate(post):
-            ilo, ihi = node.init = _init_rosi(node.form, self.bounds)
+            kids = [(*build(child), ra, rb)
+                    for child, ra, rb in _reach(form)]
+            node.children = [child for child, _, _, _ in kids]
+            ilo, ihi = node.init = _initial_entry(node, self.bounds)
             size = max(node.hi - node.lo + 1, 0)
             node.lb = np.full(size, ilo, dtype=np.float64)
             node.ub = np.full(size, ihi, dtype=np.float64)
+            p = len(spans)
+            spans.append(None)
             if size:
-                self._plan.append((p, _make_step(
-                    node, [where[id(c)] for c in node.children],
-                    self._spans, self._atom_pos)))
+                plan.append((p, _make_step(
+                    node, [(cp, ra, rb) for _, cp, ra, rb in kids], spans,
+                    self._atom_pos)))
+            return node, p
+
+        build(self.formula)
+        self._pre, self._spans, self._plan = pre, spans, plan
 
     # -- update pass --------------------------------------------------
 
@@ -556,21 +510,19 @@ class MonitorState(_PrefixMonitor):
     # -- inspection ---------------------------------------------------
 
     def root_rosi(self) -> RoSI:
-        root = self._post[-1]
+        root = self._pre[0]
         return RoSI(float(root.lb[0]), float(root.ub[0]))
 
     def node_ids(self) -> list[tuple[int, Formula]]:
-        return [(node.nid, node.form) for node in self._pre]
+        return [(nid, node.form) for nid, node in enumerate(self._pre)]
 
     def node_entries(self, nid: int) -> dict[int, RoSI]:
         """Current worklist of one node: anchor instant -> interval."""
-        for node in self._pre:
-            if node.nid == nid:
-                return {
-                    node.lo + r: RoSI(float(node.lb[r]), float(node.ub[r]))
-                    for r in range(len(node.lb))
-                }
-        raise KeyError(nid)
+        if not 0 <= nid < len(self._pre):
+            raise KeyError(nid)
+        node = self._pre[nid]
+        return {node.lo + r: RoSI(float(node.lb[r]), float(node.ub[r]))
+                for r in range(len(node.lb))}
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,

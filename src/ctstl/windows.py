@@ -16,14 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankOutOfRange, WindowExceedsTrace
-from .logic import TimeInterval, _snap_int
+from .logic import _snap_int
 
 
 def _as_span(interval) -> tuple[int, int]:
-    if isinstance(interval, TimeInterval):
-        lo, hi = interval.lo, interval.hi
-    else:
-        lo, hi = interval
+    """A window (lo, hi) of integer sample offsets, 0 <= lo <= hi."""
+    lo, hi = interval
     ilo, ihi = _snap_int(float(lo)), _snap_int(float(hi))
     if ilo is None or ihi is None:
         raise ValueError(

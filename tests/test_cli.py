@@ -321,6 +321,9 @@ class TestBadInput:
                       "--bounds", "x=0:1", "-"], "x\n1\n",
                      "--bounds given twice for 'x'",
                      id="monitor-repeated-bounds"),
+        # numpy refuses 8e18 bytes of node state before touching memory
+        pytest.param(["monitor", "--formula", "F[0,1e18] (x > 0)", "-"],
+                     "x\n1\n", "out of memory", id="monitor-state-too-large"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)
@@ -338,6 +341,29 @@ class TestBadInput:
             assert '"decided": true' not in out
         if argv[0] != "monitor":
             assert out == ""
+
+    @pytest.mark.parametrize("source", ["path", "formula-file", "stdin"])
+    @pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])
+    def test_undecodable_input_exits_two(self, cmd, source, tmp_path):
+        # a byte that is not UTF-8 is bad input, not a violation; stdin
+        # decodes strictly, as on a UTF-8 locale
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x\n1\n\xff\n")
+        good = tmp_path / "good.csv"
+        good.write_text("x\n1\n")
+        formula = tmp_path / "formula.txt"
+        formula.write_bytes(b"x > 0 \xff\n")
+        argv = {"path": ["--formula", "x > 0", str(bad)],
+                "formula-file": ["--formula-file", str(formula), str(good)],
+                "stdin": ["--formula", "x > 0", "-"]}[source]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "PYTHONIOENCODING": "utf-8:strict"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctstl.cli", cmd, *argv],
+            input=bad.read_bytes(), capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: input is not UTF-8 text")
+        assert b"Traceback" not in proc.stderr
 
     def test_inexact_step_product_does_not_flip_the_verdict(self):
         # 3 * 0.3 is 0.8999999999999999 < 0.9; all three paths must count
