@@ -36,7 +36,7 @@ _EXPORTS = {
         "MonitorState", "NaiveMonitor", "RoSI", "Verdict", "rosi_naive"),
         "monitor"),
     **dict.fromkeys((
-        "characteristic", "max_tau_oracle", "robustness", "robustness_trace",
+        "max_tau_oracle", "robustness", "robustness_trace",
         "satisfies"), "semantics"),
     **dict.fromkeys((
         "MonitorEvent", "open_signal_stream", "read_signal_csv",

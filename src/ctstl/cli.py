@@ -10,12 +10,11 @@ import argparse
 import contextlib
 import gc
 import json
-import math
 import sys
 from typing import TYPE_CHECKING
 
 from .errors import CTSTLError, ParamOutOfRange
-from .logic import _fmt_num, validate
+from .logic import _fmt_num, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
 from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
                       samples_at_step, write_rows, write_signal_csv)
@@ -54,11 +53,11 @@ def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
 
 
 def _sample_index(at: float, delta: float) -> int:
-    q = at / delta
-    if not (math.isfinite(q) and q > -0.5 and abs(q - round(q)) <= 1e-9):
+    i = _snap_int(at / delta)
+    if i is None or i < 0:
         raise ParamOutOfRange(
             f"--at {at} is not a nonnegative multiple of the step {delta}")
-    return round(q)
+    return i
 
 
 @contextlib.contextmanager
@@ -119,9 +118,8 @@ def cmd_monitor(args) -> int:
         out = sys.stdout
         for i, vals in enumerate(samples):
             v = mon.push_sample(vals)
-            root = mon.root_rosi()
             # one write call per line; print() writes the newline apart
-            out.write(MonitorEvent(i, root.lb, root.ub, v.outcome,
+            out.write(MonitorEvent(i, v.rosi.lb, v.rosi.ub, v.outcome,
                                    v.decided).to_json() + "\n")
             out.flush()
             if trace_fh is not None:
@@ -259,6 +257,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # e.g. monitor state for a window too wide to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parsing, validation and evaluation recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

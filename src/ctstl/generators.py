@@ -110,28 +110,26 @@ def glucose_trace(length: int, seed: int, hypo: int = 0, hyper: int = 0,
 
 
 def overvoltage_formulas(window: int = DEFAULT_WINDOW,
-                         limits=VOLT_LIMITS,
                          g_window: int | None = None) -> dict[str, str]:
     """Voltage formula family over a [0, window] cumulative span.
 
-    Each (threshold, limit) pair allows at most limit + 1 samples at or
-    above the threshold inside any window (window + 1 - (window - limit)
-    instants may miss the under-threshold requirement).  phi5 repeats the
-    conjunction along [0, g_window].
+    Each (threshold, limit) pair of VOLT_LIMITS allows at most limit + 1
+    samples at or above the threshold inside any window (window + 1 -
+    (window - limit) instants may miss the under-threshold requirement).
+    phi5 repeats the conjunction of phi1-phi4 along [0, g_window].
     """
     if g_window is None:
         g_window = window
     parts = {"phi1": "v <= 2"}
-    for j, (thr, limit) in enumerate(limits, start=2):
+    for j, (thr, limit) in enumerate(VOLT_LIMITS, start=2):
         tau = window - limit
         if tau <= 0:
             raise ParamOutOfRange(
                 f"window {window} too small for limit {limit}")
         parts[f"phi{j}"] = (
             f"C[0,{window}]^{_fmt_num(tau)} (v < {_fmt_num(thr)})")
-    conj = " && ".join(f"({parts[f'phi{j}']})"
-                       for j in range(1, len(limits) + 2))
-    parts[f"phi{len(limits) + 2}"] = f"G[0,{g_window}] ({conj})"
+    conj = " && ".join(f"({phi})" for phi in parts.values())
+    parts["phi5"] = f"G[0,{g_window}] ({conj})"
     return parts
 
 

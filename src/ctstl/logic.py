@@ -24,6 +24,7 @@ from .errors import (
     TauOutOfRange,
     UnknownVariable,
     UnvalidatedFormula,
+    ValidationError,
 )
 
 # Relative slack when deciding whether a time endpoint divided by the step
@@ -137,6 +138,8 @@ def _fmt_num(x: float) -> str:
 
 
 def _snap_int(x: float) -> int | None:
+    if not math.isfinite(x):
+        return None
     r = round(x)
     if abs(x - r) <= _SNAP * max(1.0, abs(x)):
         return int(r)
@@ -178,6 +181,11 @@ def validate(f: Formula, schema: tuple[str, ...] | list[str],
 
     def walk(node: Formula) -> Formula:
         if isinstance(node, Atom):
+            nums = [c for _, c in node.coeffs] + [node.rhs]
+            if not all(map(math.isfinite, nums)):
+                from .syntax import format_formula  # syntax imports logic
+                raise ValidationError(f"atom {format_formula(node)} has a "
+                                      "non-finite coefficient or constant")
             for name in node.variables():
                 if name not in names:
                     raise UnknownVariable(name, names)
@@ -197,10 +205,11 @@ def validate(f: Formula, schema: tuple[str, ...] | list[str],
             return replace(node, child=walk(node.child), span=span)
         if isinstance(node, Cumulative):
             span = _bind_interval(node.interval, delta)
-            if node.tau <= 0:
+            if not node.tau > 0:  # NaN too
                 raise NonPositiveTau(node.tau)
             width = span[1] - span[0] + 1
-            order = _snap_ceil(node.tau / delta)
+            # capped, as tau / delta may be infinite
+            order = _snap_ceil(min(node.tau / delta, width + 1))
             if order > width:
                 raise TauOutOfRange(node.tau, width, delta)
             return replace(node, child=walk(node.child), span=span,

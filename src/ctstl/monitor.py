@@ -76,6 +76,8 @@ from .signals import Bounds, Signal, atom_bounds, check_bounds
 from .syntax import format_formula
 
 INF = math.inf
+# numpy refuses, with ValueError, an array of more bytes than intp holds
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,6 @@ def _until_anchor(left: _Node, right: _Node, t: int,
     re = t + b - right.lo + 1
     r_lb = right.lb[rs:re]
     r_ub = right.ub[rs:re]
-    if b == 0:
-        return float(r_lb[0]), float(r_ub[0])
     ls = t - left.lo
     cm_lb = np.minimum.accumulate(left.lb[ls:ls + b])
     cm_ub = np.minimum.accumulate(left.ub[ls:ls + b])
@@ -486,6 +486,9 @@ class MonitorState(_PrefixMonitor):
             node.children = [child for child, _, _, _ in kids]
             ilo, ihi = node.init = _initial_entry(node, self.bounds)
             size = max(node.hi - node.lo + 1, 0)
+            if size > _MAX_ENTRIES:
+                raise MemoryError(f"monitor state of {size:.3g} entries per "
+                                  f"node exceeds numpy's largest array")
             node.lb = np.full(size, ilo, dtype=np.float64)
             node.ub = np.full(size, ihi, dtype=np.float64)
             p = len(spans)

@@ -1,7 +1,7 @@
 """Random formula and signal instances for self-tests and benchmarks.
 
-Signals default to small integer values so min/max/rank arithmetic stays
-exact in floating point and robustness comparisons can use equality.
+Signals hold small integer values at step 1, so min/max/rank arithmetic
+stays exact in floating point and robustness comparisons can use equality.
 """
 
 from __future__ import annotations
@@ -13,17 +13,14 @@ from .logic import (Always, And, Atom, Cumulative, Eventually, Formula, Not,
 from .signals import Signal
 
 _OPS = ("<", "<=", ">", ">=")
+# the widest b - a of a drawn temporal interval, in samples
+_MAX_WINDOW = 4
 
 
 def random_signal(rng: np.random.Generator, names, length: int,
-                  delta: float = 1.0, lo: int = -8, hi: int = 8,
-                  integers: bool = True) -> Signal:
-    if integers:
-        vals = rng.integers(lo, hi + 1, size=(length, len(names)))
-        vals = vals.astype(np.float64)
-    else:
-        vals = rng.uniform(lo, hi, size=(length, len(names)))
-    return Signal(tuple(names), vals, delta)
+                  lo: int = -8, hi: int = 8) -> Signal:
+    vals = rng.integers(lo, hi + 1, size=(length, len(names)))
+    return Signal(tuple(names), vals.astype(np.float64), 1.0)
 
 
 def _atom(rng, names) -> Atom:
@@ -40,46 +37,40 @@ def _atom(rng, names) -> Atom:
     return Atom(tuple(coeffs), op, rhs)
 
 
-def _interval(rng, max_window: int, delta: float) -> TimeInterval:
+def _interval(rng) -> TimeInterval:
     a = int(rng.integers(0, 3))
-    b = a + int(rng.integers(0, max_window + 1))
-    return TimeInterval(a * delta, b * delta)
+    b = a + int(rng.integers(0, _MAX_WINDOW + 1))
+    return TimeInterval(float(a), float(b))
 
 
-def random_formula(rng: np.random.Generator, names, depth: int,
-                   max_window: int = 4, delta: float = 1.0) -> Formula:
-    """Unvalidated random formula; every operator kind can appear."""
+def random_formula(rng: np.random.Generator, names, depth: int) -> Formula:
+    """Random formula over ``names``, not yet validated; it always validates
+    at step 1.  Every operator kind can appear."""
     names = tuple(names)
     if depth <= 0:
         return _atom(rng, names)
+
+    def sub() -> Formula:
+        return random_formula(rng, names, depth - 1)
+
     kind = rng.integers(0, 8)
     if kind == 0:
         return _atom(rng, names)
     if kind == 1:
-        return Not(random_formula(rng, names, depth - 1, max_window, delta))
+        return Not(sub())
     if kind == 2:
-        return And(random_formula(rng, names, depth - 1, max_window, delta),
-                   random_formula(rng, names, depth - 1, max_window, delta))
+        return And(sub(), sub())
     if kind == 3:
-        return Or(random_formula(rng, names, depth - 1, max_window, delta),
-                  random_formula(rng, names, depth - 1, max_window, delta))
+        return Or(sub(), sub())
     if kind == 4:
-        return Until(_interval(rng, max_window, delta),
-                     random_formula(rng, names, depth - 1, max_window, delta),
-                     random_formula(rng, names, depth - 1, max_window, delta))
+        return Until(_interval(rng), sub(), sub())
     if kind == 5:
-        return Eventually(_interval(rng, max_window, delta),
-                          random_formula(rng, names, depth - 1, max_window,
-                                         delta))
+        return Eventually(_interval(rng), sub())
     if kind == 6:
-        return Always(_interval(rng, max_window, delta),
-                      random_formula(rng, names, depth - 1, max_window,
-                                     delta))
-    iv = _interval(rng, max_window, delta)
-    width = int(round((iv.hi - iv.lo) / delta)) + 1
+        return Always(_interval(rng), sub())
+    iv = _interval(rng)
+    width = int(iv.hi - iv.lo) + 1
     k = int(rng.integers(1, width + 1))
     # half the time land tau strictly inside a ceiling step
-    tau = k * delta if rng.integers(0, 2) else (k - 0.5) * delta
-    return Cumulative(iv, tau,
-                      random_formula(rng, names, depth - 1, max_window,
-                                     delta))
+    tau = float(k) if rng.integers(0, 2) else k - 0.5
+    return Cumulative(iv, tau, sub())

@@ -167,11 +167,6 @@ def robustness(f: Formula, signal: Signal, t: int = 0) -> float:
     return ev(f, t)
 
 
-def characteristic(f: Formula, signal: Signal, t: int = 0) -> int:
-    """+1 when satisfied, -1 when violated."""
-    return 1 if satisfies(f, signal, t) else -1
-
-
 def _signs(node: Atom, signal: Signal) -> np.ndarray:
     """+1 where the atom holds, -1 elsewhere."""
     y = secondary_signal(node, signal)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
@@ -144,8 +143,7 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
     return step, gen()
 
 
-def read_signal_csv(source: str | IO[str],
-                    delta: float | None = None) -> Signal:
+def read_signal_csv(source: IO[str], delta: float | None = None) -> Signal:
     """Load a whole CSV signal under the step policy of the stream.
 
     All cells become one float64 array in a single conversion, which
@@ -154,9 +152,6 @@ def read_signal_csv(source: str | IO[str],
     column), the kept rows are replayed through the stream's parser and
     step policy, which raise the stream's error at the stream's line.
     """
-    if isinstance(source, str):
-        with open(source, newline="") as fh:
-            return read_signal_csv(fh, delta)
     rd, names = _read_header(source)
     width = len(names)
     # cells of the rows of the right arity, end to end; the number of such
@@ -255,12 +250,8 @@ def _fmt_nums(xs: list[float]) -> list[str]:
     return [str(int(x)) if x.is_integer() else repr(x) for x in xs]
 
 
-def write_signal_csv(dest: str | IO[str], signal: Signal,
+def write_signal_csv(dest: IO[str], signal: Signal,
                      time_column: bool = False) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write_signal_csv(fh, signal, time_column)
-            return
     csv.writer(dest).writerow(("t",) * time_column + signal.names)
     write_rows(dest, signal.values, signal.delta if time_column else None,
                end="\r\n")
@@ -296,12 +287,3 @@ class MonitorEvent:
                 f'"lb": {_json_float(self.lb)}, "ub": {_json_float(self.ub)}, '
                 f'"verdict": {_JSON_CONST[self.verdict]}, '
                 f'"decided": {_JSON_CONST[self.decided]}}}')
-
-    @classmethod
-    def from_json(cls, line: str) -> "MonitorEvent":
-        obj = json.loads(line)
-        verdict = obj["verdict"]
-        if verdict is not None:
-            verdict = bool(verdict)
-        return cls(int(obj["i"]), float(obj["lb"]), float(obj["ub"]),
-                   verdict, bool(obj["decided"]))

@@ -13,22 +13,11 @@ against.  NaN has no rank, so every entry point rejects it; +-inf is legal.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import RankOutOfRange, WindowExceedsTrace
-from .logic import _snap_int
-
-
-def _as_span(interval) -> tuple[int, int]:
-    """A window (lo, hi) of integer sample offsets, 0 <= lo <= hi."""
-    lo, hi = interval
-    ilo, ihi = _snap_int(float(lo)), _snap_int(float(hi))
-    if ilo is None or ihi is None:
-        raise ValueError(
-            f"window [{lo},{hi}] must have integer sample offsets")
-    if ilo < 0 or ilo > ihi:
-        raise ValueError(f"bad window [{lo},{hi}]")
-    return ilo, ihi
 
 
 def _as_trace(trace) -> np.ndarray:
@@ -39,8 +28,12 @@ def _as_trace(trace) -> np.ndarray:
 
 
 def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
+    """The trace, and the offset and width of a window (lo, hi) of integer
+    sample offsets, 0 <= lo <= hi."""
     arr = _as_trace(trace)
-    lo, hi = _as_span(interval)
+    lo, hi = map(operator.index, interval)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"bad window [{lo},{hi}]")
     w = hi - lo + 1
     if hi > arr.size - 1:
         raise WindowExceedsTrace(w, arr.size)

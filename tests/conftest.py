@@ -9,10 +9,10 @@ from ctstl.randgen import random_formula, random_signal
 NAMES = ("x", "y")
 
 
-def make_case(rng, depth=3, length=30, max_window=4, names=NAMES):
+def make_case(rng, depth=3, length=30, names=NAMES):
     """One validated random formula plus a signal long enough for it."""
     while True:
-        f = random_formula(rng, names, depth, max_window=max_window)
+        f = random_formula(rng, names, depth)
         try:
             f = validate(f, names)
         except ValidationError:

@@ -141,6 +141,15 @@ class TestRob:
         assert run_cli(["eval", *f], stdin_text="x\n1\n") == \
             (0, "true\n", "")
 
+    def test_at_snaps_as_formula_endpoints_do(self):
+        # 999984.7 / 0.1 is 9999846.999999998, which F[0,999984.7] takes
+        # as sample 9999847 at this step; so does --at
+        code, _, err = run_cli(["rob", "--formula", "x > 0", "--at",
+                                "999984.7", "--step", "0.1", "-"],
+                               stdin_text="x\n1\n2\n")
+        assert code == 2
+        assert "anchor 9999847" in err and "--at" not in err
+
     def test_formula_file_flag(self, fig4_file, tmp_path):
         ff = tmp_path / "f.txt"
         ff.write_text("C[1,5]^3 (x > 0)\n")
@@ -324,6 +333,33 @@ class TestBadInput:
         # numpy refuses 8e18 bytes of node state before touching memory
         pytest.param(["monitor", "--formula", "F[0,1e18] (x > 0)", "-"],
                      "x\n1\n", "out of memory", id="monitor-state-too-large"),
+        # sizes past numpy's largest array, which it refuses as a ValueError
+        *(pytest.param(["monitor", "--formula", f"F[0,{b}] (x > 0)", "-"],
+                       "x\n1\n", "out of memory",
+                       id=f"monitor-state-beyond-numpy-{b}")
+          for b in ("2e18", "1e300")),
+        # non-finite numbers in a formula; eval already refused an
+        # infinite constant, through each sample's margin
+        *(pytest.param([cmd, "--formula", formula, "-"], "x\n1\n2\n", says,
+                       id=f"{cmd}-{name}")
+          for name, formula, says, cmds in (
+              ("infinite-endpoint", "F[0,1e400] (x > 0)", "interval [0,inf]",
+               ("eval", "monitor")),
+              ("infinite-tau", "C[0,5]^1e400 (x > 0)", "threshold inf",
+               ("eval", "monitor")),
+              ("overflowing-constant", "x > 1e308 + 1e308",
+               "atom x > inf has a non-finite", ("monitor",)),
+              ("infinite-constant", "G[0,1] (x > 1e400)",
+               "atom x > inf has a non-finite", ("monitor",)))
+          for cmd in cmds),
+        # nesting past the interpreter's recursion limit
+        *(pytest.param([*cmd, "--formula", " && ".join(["x > 0"] * 2000),
+                        "-"], "x\n1\n", "formula nested too deeply",
+                       id=f"{'-'.join(cmd)}-2000-conjuncts")
+          for cmd in (["eval"], ["rob", "--sweep"], ["monitor"])),
+        pytest.param(["eval", "--formula", "(" * 1000 + "x > 0" + ")" * 1000,
+                      "-"], "x\n1\n", "formula nested too deeply",
+                     id="eval-1000-parentheses"),
     ]
 
     @pytest.mark.parametrize("argv,text,says", CASES)

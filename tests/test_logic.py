@@ -44,6 +44,8 @@ def test_tau_bounds():
         validate(Cumulative(TimeInterval(0, 4), 0.0, atom()), X)
     with pytest.raises(NonPositiveTau):
         validate(Cumulative(TimeInterval(0, 4), -1.0, atom()), X)
+    with pytest.raises(NonPositiveTau):
+        validate(Cumulative(TimeInterval(0, 4), float("nan"), atom()), X)
     # width of [0,4] is 5 samples, tau = 5 still fits, 5.5 does not
     validate(Cumulative(TimeInterval(0, 4), 5.0, atom()), X)
     with pytest.raises(TauOutOfRange):

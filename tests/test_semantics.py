@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formula_texts, make_case
-from ctstl import (Signal, characteristic, format_formula, horizon,
-                   max_tau_oracle, parse, robustness, robustness_trace,
-                   satisfies, validate)
+from ctstl import (Signal, format_formula, horizon, max_tau_oracle, parse,
+                   robustness, robustness_trace, satisfies, validate)
 from ctstl.errors import EmptyAdmissibleRange, RankOutOfRange, TraceTooShort
 from ctstl.randgen import random_signal
 from ctstl.semantics import _signs, _sweep, _sweep_at
@@ -50,8 +49,9 @@ class TestWorkedExample:
     def test_characteristic_rows(self, example_pair):
         f, x1, _ = example_pair
         atom = validate(parse("x > 1"), X)
-        got = [characteristic(atom, x1, t) for t in range(11)]
-        assert got == [-1, -1, 1, 1, 1, 1, 1, -1, 1, 1, 1]
+        got = [satisfies(atom, x1, t) for t in range(11)]
+        assert got == [False, False, True, True, True, True, True, False,
+                       True, True, True]
 
 
 class TestAtoms:

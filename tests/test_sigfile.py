@@ -38,9 +38,11 @@ def test_time_column_sets_the_step():
 def test_time_column_written_back(tmp_path):
     sig = Signal(("x",), np.array([[7.0], [8.0]]), 2.0)
     path = tmp_path / "s.csv"
-    write_signal_csv(str(path), sig, time_column=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_signal_csv(fh, sig, time_column=True)
     assert path.read_text().splitlines()[0] == "t,x"
-    back = read_signal_csv(str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        back = read_signal_csv(fh)
     assert back.delta == 2.0
     assert np.array_equal(back.values, sig.values)
 
@@ -88,10 +90,10 @@ def test_stream_reader_is_lazy():
 
 def test_event_json_round_trip():
     ev = MonitorEvent(4, -math.inf, 7.0, None, False)
-    back = MonitorEvent.from_json(ev.to_json())
-    assert back == ev
+    assert json.loads(ev.to_json()) == {"i": 4, "lb": -math.inf, "ub": 7.0,
+                                        "verdict": None, "decided": False}
     ev = MonitorEvent(6, 7.0, 7.0, True, True)
-    assert MonitorEvent.from_json(ev.to_json()) == ev
+    assert MonitorEvent(**json.loads(ev.to_json())) == ev
     assert '"decided": true' in ev.to_json()
 
 
@@ -110,9 +112,10 @@ def test_event_line_is_what_json_dumps_writes(i, lb, ub, verdict, decided):
     line = ev.to_json()
     assert line == json.dumps({"i": i, "lb": lb, "ub": ub,
                                "verdict": verdict, "decided": decided})
-    back = MonitorEvent.from_json(line)
-    assert back.to_json() == line
-    assert (back.i, back.verdict, back.decided) == (i, verdict, decided)
+    back = json.loads(line)
+    assert MonitorEvent(**back).to_json() == line
+    assert (back["i"], back["verdict"], back["decided"]) == \
+        (i, verdict, decided)
 
 
 # cells the bulk conversion must treat exactly as float() does: quoted,
