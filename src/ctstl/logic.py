@@ -208,8 +208,9 @@ def validate(f: Formula, schema: tuple[str, ...] | list[str],
             if not node.tau > 0:  # NaN too
                 raise NonPositiveTau(node.tau)
             width = span[1] - span[0] + 1
-            # capped, as tau / delta may be infinite
-            order = _snap_ceil(min(node.tau / delta, width + 1))
+            # capped, as tau / delta may be infinite; a positive tau
+            # snapped to 0 still needs one sample
+            order = max(1, _snap_ceil(min(node.tau / delta, width + 1)))
             if order > width:
                 raise TauOutOfRange(node.tau, width, delta)
             return replace(node, child=walk(node.child), span=span,

@@ -14,7 +14,10 @@ t+ra .. t+rb, the child's reach (``logic._reach``), so a push runs the
 steps in one shape: from the spans of anchors its children rewrote, each
 step takes s-rb .. e-ra within its own anchors, and the writer of its
 kind rewrites those and returns the span it actually rewrote, or None,
-into a preallocated list that its parent reads.
+into a preallocated list that its parent reads.  A node keeps its entries
+in one ``(2, n)`` array ``iv``, lower bounds in row 0 and upper bounds in
+row 1 (``lb`` and ``ub`` are its row views), and each writer updates both
+bounds in one numpy expression.
 
 * an atom writes the sample's margin, computed and checked once per push
   by the shared contract, as one point entry;
@@ -32,8 +35,8 @@ into a preallocated list that its parent reads.
   each open anchor's window is re-partitioned, or scanned for its
   minimum or maximum when the rank is the first or the last;
 * Until rescans each open anchor's windows directly, in the same loop.
-  Rescans are exact for any child because node arrays always hold the
-  current interval, pads included; a settled (point) entry never moves.
+  Rescans are exact for any child because a node's ``iv`` always holds
+  the current interval, pads included; a settled (point) entry never moves.
 
 ``rosi_naive`` recomputes the same intervals by direct recursion and is
 both the correctness oracle and the performance baseline, wrapped as
@@ -76,8 +79,9 @@ from .signals import Bounds, Signal, atom_bounds, check_bounds
 from .syntax import format_formula
 
 INF = math.inf
-# numpy refuses, with ValueError, an array of more bytes than intp holds
-_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+# an entry is 16 bytes; numpy refuses an array of more than intp.max bytes
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
+_NO_PREFIX = np.full((2, 1), INF)  # Until's left prefix min before d = 1
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class _Node:
 
     __slots__ = (
         "form", "lo", "hi", "a", "b", "k", "children",
-        "lb", "ub", "init", "neg_above", "below",
+        "iv", "lb", "ub", "init", "neg_above", "below",
     )
 
     def __init__(self, form: Formula, lo: int, hi: int):
@@ -224,43 +228,33 @@ class _Node:
         self.children: list[_Node] = []
 
 
-def _initial_entry(node: _Node, bounds) -> tuple[float, float]:
+def _initial_entry(node: _Node, bounds) -> np.ndarray:
     """Entry before any sample: atom ranges, propagated from the children's
     initial entries."""
     form = node.form
     if isinstance(form, Atom):
-        return atom_bounds(form, bounds)
+        return np.array(atom_bounds(form, bounds))
     kids = [child.init for child in node.children]
     if isinstance(form, Not):
-        lo, hi = kids[0]
-        return -hi, -lo
+        return -kids[0][::-1]
     if isinstance(form, Until):
         # right first; at a = 0, d = 0 contributes the bare right entry,
         # which dominates the min-with-left candidates at larger d
         kids = kids[::-1][:1 if form.span[0] == 0 else 2]
     # F, G and C: any rank statistic of identical entries is that entry
     op = max if isinstance(form, Or) else min
-    return op(lo for lo, _ in kids), op(hi for _, hi in kids)
+    return np.array((op(lo for lo, _ in kids), op(hi for _, hi in kids)))
 
 
 def _until_anchor(left: _Node, right: _Node, t: int,
-                  a: int, b: int) -> tuple[float, float]:
-    rs = t + a - right.lo
-    re = t + b - right.lo + 1
-    r_lb = right.lb[rs:re]
-    r_ub = right.ub[rs:re]
+                  a: int, b: int) -> np.ndarray:
+    """Anchor t's interval: the max over d in a..b of min(right[t+d],
+    left[t .. t+d-1]), both bounds at once."""
     ls = t - left.lo
-    cm_lb = np.minimum.accumulate(left.lb[ls:ls + b])
-    cm_ub = np.minimum.accumulate(left.ub[ls:ls + b])
-    if a >= 1:
-        pm_lb = cm_lb[a - 1:b]
-        pm_ub = cm_ub[a - 1:b]
-    else:
-        pm_lb = np.concatenate(([INF], cm_lb))
-        pm_ub = np.concatenate(([INF], cm_ub))
-    lb = float(np.minimum(r_lb, pm_lb).max())
-    ub = float(np.minimum(r_ub, pm_ub).max())
-    return lb, ub
+    pm = np.minimum.accumulate(left.iv[:, ls:ls + b], axis=1)
+    pm = pm[:, a - 1:] if a >= 1 else np.hstack((_NO_PREFIX, pm))
+    rs = t - right.lo
+    return np.minimum(right.iv[:, rs + a:rs + b + 1], pm).max(1)
 
 
 def _changed_span(node: _Node, c: int, lo: int,
@@ -339,17 +333,16 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     r = slice(lo - node.lo, hi - node.lo + 1)
     node.neg_above[r] = -above
     node.below[r] = below
-    node.lb[r] = np.maximum(above, np.minimum(child.init[0], below))
-    node.ub[r] = np.maximum(above, np.minimum(child.init[1], below))
+    node.iv[:, r] = np.maximum(above, np.minimum(child.init[:, None], below))
 
 
-def _rank_value(x: np.ndarray, j: int) -> float:
-    """The (j+1)-th smallest of x: a min or a max at either end."""
+def _rank_value(x: np.ndarray, j: int) -> np.ndarray:
+    """The (j+1)-th smallest of each row of x: a min or max at either end."""
     if j == 0:
-        return x.min()
-    if j == len(x) - 1:
-        return x.max()
-    return np.partition(x, j)[j]
+        return x.min(1)
+    if j == x.shape[1] - 1:
+        return x.max(1)
+    return np.partition(x, j, 1)[:, j]
 
 
 def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
@@ -366,39 +359,36 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
     module functions above are looked up at each call, so a test can wrap
     them.
     """
-    form, lo, hi, lb, ub = node.form, node.lo, node.hi, node.lb, node.ub
+    form, lo, hi, iv = node.form, node.lo, node.hi, node.iv
+    lb, ub = iv
     if isinstance(form, Atom):
         q = atom_pos[form]
 
         def atom(i, ys):
             if not lo <= i <= hi:
                 return None
-            lb[i - lo] = ub[i - lo] = ys[q]
+            iv[:, i - lo] = ys[q]
             return i, i
 
         return atom
 
     if isinstance(form, (And, Or, Until)):
         left, right = node.children
-        llo, llb, lub = left.lo, left.lb, left.ub
-        rlo, rlb, rub = right.lo, right.lb, right.ub
+        llo, liv, rlo, riv = left.lo, left.iv, right.lo, right.iv
     else:
         (child,) = node.children
-        clo, clb, cub = child.lo, child.lb, child.ub
+        clo, civ = child.lo, child.iv
 
     if isinstance(form, Not):
-        def write(i, s, e):  # neg
-            lb[s - lo:e - lo + 1] = -cub[s - clo:e - clo + 1]
-            ub[s - lo:e - lo + 1] = -clb[s - clo:e - clo + 1]
+        def write(i, s, e):  # neg: [-ub, -lb]
+            iv[:, s - lo:e - lo + 1] = -civ[::-1, s - clo:e - clo + 1]
             return s, e
     elif isinstance(form, (And, Or)):
         op = np.minimum if isinstance(form, And) else np.maximum
 
         def write(i, s, e):  # boolean
-            lb[s - lo:e - lo + 1] = op(llb[s - llo:e - llo + 1],
-                                       rlb[s - rlo:e - rlo + 1])
-            ub[s - lo:e - lo + 1] = op(lub[s - llo:e - llo + 1],
-                                       rub[s - rlo:e - rlo + 1])
+            op(liv[:, s - llo:e - llo + 1], riv[:, s - rlo:e - rlo + 1],
+               out=iv[:, s - lo:e - lo + 1])
             return s, e
     else:
         a, b = node.a, node.b = form.span
@@ -413,15 +403,14 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
 
             def anchor(t):
                 q = t + a - clo
-                return (_rank_value(clb[q:q + w], j),
-                        _rank_value(cub[q:q + w], j))
+                return _rank_value(civ[:, q:q + w], j)
 
         if isinstance(form, Until) or horizon(form.child) > 0:
             def write(i, s, e):  # rescan
                 for t in range(s, e + 1):
                     r = t - lo
                     if lb[r] != ub[r]:  # a settled entry stays settled
-                        lb[r], ub[r] = anchor(t)
+                        iv[:, r] = anchor(t)
                 return s, e
         else:
             # -A and B of every anchor: none known yet
@@ -484,13 +473,13 @@ class MonitorState(_PrefixMonitor):
             kids = [(*build(child), ra, rb)
                     for child, ra, rb in _reach(form)]
             node.children = [child for child, _, _, _ in kids]
-            ilo, ihi = node.init = _initial_entry(node, self.bounds)
+            node.init = _initial_entry(node, self.bounds)
             size = max(node.hi - node.lo + 1, 0)
             if size > _MAX_ENTRIES:
                 raise MemoryError(f"monitor state of {size:.3g} entries per "
                                   f"node exceeds numpy's largest array")
-            node.lb = np.full(size, ilo, dtype=np.float64)
-            node.ub = np.full(size, ihi, dtype=np.float64)
+            node.iv = np.full((2, size), node.init[:, None])
+            node.lb, node.ub = node.iv
             p = len(spans)
             spans.append(None)
             if size:
@@ -513,8 +502,7 @@ class MonitorState(_PrefixMonitor):
     # -- inspection ---------------------------------------------------
 
     def root_rosi(self) -> RoSI:
-        root = self._pre[0]
-        return RoSI(float(root.lb[0]), float(root.ub[0]))
+        return RoSI(*self._pre[0].iv[:, 0].tolist())
 
     def node_ids(self) -> list[tuple[int, Formula]]:
         return [(nid, node.form) for nid, node in enumerate(self._pre)]
@@ -524,8 +512,8 @@ class MonitorState(_PrefixMonitor):
         if not 0 <= nid < len(self._pre):
             raise KeyError(nid)
         node = self._pre[nid]
-        return {node.lo + r: RoSI(float(node.lb[r]), float(node.ub[r]))
-                for r in range(len(node.lb))}
+        return {t: RoSI(lb, ub)
+                for t, (lb, ub) in enumerate(node.iv.T.tolist(), node.lo)}
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,

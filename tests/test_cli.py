@@ -650,6 +650,45 @@ def test_benchmark_traced_child_runs(tmp_path):
         assert want_spans <= names
 
 
+@pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])
+@pytest.mark.parametrize("text,verdict", [("x\n-1\n-1\n-1\n", (1, "false\n")),
+                                          ("x\n-1\n2\n-1\n", (0, "true\n"))],
+                         ids=["false", "true"])
+def test_tiny_tau_counts_as_one_sample(cmd, text, verdict):
+    # a positive tau within the snap slack of 0 is rank 1, so C is F
+    assert validate(parse("C[0,2]^1e-12 (x > 0)"), ("x",)).order == 1
+    got = run_cli([cmd, "--formula", "C[0,2]^1e-12 (x > 0)", "-"], text)
+    want = run_cli([cmd, "--formula", "F[0,2] (x > 0)", "-"], text)
+    assert got == want
+    assert "Traceback" not in got[2]
+    if cmd == "eval":
+        assert got[:2] == verdict
+
+
+def test_cli_opens_no_file_without_an_encoding(fig4_file, tmp_path):
+    # an open() without encoding= reads or writes in the locale's codec;
+    # under warn_default_encoding it warns, and here the warning is fatal
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ff = tmp_path / "f.txt"
+    ff.write_text("C[1,5]^3 (x > 0)\n", encoding="utf-8")
+    calls = [
+        (["gen", "overvoltage", "--length", "50", "--out",
+          str(tmp_path / "gen.csv")], None),
+        (["eval", "--formula", FIG4_FORMULA, fig4_file], None),
+        (["rob", "--sweep", "--formula", FIG4_FORMULA, fig4_file], None),
+        (["monitor", "--formula", FIG4_FORMULA, "--trace",
+          str(tmp_path / "nodes.csv"), fig4_file], None),
+        (["rob", "--formula-file", str(ff), fig4_file], None),
+        (["monitor", "--formula", FIG4_FORMULA, "-"], FIG4_CSV),
+    ]
+    for argv, text in calls:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "ctstl.cli", *argv],
+            input=text, capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 class TestGen:
     def test_deterministic_output_and_honest_report(self, tmp_path):
         out1 = tmp_path / "a.csv"
