@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING
 from .errors import CTSTLError, ParamOutOfRange
 from .logic import _fmt_num, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
-from .sigfile import (MonitorEvent, open_signal_stream, read_signal_csv,
-                      samples_at_step, write_rows, write_signal_csv)
+from .sigfile import (MonitorEvent, Utf8Lines, open_signal_stream,
+                      read_signal_csv, samples_at_step, write_rows,
+                      write_signal_csv)
 from .syntax import parse
 
 # The monitor, the generators and the benchmark are imported by the
@@ -62,10 +63,11 @@ def _sample_index(at: float, delta: float) -> int:
 
 @contextlib.contextmanager
 def _open_source(path: str):
+    """The signal's bytes, which the signal reader decodes."""
     if path == "-":
-        yield sys.stdin
+        yield getattr(sys.stdin, "buffer", sys.stdin)
     else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "rb") as fh:
             yield fh
 
 
@@ -111,7 +113,8 @@ def cmd_monitor(args) -> int:
         fh = stack.enter_context(_open_source(args.signal))
         trace_fh = stack.enter_context(
             open(args.trace, "w", encoding="utf-8")) if args.trace else None
-        names, has_time, rows = open_signal_stream(fh)
+        lines = Utf8Lines(fh)
+        names, has_time, rows = open_signal_stream(lines)
         delta, samples = samples_at_step(has_time, rows, args.step)
         mon = MonitorState(parse(_formula_text(args)), names, delta=delta,
                            bounds=_parse_bounds(args.bounds))
@@ -125,6 +128,8 @@ def cmd_monitor(args) -> int:
             if trace_fh is not None:
                 _trace_rows(mon, i, trace_fh)
             if v.decided and not args.run_to_end:
+                # what was read is input too, though the verdict is final
+                lines.check_read()
                 break
         verdict = mon.finalize()
     if verdict.outcome is None:
@@ -249,8 +254,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        # exc's own position counts from the start of a decoded chunk,
-        # not of the file, so it is left out
+        # a formula file's: a signal's error names its line; exc's own
+        # position would count from the start of a decoded chunk
         print(f"error: input is not UTF-8 text ({exc.reason}: "
               f"{exc.object[exc.start:exc.end]!r})", file=sys.stderr)
         return 2

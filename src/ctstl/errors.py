@@ -101,6 +101,15 @@ class SignalFormatError(CTSTLError):
         super().__init__(message)
 
 
+class UndecodableLine(SignalFormatError):
+    """A line of a signal holds bytes that are not UTF-8."""
+
+    def __init__(self, line: int, exc: UnicodeDecodeError):
+        super().__init__(f"input is not UTF-8 text at line {line:,} "
+                         f"({exc.reason}: {exc.object[exc.start:exc.end]!r})")
+        self.line = line
+
+
 @dataclass(frozen=True)
 class SourceSpan:
     """Character offsets [start, end) into the formula source text."""

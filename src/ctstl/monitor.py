@@ -30,8 +30,9 @@ bounds in one numpy expression.
   rest, so its entry follows from two order statistics of what it knows,
   kept per anchor in two arrays.  Each array is monotone in the anchor, so
   a new sample changes them on one run of anchors each, found by
-  bisection; one sort seeds a capped sorted list and one walk over the
-  run recomputes just those anchors.  Over a refining child (``rescan``)
+  bisection; per run, a selection of the values above it seeds a capped
+  sorted list and one walk recomputes just its anchors, with no list for
+  a statistic still infinite there.  Over a refining child (``rescan``)
   each open anchor's window is re-partitioned, or scanned for its
   minimum or maximum when the rank is the first or the last;
 * Until rescans each open anchor's windows directly, in the same loop.
@@ -51,6 +52,7 @@ atom map over the kept rows.
 from __future__ import annotations
 
 import math
+import os
 from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -79,8 +81,8 @@ from .signals import Bounds, Signal, atom_bounds, check_bounds
 from .syntax import format_formula
 
 INF = math.inf
-# an entry is 16 bytes; numpy refuses an array of more than intp.max bytes
-_MAX_ENTRIES = np.iinfo(np.intp).max // 16
+# physical memory: the whole monitor state must fit in it
+_MAX_STATE_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 _NO_PREFIX = np.full((2, 1), INF)  # Until's left prefix min before d = 1
 
 
@@ -258,8 +260,8 @@ def _until_anchor(left: _Node, right: _Node, t: int,
 
 
 def _changed_span(node: _Node, c: int, lo: int,
-                  hi: int) -> tuple[int, int] | None:
-    """The anchors of lo..hi whose entry the new child sample c can change.
+                  hi: int) -> list[tuple[int, int]]:
+    """The runs of anchors in lo..hi whose entry new child sample c moves.
 
     Anchor t knows m_t = c-t-a+1 samples.  Its entry is a function of A_t,
     the k-th largest known (-inf while m_t < k), and B_t, the
@@ -268,14 +270,14 @@ def _changed_span(node: _Node, c: int, lo: int,
     is non-increasing and B non-decreasing in t.  The new value x raises A
     exactly where m_t >= k and A_t < x, and lowers B exactly where
     m_t >= w-k+1 and B_t > x: each a run that ends at the highest anchor
-    of enough samples, found by bisection.  Returns the span of the two
-    runs, or None when neither has an anchor.
+    of enough samples, found by bisection.  Returns the A-run and the
+    B-run, one run when they touch, none when neither has an anchor.
     """
     child = node.children[0]
     x = float(child.lb[c - child.lo])
     top = c - node.a + 1  # m_t = top - t
     w = node.b - node.a + 1
-    low = high = None
+    runs = []
     for rank, keys, v in ((node.k, node.neg_above, -x),
                           (w - node.k + 1, node.below, x)):
         end = min(hi, top - rank)
@@ -284,56 +286,78 @@ def _changed_span(node: _Node, c: int, lo: int,
         start = lo + int(np.searchsorted(
             keys[lo - node.lo:end - node.lo + 1], v, "right"))
         if start <= end:
-            low = start if low is None else min(low, start)
-            high = end if high is None else max(high, end)
-    return None if low is None else (low, high)
+            runs.append((start, end))
+    runs.sort()
+    if len(runs) == 2 and runs[1][0] <= runs[0][1] + 1:
+        runs = [(runs[0][0], max(runs[0][1], runs[1][1]))]
+    return runs
 
 
 def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
-    """Recompute anchors lo..hi, whose window holds the new child sample c.
+    """Recompute anchors lo..hi, a run whose windows hold child sample c.
 
     Anchor t in [c-b, c-a] knows child[t+a .. c], m values, and pads the
     other w-m.  Its k-th largest is the pad clamped to [A, B] (see
     :func:`_changed_span`): B is also the (k-(w-m))-th largest known.  Both
     ranks lie among the w-k+1 smallest knowns, and the anchors' known sets
     are nested suffixes, so one walk from c down to anchor lo, keeping
-    those smallest values sorted, serves every anchor of the span.  When
+    those smallest values sorted, serves every anchor of the run.  When
     k < w-k+1 the walk ranks the negated values at w-k+1 instead (the k-th
     largest of x is minus the (w-k+1)-th largest of -x, which swaps and
-    negates A and B), so the list never holds more than min(k, w-k+1)
-    values.  The values above anchor hi only seed the list, with one sort
-    (stable, so ties keep the order a value-by-value walk gives them); the
-    walk then reads the span's c-lo-a+1 values.  The node's A and B arrays
-    are updated on the span along with its entries.
+    negates A and B), so the list never holds more than cap = min(k,
+    w-k+1) values.  The values above anchor hi only seed the list: past
+    cap of them, ``np.partition`` finds the cap-th smallest, and the
+    values below it and its first ties in arrival order are sorted, which
+    is the list a value-by-value walk builds, ties of 0.0 and -0.0
+    included.  A statistic whose rank no anchor of the run reaches is
+    infinite on the run already, so it gets no list and keeps its array.
     """
     child = node.children[0]
     w = node.b - node.a + 1
     k = node.k
-    sgn = 1.0
-    if 2 * k < w + 1:
-        k, sgn = w - k + 1, -1.0
+    vals = child.lb[lo + node.a - child.lo:c - child.lo + 1][::-1]
+    flip = 2 * k < w + 1
+    if flip:
+        k, vals = w - k + 1, -vals
     cap = w - k + 1
-    known = child.lb[lo + node.a - child.lo:c - child.lo + 1]
-    vals = (sgn * known[::-1]).tolist()
     skip = c - node.a - hi  # walk steps before anchor hi
-    kept = sorted(vals[:skip])[:cap]
+    seed = vals[:skip]
+    if skip > cap:
+        p = np.partition(seed, cap - 1)[cap - 1]
+        seed = np.concatenate((seed[seed < p], seed[seed == p]))[:cap]
+    kept = sorted(seed.tolist())
     kth: list[float] = []
     cth: list[float] = []
-    for m, v in enumerate(vals[skip:], skip + 1):
+    for m, v in enumerate(vals[skip:].tolist(), skip + 1):
         if m <= cap:
             insort(kept, v)
         elif v < kept[-1]:
             insort(kept, v)
             kept.pop()
-        kth.append(kept[m - k] if m >= k else -INF)
-        cth.append(kept[-1] if m >= cap else INF)
-    above, below = np.array(kth[::-1]), np.array(cth[::-1])
-    if sgn < 0:
-        above, below = -below, -above
-    r = slice(lo - node.lo, hi - node.lo + 1)
-    node.neg_above[r] = -above
-    node.below[r] = below
-    node.iv[:, r] = np.maximum(above, np.minimum(child.init[:, None], below))
+        if m >= cap:  # the walk's B, then its A, known from here on
+            cth.append(kept[-1])
+            if m >= k:
+                kth.append(kept[m - k])
+    # reversed, the lists start at anchor lo; past their ends the anchors
+    # know too few values, and their arrays hold inf already
+    r0 = lo - node.lo
+    fb, fa = ((node.neg_above, node.below) if flip
+              else (node.below, node.neg_above))
+    fb[r0:r0 + len(cth)] = cth[::-1]
+    r, init = slice(r0, hi - node.lo + 1), child.init[:, None]
+    if kth:
+        fa[r0:r0 + len(kth)] = np.negative(kth[::-1])
+    if kth or flip:
+        np.maximum(-node.neg_above[r], np.minimum(init, node.below[r]),
+                   out=node.iv[:, r])
+    else:  # A is -inf on the run, and max(-inf, y) is y
+        np.minimum(init, node.below[r], out=node.iv[:, r])
+
+
+def _is_suffix(form: Formula) -> bool:
+    """Whether a node is a rank node over a point-valued child."""
+    return (isinstance(form, (Eventually, Always, Cumulative))
+            and horizon(form.child) == 0)
 
 
 def _rank_value(x: np.ndarray, j: int) -> np.ndarray:
@@ -405,7 +429,7 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
                 q = t + a - clo
                 return _rank_value(civ[:, q:q + w], j)
 
-        if isinstance(form, Until) or horizon(form.child) > 0:
+        if not _is_suffix(form):
             def write(i, s, e):  # rescan
                 for t in range(s, e + 1):
                     r = t - lo
@@ -419,11 +443,11 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
 
             def write(i, s, e):  # suffix
                 # over a point-valued child, sample i changes child
-                # anchor i alone
-                got = _changed_span(node, i, s, e)
-                if got is not None:
-                    _suffix_push(node, i, *got)
-                return got
+                # anchor i alone; the parent reads the runs' hull
+                runs = _changed_span(node, i, s, e)
+                for run in runs:
+                    _suffix_push(node, i, *run)
+                return (runs[0][0], runs[-1][1]) if runs else None
 
     def step(i, ys):
         s, e = hi + 1, lo - 1
@@ -460,9 +484,17 @@ class MonitorState(_PrefixMonitor):
 
         Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
         and each push stores a step's span at the node's post-order
-        position in ``_spans``.
+        position in ``_spans``.  The state's size, 16 bytes per entry and
+        16 more per anchor of a ``suffix`` node, is checked first.
         """
         ranges = node_horizons(self.formula)
+        need = sum(16 * max(hi - lo + 1, 0) * (1 + _is_suffix(form))
+                   for (_, form), (lo, hi) in zip(iter_nodes(self.formula),
+                                                  ranges.values()))
+        if need > _MAX_STATE_BYTES:
+            raise MemoryError(
+                f"monitor state of {need / 2**30:.3g} GiB exceeds the "
+                f"{_MAX_STATE_BYTES / 2**30:.3g} GiB of physical memory")
         pre: list[_Node] = []
         spans: list[tuple[int, int] | None] = []
         plan = []
@@ -475,9 +507,6 @@ class MonitorState(_PrefixMonitor):
             node.children = [child for child, _, _, _ in kids]
             node.init = _initial_entry(node, self.bounds)
             size = max(node.hi - node.lo + 1, 0)
-            if size > _MAX_ENTRIES:
-                raise MemoryError(f"monitor state of {size:.3g} entries per "
-                                  f"node exceeds numpy's largest array")
             node.iv = np.full((2, size), node.init[:, None])
             node.lb, node.ub = node.iv
             p = len(spans)

@@ -6,9 +6,11 @@ timestamps; it must be uniformly spaced (relative tolerance 1e-9) and sets
 the step unless one is given, then it is dropped.  This module is the only
 place that knows the format: the whole-file reader and the monitor's stream
 share one header parser, one row parser and one step policy
-(:func:`samples_at_step`).  The whole-file reader converts and checks all
-cells at once in numpy and replays the stream's row parser only when that
-check fails, so both raise the same error at the same line.  Both CSV
+(:func:`samples_at_step`).  Files are UTF-8 bytes: the stream decodes
+them line by line (:class:`Utf8Lines`), the whole-file reader all at once.
+The whole-file reader converts and checks all cells at once in numpy and
+replays the stream only when a check fails, decoding included, so both
+raise the same error at the same line.  Both CSV
 writers share one number formatter and write a few thousand rows per call.
 Monitor runs emit one JSON object per line; infinities appear as the
 JSON-style Infinity tokens.
@@ -17,20 +19,28 @@ JSON-style Infinity tokens.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
+import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SignalFormatError
+from .errors import SignalFormatError, UndecodableLine
 from .signals import Signal
 
 _REL_TOL = 1e-9
 # rows per write call of the CSV writers
 _CHUNK_ROWS = 4096
+# a line ends as text mode ends it: at \r\n, \n, or a \r that no \n
+# follows (a \r last in what has arrived waits for the next byte)
+_EOL = re.compile(rb"\r\n|\r(?=[^\n])|\n")
+# bytes asked of a binary source per read; it may return fewer
+_READ_BYTES = 1 << 16
 
 Rows = Iterator[tuple[int, list[float]]]
 
@@ -61,9 +71,59 @@ def _malformed(exc: csv.Error, rd) -> SignalFormatError:
     return SignalFormatError(str(exc), rd.line_num)
 
 
-def _read_header(fh: IO[str]) -> tuple[Iterator[list[str]], tuple[str, ...]]:
+def _is_binary(fh: IO) -> bool:
+    return isinstance(fh, io.BufferedIOBase)
+
+
+def _decode(raw: bytes, line: int, final: bool = True) -> str:
+    try:
+        return codecs.utf_8_decode(raw, "strict", final)[0]
+    except UnicodeDecodeError as exc:
+        raise UndecodableLine(line, exc) from None
+
+
+class Utf8Lines:
+    """The lines of a signal source, for the stream reader.
+
+    Iterating a binary source reads its bytes as they arrive and decodes
+    them as UTF-8 one line at a time, so a byte that is not UTF-8 raises
+    :class:`UndecodableLine` at its line, after every line before it.  A
+    text source passes through.
+    """
+
+    def __init__(self, fh: IO):
+        self.fh, self.buf, self.pos, self.line = fh, b"", 0, 0
+
+    def __iter__(self):
+        return self if _is_binary(self.fh) else iter(self.fh)
+
+    def __next__(self) -> str:
+        m = _EOL.search(self.buf, self.pos)
+        while m is None:
+            chunk = self.fh.read1(_READ_BYTES)
+            if not chunk:
+                break
+            self.buf, self.pos = self.buf[self.pos:] + chunk, 0
+            m = _EOL.search(self.buf)
+        end = m.end() if m else len(self.buf)
+        if end == self.pos:
+            raise StopIteration
+        raw, self.pos = self.buf[self.pos:end], end
+        self.line += 1
+        return _decode(raw, self.line)
+
+    def check_read(self) -> None:
+        """Raise for a bad byte read ahead of the lines taken so far, which
+        a reader that stops early would otherwise never reach."""
+        parts = _EOL.split(self.buf[self.pos:])
+        for j, raw in enumerate(parts, 1):
+            # the last line may end in a character not fully read yet
+            _decode(raw, self.line + j, final=j < len(parts))
+
+
+def _read_header(fh: IO) -> tuple[Iterator[list[str]], tuple[str, ...]]:
     """A CSV reader past the checked header, and the header's names."""
-    rd = csv.reader(fh)
+    rd = csv.reader(Utf8Lines(fh))
     try:
         header = next(rd)
     except StopIteration:
@@ -81,12 +141,12 @@ def _read_header(fh: IO[str]) -> tuple[Iterator[list[str]], tuple[str, ...]]:
     return rd, names
 
 
-def open_signal_stream(fh: IO[str]) -> tuple[tuple[str, ...], bool, Rows]:
+def open_signal_stream(fh: IO) -> tuple[tuple[str, ...], bool, Rows]:
     """Header plus a lazy row iterator, for monitoring as data arrives.
 
     Returns (variable names, had-time-column, iterator of (line, values)).
     Timestamps stay in the rows; :func:`samples_at_step` checks and drops
-    them.
+    them.  A binary source is decoded line by line (:class:`Utf8Lines`).
     """
     rd, names = _read_header(fh)
     has_time = names[0] == "t"
@@ -143,15 +203,28 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
     return step, gen()
 
 
-def read_signal_csv(source: IO[str], delta: float | None = None) -> Signal:
+def read_signal_csv(source: IO, delta: float | None = None) -> Signal:
     """Load a whole CSV signal under the step policy of the stream.
 
-    All cells become one float64 array in a single conversion, which
-    accepts exactly what ``float()`` accepts.  If any check fails (a row's
+    A binary source is read and checked as UTF-8 at once.  All cells
+    become one float64 array in a single conversion, which accepts exactly
+    what ``float()`` accepts.  If any check fails (the decoding, a row's
     arity, a cell, finiteness, the step or the spacing of the ``t``
-    column), the kept rows are replayed through the stream's parser and
-    step policy, which raise the stream's error at the stream's line.
+    column), the rows are replayed through the stream's parser and step
+    policy, which raise the stream's first error at the stream's line.
     """
+    if _is_binary(source):
+        data = source.read()
+        try:  # ASCII is UTF-8 already; anything else must decode
+            data.isascii() or data.decode()
+        except UnicodeDecodeError:
+            # decoded line by line, the stream raises this error at its
+            # line, or an earlier row's error first
+            names, has_time, rows = open_signal_stream(io.BytesIO(data))
+            list(samples_at_step(has_time, rows, delta)[1])
+            raise
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                  newline="")
     rd, names = _read_header(source)
     width = len(names)
     # cells of the rows of the right arity, end to end; the number of such

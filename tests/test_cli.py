@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import formula_texts
 from ctstl import Signal, horizon, parse, validate, write_signal_csv
-from ctstl import cli, sigfile
+from ctstl import cli, monitor, sigfile
 from ctstl.cli import main
 from ctstl.generators import overvoltage_formulas
 from ctstl.logic import _fmt_num
@@ -338,6 +339,10 @@ class TestBadInput:
                        "x\n1\n", "out of memory",
                        id=f"monitor-state-beyond-numpy-{b}")
           for b in ("2e18", "1e300")),
+        # a state too large to count in floats
+        pytest.param(["monitor", "--formula", "F[0,1e308] F[0,1e308] (x > 0)",
+                      "-"], "x\n1\n", "out of memory",
+                     id="monitor-state-beyond-float"),
         # non-finite numbers in a formula; eval already refused an
         # infinite constant, through each sample's margin
         *(pytest.param([cmd, "--formula", formula, "-"], "x\n1\n2\n", says,
@@ -400,6 +405,35 @@ class TestBadInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(b"error: input is not UTF-8 text")
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cmd", ["monitor", "eval", "rob"])
+    def test_late_undecodable_byte_names_its_line_after_the_good_rows(
+            self, cmd, tmp_path):
+        # the stream reads and decodes line by line, so monitor emits an
+        # event for each of the 20,000 good rows first; the whole-file
+        # reader decodes at once and finds the line only on failure
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"x\n" + b"1\n" * 20_000 + b"\xff\n")
+        argv = [cmd, "--formula", "x > 0", str(path)]
+        code, out, err = run_cli(argv + ["--run-to-end"] * (cmd == "monitor"))
+        assert code == 2
+        assert err == ("error: input is not UTF-8 text at line 20,002 "
+                       "(invalid start byte: b'\\xff')\n")
+        assert len(out.splitlines()) == (20_000 if cmd == "monitor" else 0)
+        # a bad row before it is still the error reported
+        path.write_bytes(b"x\n1\nnan\n" + b"1\n" * 10 + b"\xff\n")
+        code, out, err = run_cli(
+            [cmd, "--formula", "G[0,3] (x > 0)", str(path)])
+        assert code == 2 and err.startswith("error: line 3: ")
+
+    def test_state_past_physical_memory_exits_two(self, monkeypatch):
+        # the limit is the machine's physical memory; 1 MB stands in for
+        # it, below the 1.6 MB that F[0,1e5]'s atom needs
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES", 2**20)
+        code, out, err = run_cli(
+            ["monitor", "--formula", "F[0,1e5] (x > 0)", "-"], "x\n1\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory: monitor state of ")
 
     def test_inexact_step_product_does_not_flip_the_verdict(self):
         # 3 * 0.3 is 0.8999999999999999 < 0.9; all three paths must count
@@ -597,6 +631,80 @@ class TestSweepOutput:
             write_signal_csv(new, sig, time_column=True)
             assert new.getvalue().split("\r\n") == \
                 old.getvalue().split("\r\n")
+
+
+def _output_digest(cmd: str, formula: str, work: Path) -> str:
+    """sha256 of the exit code, stdout and ``--trace`` file of one run on
+    a 400-row integer signal that passes through zero in both columns."""
+    sig = work / "pinned.csv"
+    sig.write_text("x,y\n" + "".join(
+        f"{37 * t % 101 - 50},{53 * t % 97 - 48}\n" for t in range(400)),
+        encoding="utf-8")
+    trace = work / "pinned-trace.csv"
+    argv = (["monitor", "--run-to-end", "--trace", str(trace)]
+            if cmd == "monitor" else ["rob", "--sweep"])
+    code, out, _ = run_cli([*argv, "--formula", formula, str(sig)])
+    digest = hashlib.sha256(f"{code}\n{out}".encode())
+    if cmd == "monitor":
+        digest.update(trace.read_bytes())
+    return digest.hexdigest()
+
+
+# Monitor formulas stay open for 200 samples or more, so the suffix push
+# runs past each window; together they cover both rank orientations, the
+# rescan mode, Until, negation and zero margins of both signs (x >= 0 and
+# x > 0 give 0.0 at x = 0, x <= 0 and x < 0 give -0.0).
+_PINNED = [
+    ("monitor", "G[0,300] !C[0,10]^9 (F[0,3] (x > 45))",
+     "be28e8e2f1e12b36755b6684f1a220c9ab66c4343f94c1dd31d7794e181dee09"),
+    ("monitor", "G[0,300] C[0,20]^3 (x > 20)",
+     "5c935668e9429fb2a38ac8d07ed6dfd104fe2f3ad27b58e2cd9ed2c7b7233758"),
+    ("monitor", "G[0,300] C[0,40]^35 (y > -44)",
+     "b166d886de3a35db8cf69fcec9d73af76c2594d98416e529f746174bec5b8a05"),
+    ("monitor", "F[0,300] C[0,40]^36 (x > 0)",
+     "2dea892c360413823c4a2883bc5f9b968d49fa37fc109c9c68b48b8230bb47cd"),
+    ("monitor", "F[0,300] !C[0,25]^5 (x < 0)",
+     "4af68ec59b98fafe18bb2bb54fe08d5e0f4837aa647f32b0a697caad9aff4658"),
+    ("monitor", "G[0,250] C[0,50]^5 ((x > 0) || (y < 0))",
+     "82bffa6d10bf5e27a1ebd4180d2d5e8fe3a281aea0c48bc294e2f7dcf789089e"),
+    ("monitor", "G[0,250] (C[0,10]^2 (F[0,4] (y > 40)) || x > -50)",
+     "0a2458acb4c887a8a65441408fbb02f503c5ce7e8faf5839ae4c778bda6033d1"),
+    ("monitor", "G[0,200] ((x > -49) U[0,20] C[0,30]^28 (y < 45))",
+     "1ca5bd3a21d08a37e6c70fec9ca0635301f5a3bd797f9869cfab69d9368b0306"),
+    ("monitor", "F[0,250] (C[0,60]^50.5 (x >= 0) && C[0,60]^12 (y <= 0))",
+     "c0a1a1e3da533aadb54ab3907a2fc34e2bd124131120b05825c4d738617363c6"),
+    ("monitor", "G[0,300] (C[0,30]^26 (y < 46) || C[0,12]^12 (x >= 0))",
+     "a28ae963dcb5c43043de9376e1ba6bf1bec67771adb8331685fd2b3db9858728"),
+    ("monitor", "F[0,300] (C[0,30]^29 (x <= 48) && !C[0,30]^3 (y >= 0))",
+     "29f9fe43941113780de3192fec69b440d2f3eaa22b14423cdf3997c847be9f7b"),
+    ("rob", "C[0,20]^15 (x > 0)",
+     "ca33dc8099d978054b7e6911f0bac668f395c4aa19d281e445ba76a60a06c871"),
+    ("rob", "C[0,20]^4.5 (x > 0)",
+     "dbd582ff6be7a761eec220bcbb70b747d7a7aaa082726ee911cb310027f8f458"),
+    ("rob", "G[0,10] C[0,30]^25 (x >= -10)",
+     "99eca65ca3146108943eeba349a4b55325caefb9872a85f316ea0abbec18c844"),
+    ("rob", "F[0,5] G[0,8] (x > 0)",
+     "66f6914e891eb37e5d3deb53d08c068cab9d0cca9908ecbb9d3941c0e545cf0e"),
+    ("rob", "C[0,10]^6 (F[0,3] (x > 0))",
+     "0c12ed5a0b520b72ed35f6585141c0829bff17c514e9c99d1ca0e4946ec9f5f9"),
+    ("rob", "(x > 0) U[1,7] (y < 10)",
+     "d78b0be62a9922c3867603ff6a25c8efe4f3bca100a6f383624d30933375be4e"),
+    ("rob", "!C[0,15]^8 (x < 0)",
+     "25328ea573c47baf4e060296028858371620711fb3af426b90fae39cebd245eb"),
+    ("rob", "C[0,12]^7 ((x > 0) || (y < 0))",
+     "cc971b856e7b21e41b4cba1c23dda12fd588dbf72f75280ab61624cfceacec8d"),
+    ("rob", "G[0,20] (!(x > 0) && C[2,9]^3 (y <= 5))",
+     "4e2d19956f19ac7b82e6514666a22fa3fff5213778b7501177cee47487d77c65"),
+    ("rob", "C[0,40]^30 (x >= 0) && C[0,40]^10 (y <= 0)",
+     "82cdcbc64ce9d070c7af232e79623283054168547c8bfce2f5f554ea821cf281"),
+]
+
+
+@pytest.mark.parametrize("cmd,formula,digest", _PINNED)
+def test_output_bytes_are_pinned(cmd, formula, digest, tmp_path):
+    # recorded from the hull-walking suffix push and the text-mode signal
+    # readers: a faster walk or another reader must print the same bytes
+    assert _output_digest(cmd, formula, tmp_path) == digest
 
 
 def test_entry_point_freezes_import_time_objects():

@@ -179,6 +179,23 @@ class TestRefinement:
                 assert r.lb <= final <= r.ub
 
 
+class TestStateSize:
+    def test_state_past_the_limit_is_refused_before_any_array(
+            self, monkeypatch):
+        # 16 bytes per entry, 16 more per anchor of a suffix node: the
+        # rescan G's one entry, the inner G's 101 anchors and the atom's
+        # 50,101 entries
+        need = 16 + 32 * 101 + 16 * 50_101
+        f = parse("G[0,100] G[0,50000] (x > 0)")
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES", need)
+        MonitorState(f, X)
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES", need - 1)
+        with mock.patch.object(monitor.np, "full",
+                               side_effect=AssertionError("allocated")):
+            with pytest.raises(MemoryError, match="physical memory"):
+                MonitorState(f, X)
+
+
 class TestDecisions:
     def test_early_false(self):
         # eight leading nonpositive values leave at most 3 of the 7
@@ -514,6 +531,35 @@ class TestWalkBudget:
         # w - k + 1 = 162 samples before any anchor's B can move
         assert walked.get(9840, 0) == 0
 
+    def test_walk_past_sample_w_reads_the_changed_runs_not_their_hull(
+            self, monkeypatch):
+        # past sample W every anchor knows most of its window, and a push
+        # moves A on one run of anchors and B on another; walking each run
+        # alone reads about half of the hull that spans both
+        window = 2_000
+        sig, _ = overvoltage_trace(2 * window + 1, 0, over17=16, over14=14,
+                                   over13=130)
+        f = parse(overvoltage_formulas(window=window)["phi5"])
+        mon = MonitorState(f, ("v",))
+        runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        push = monitor._suffix_push
+
+        def counted(node, c, lo, hi):
+            if c > window:
+                runs.setdefault((node.k, c), []).append((lo, hi))
+            push(node, c, lo, hi)
+
+        monkeypatch.setattr(monitor, "_suffix_push", counted)
+        for row in sig.values:
+            v = mon.push_sample(row)
+            if v.decided:
+                break
+        assert (v.outcome, v.decided_at) == (True, 3_987)
+        walked = sum(hi - lo + 1 for got in runs.values() for lo, hi in got)
+        hull = sum(max(hi for _, hi in got) - min(lo for lo, _ in got) + 1
+                   for got in runs.values())
+        assert walked <= 0.6 * hull
+
     @pytest.mark.parametrize("text,sign", [("F[0,499] (x > 0)", -1.0),
                                            ("G[0,499] (x > 0)", 1.0)])
     def test_extremum_walks_only_at_a_new_record(self, monkeypatch, text,
@@ -624,3 +670,38 @@ class TestSeededWalk:
             for row in values:
                 if mon.push_sample(row).decided:
                     break
+
+    def test_seed_selection_keeps_the_first_tie_of_signed_zeros(self):
+        # C[0,9]^8 keeps its 3 smallest knowns.  At sample 7 the run is
+        # anchor 0, and its seed is 5, 1, -1, 0.0, -1, -0.0, 0.0 in walk
+        # order: more than 3 values, so the seed selects by partition.
+        # After -1, -1 the 3rd smallest is a zero tied three times in both
+        # signs; the insort walk keeps the first in arrival order, 0.0,
+        # which becomes anchor 0's B and upper bound.  Each row's margin of
+        # (x > 0) || (y < 0) is its key
+        row = {"+0": (0, 1), "-0": (-1, 0), "-1": (-1, 1), "1": (1, 1),
+               "5": (5, 1)}
+        margins = ["1", "+0", "-0", "-1", "+0", "-1", "1", "5"]
+        push = monitor._suffix_push
+        seeds = []
+
+        def both(node, c, lo, hi):
+            child = node.children[0]
+            seeds.append((c, lo, hi, child.lb[
+                hi + node.a + 1 - child.lo:c - child.lo + 1][::-1].tobytes()))
+            before = [getattr(node, f).copy() for f in _WALKED]
+            _insort_walk(node, c, lo, hi)
+            want = [getattr(node, f).tobytes() for f in _WALKED]
+            for f, arr in zip(_WALKED, before):
+                getattr(node, f)[:] = arr
+            push(node, c, lo, hi)
+            assert [getattr(node, f).tobytes() for f in _WALKED] == want
+
+        mon = MonitorState(parse("G[0,3] C[0,9]^8 ((x > 0) || (y < 0))"),
+                           XY)
+        with mock.patch.object(monitor, "_suffix_push", both):
+            for m in margins:
+                mon.push_sample(row[m])
+        seed = np.array([5.0, 1.0, -1.0, 0.0, -1.0, -0.0, 0.0])
+        assert seeds[-1] == (7, 0, 0, seed.tobytes())
+        assert math.copysign(1.0, mon.node_entries(1)[0].ub) == 1.0

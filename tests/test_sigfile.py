@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctstl import (MonitorEvent, Signal, open_signal_stream, read_signal_csv,
                    write_signal_csv)
 from ctstl import sigfile
-from ctstl.errors import SignalFormatError
+from ctstl.errors import SignalFormatError, UndecodableLine
 from ctstl.sigfile import samples_at_step
 
 
@@ -220,3 +220,41 @@ def test_csv_error_comes_after_the_errors_of_earlier_rows():
         with pytest.raises(SignalFormatError) as s:
             _via_stream(text, None)
         assert str(e.value) == str(s.value)
+
+
+class _Chunked(io.BytesIO):
+    """Bytes that arrive a few at a time, as a pipe may deliver them."""
+
+    def __init__(self, data: bytes, size: int):
+        super().__init__(data)
+        self.size = size
+
+    def read1(self, n=-1):
+        return super().read1(self.size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64])
+def test_binary_lines_end_as_text_mode_ends_them(size):
+    data = "é,x\r\n1,2\r3,4\n\n5,6\r".encode()
+    got = list(sigfile.Utf8Lines(_Chunked(data, size)))
+    assert got == list(io.StringIO(data.decode(), newline=""))
+    sig = read_signal_csv(_Chunked(data, size))
+    assert sig.names == ("é", "x")
+    assert sig.values.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+def test_a_bad_byte_already_read_is_refused_at_its_line():
+    # "x\n1\xc3" arrives first: the line "1" may end in a character not
+    # fully read yet, which is no error
+    lines = sigfile.Utf8Lines(_Chunked(b"x\n1\xc3\xa9\n", 4))
+    assert next(lines) == "x\n"
+    lines.check_read()
+    lines = sigfile.Utf8Lines(_Chunked(b"x\n1\n2\xff\n3\n", 64))
+    assert next(lines) == "x\n"
+    with pytest.raises(UndecodableLine, match="at line 3 "):
+        lines.check_read()
+    # read line by line, the lines before it come first
+    lines = sigfile.Utf8Lines(_Chunked(b"x\n1\n2\xff\n3\n", 64))
+    assert [next(lines), next(lines)] == ["x\n", "1\n"]
+    with pytest.raises(UndecodableLine, match="at line 3 "):
+        next(lines)
