@@ -19,6 +19,17 @@ in one ``(2, n)`` array ``iv``, lower bounds in row 0 and upper bounds in
 row 1 (``lb`` and ``ub`` are its row views), and each writer updates both
 bounds in one numpy expression.
 
+The arrays follow the stream, not the horizon: every node's arrays (a
+``suffix`` node's two order-statistic arrays too) hold its anchors below
+one shared sample capacity, ``_FIRST_CAPACITY`` at first.  No reach looks
+back (ra >= 0), so every anchor past the last sample still holds the
+node's ``init``.  A push that reaches the capacity doubles it: the arrays
+are copied into larger ones whose new part holds ``init`` (inf in the
+order-statistic arrays), and the steps are bound anew to them.  A reader
+past a child's arrays sees ``init`` there: an F or G rescan folds it into
+its min or max once, a middle-rank rescan and Until pad the window with
+it, and ``node_entries`` reports it for every anchor of the node's range.
+
 * an atom writes the sample's margin, computed and checked once per push
   by the shared contract, as one point entry;
 * ``neg`` and ``boolean`` recompute the whole span with vectorized
@@ -83,6 +94,8 @@ from .syntax import format_formula
 INF = math.inf
 # physical memory: the whole monitor state must fit in it
 _MAX_STATE_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# samples the node arrays hold before they first grow; they double after
+_FIRST_CAPACITY = 1024
 _NO_PREFIX = np.full((2, 1), INF)  # Until's left prefix min before d = 1
 
 
@@ -157,6 +170,8 @@ class _PrefixMonitor:
             f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
         self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
                         a.sign, a.rhs) for a in self._atom_pos]
+        for a in self._atom_pos:  # refuses a range with no finite value
+            atom_bounds(a, self.bounds)
 
     def _prefix(self) -> Signal:
         return Signal(self.names, np.array(self._rows), self.delta)
@@ -248,15 +263,28 @@ def _initial_entry(node: _Node, bounds) -> np.ndarray:
     return np.array((op(lo for lo, _ in kids), op(hi for _, hi in kids)))
 
 
-def _until_anchor(left: _Node, right: _Node, t: int,
-                  a: int, b: int) -> np.ndarray:
+def _entries(node: _Node, r: int, n: int) -> np.ndarray:
+    """The node's entries at positions r .. r+n-1 of its arrays, both
+    bounds; the anchors past its arrays hold ``init``."""
+    x = node.iv[:, r:r + n]
+    if x.shape[1] < n:
+        x = np.hstack((x, np.repeat(node.init[:, None], n - x.shape[1], 1)))
+    return x
+
+
+def _until_anchor(left: _Node, right: _Node, t: int, a: int, b: int,
+                  past: bool) -> np.ndarray:
     """Anchor t's interval: the max over d in a..b of min(right[t+d],
-    left[t .. t+d-1]), both bounds at once."""
-    ls = t - left.lo
-    pm = np.minimum.accumulate(left.iv[:, ls:ls + b], axis=1)
+    left[t .. t+d-1]), both bounds at once; ``past`` when it reads past
+    a child's arrays."""
+    ls, rs = t - left.lo, t - right.lo + a
+    if past:
+        lx, rx = _entries(left, ls, b), _entries(right, rs, b - a + 1)
+    else:
+        lx, rx = left.iv[:, ls:ls + b], right.iv[:, rs:rs + b - a + 1]
+    pm = np.minimum.accumulate(lx, axis=1)
     pm = pm[:, a - 1:] if a >= 1 else np.hstack((_NO_PREFIX, pm))
-    rs = t - right.lo
-    return np.minimum(right.iv[:, rs + a:rs + b + 1], pm).max(1)
+    return np.minimum(rx, pm).max(1)
 
 
 def _changed_span(node: _Node, c: int, lo: int,
@@ -417,17 +445,28 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
     else:
         a, b = node.a, node.b = form.span
         if isinstance(form, Until):
+            # anchors past tmax read past a child's arrays
+            tmax = min(llo + liv.shape[1] - b, rlo + riv.shape[1] - 1 - b)
+
             def anchor(t):
-                return _until_anchor(left, right, t, a, b)
+                return _until_anchor(left, right, t, a, b, t > tmax)
         else:
             w = b - a + 1
             node.k = (form.order if isinstance(form, Cumulative)
                       else 1 if isinstance(form, Eventually) else w)
             j = w - node.k
+            cn, cinit = civ.shape[1], child.init
+            # F or G: the child's anchors past its arrays hold init, which
+            # joins the window's min or max once
+            fold = np.minimum if j == 0 else np.maximum
 
             def anchor(t):
                 q = t + a - clo
-                return _rank_value(civ[:, q:q + w], j)
+                if q + w <= cn:
+                    return _rank_value(civ[:, q:q + w], j)
+                if 0 < j < w - 1:
+                    return _rank_value(_entries(child, q, w), j)
+                return fold(cinit, fold.reduce(civ[:, q:], 1))
 
         if not _is_suffix(form):
             def write(i, s, e):  # rescan
@@ -437,10 +476,6 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
                         iv[:, r] = anchor(t)
                 return s, e
         else:
-            # -A and B of every anchor: none known yet
-            node.neg_above = np.full(len(lb), INF)
-            node.below = np.full(len(lb), INF)
-
             def write(i, s, e):  # suffix
                 # over a point-valued child, sample i changes child
                 # anchor i alone; the parent reads the runs' hull
@@ -484,8 +519,10 @@ class MonitorState(_PrefixMonitor):
 
         Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
         and each push stores a step's span at the node's post-order
-        position in ``_spans``.  The state's size, 16 bytes per entry and
-        16 more per anchor of a ``suffix`` node, is checked first.
+        position in ``_spans``.  The state's size over the whole horizon,
+        16 bytes per entry and 16 more per anchor of a ``suffix`` node, is
+        checked first, though the arrays start at ``_FIRST_CAPACITY``
+        samples.
         """
         ranges = node_horizons(self.formula)
         need = sum(16 * max(hi - lo + 1, 0) * (1 + _is_suffix(form))
@@ -497,7 +534,7 @@ class MonitorState(_PrefixMonitor):
                 f"{_MAX_STATE_BYTES / 2**30:.3g} GiB of physical memory")
         pre: list[_Node] = []
         spans: list[tuple[int, int] | None] = []
-        plan = []
+        wiring = []
 
         def build(form: Formula) -> tuple[_Node, int]:
             node = _Node(form, *ranges[len(pre)])
@@ -506,23 +543,52 @@ class MonitorState(_PrefixMonitor):
                     for child, ra, rb in _reach(form)]
             node.children = [child for child, _, _, _ in kids]
             node.init = _initial_entry(node, self.bounds)
-            size = max(node.hi - node.lo + 1, 0)
-            node.iv = np.full((2, size), node.init[:, None])
+            node.iv = np.empty((2, 0))
             node.lb, node.ub = node.iv
+            # a suffix node's -A and B of every anchor
+            node.neg_above = node.below = (
+                np.empty(0) if _is_suffix(form) else None)
             p = len(spans)
             spans.append(None)
-            if size:
-                plan.append((p, _make_step(
-                    node, [(cp, ra, rb) for _, cp, ra, rb in kids], spans,
-                    self._atom_pos)))
+            if node.lo <= node.hi:
+                wiring.append(
+                    (p, node, [(cp, ra, rb) for _, cp, ra, rb in kids]))
             return node, p
 
         build(self.formula)
-        self._pre, self._spans, self._plan = pre, spans, plan
+        self._pre, self._spans, self._wiring = pre, spans, wiring
+        self._grow(_FIRST_CAPACITY)
+
+    def _grow(self, cap: int) -> None:
+        """Size every node's arrays to its anchors below ``cap`` and bind
+        the steps anew.
+
+        No anchor past the last sample has moved from ``init`` (every reach
+        has ra >= 0), so the new entries hold ``init`` and the frontier
+        arrays inf.  A push grows the arrays, doubling ``cap``, before it
+        reaches an anchor at ``cap``.
+        """
+        self._cap = cap
+        for node in self._pre:
+            size = max(min(node.hi + 1, cap) - node.lo, 0)
+            n = node.iv.shape[1]
+            if size > n:
+                iv = np.empty((2, size))
+                iv[:, :n], iv[:, n:] = node.iv, node.init[:, None]
+                node.iv = iv
+                node.lb, node.ub = iv
+                if node.below is not None:
+                    node.neg_above, node.below = (
+                        np.concatenate((x, np.full(size - n, INF)))
+                        for x in (node.neg_above, node.below))
+        self._plan = [(p, _make_step(node, kids, self._spans, self._atom_pos))
+                      for p, node, kids in self._wiring]
 
     # -- update pass --------------------------------------------------
 
     def _root(self, i: int, ys: list[float]) -> RoSI:
+        if i == self._cap:  # samples come one at a time
+            self._grow(2 * i)
         spans = self._spans
         for p, step in self._plan:
             spans[p] = step(i, ys)
@@ -541,8 +607,12 @@ class MonitorState(_PrefixMonitor):
         if not 0 <= nid < len(self._pre):
             raise KeyError(nid)
         node = self._pre[nid]
-        return {t: RoSI(lb, ub)
-                for t, (lb, ub) in enumerate(node.iv.T.tolist(), node.lo)}
+        out = {t: RoSI(lb, ub)
+               for t, (lb, ub) in enumerate(node.iv.T.tolist(), node.lo)}
+        # the anchors past the node's arrays hold init
+        out.update(dict.fromkeys(range(node.lo + len(out), node.hi + 1),
+                                 RoSI(*node.init.tolist())))
+        return out
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
@@ -555,6 +625,9 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
     """
     f = validate(f, prefix.names, prefix.delta)
     bounds = check_bounds(bounds, prefix.names)
+    for _, node in iter_nodes(f):  # refuses a range with no finite value
+        if isinstance(node, Atom):
+            atom_bounds(node, bounds)
     n = len(prefix)
     rows = [tuple(float(v) for v in prefix.values[j]) for j in range(n)]
     name_to_col = {name: j for j, name in enumerate(prefix.names)}

@@ -85,7 +85,9 @@ def atom_bounds(atom: Atom,
 
     Variables missing from var_bounds are unbounded.  Plain interval
     arithmetic over the affine form; exact because each variable appears
-    once per atom after canonicalization.
+    once per atom after canonicalization.  A range that overflows to no
+    finite value (a NaN end, lo = inf or hi = -inf) fits no sample whose
+    margin is finite, and raises ParamOutOfRange.
     """
     lo = 0.0
     hi = 0.0
@@ -101,7 +103,12 @@ def atom_bounds(atom: Atom,
         lo += min(a, b)
         hi += max(a, b)
     shift = -atom.sign * atom.rhs
-    return lo + shift, hi + shift
+    lo, hi = lo + shift, hi + shift
+    if not (lo <= hi and lo < math.inf and hi > -math.inf):
+        raise ParamOutOfRange(
+            f"atom {format_formula(atom)} has no finite margin within the "
+            f"bounds: its range is [{lo}, {hi}]")
+    return lo, hi
 
 
 def check_bounds(var_bounds: Mapping[str, Bounds] | None,

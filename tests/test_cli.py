@@ -339,6 +339,17 @@ class TestBadInput:
                        "x\n1\n", "out of memory",
                        id=f"monitor-state-beyond-numpy-{b}")
           for b in ("2e18", "1e300")),
+        # bounds under which every sample overflows the atom's margin: the
+        # range [nan, inf] ended in a traceback, [inf, inf] in a verdict
+        pytest.param(["monitor", "--formula",
+                      "G[0,2] (1e308*x - 1e308*y > 0)", "--bounds",
+                      "x=10:20", "-"], "x,y\n",
+                     "no finite margin within the bounds",
+                     id="monitor-bounds-overflow-nan"),
+        pytest.param(["monitor", "--formula", "F[0,2] (1e308*x > 0)",
+                      "--bounds", "x=10:20", "-"], "x\n",
+                     "no finite margin within the bounds",
+                     id="monitor-bounds-overflow-inf"),
         # a state too large to count in floats
         pytest.param(["monitor", "--formula", "F[0,1e308] F[0,1e308] (x > 0)",
                       "-"], "x\n1\n", "out of memory",
@@ -727,6 +738,30 @@ def test_entry_point_freezes_import_time_objects():
     assert run_cli(["eval", "--formula", "x > 0", "-"],
                    stdin_text="x\n1\n")[:2] == (0, "true\n")
     assert gc.get_freeze_count() == before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the child's VmHWM from /proc")
+def test_monitor_memory_follows_the_stream_not_the_horizon():
+    # both decide at sample 0; F[0,1e7]'s atom has 10,000,001 anchors, of
+    # which the arrays hold the first capacity until samples arrive
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys\n"
+            "from ctstl.cli import main\n"
+            "code = main(['monitor', '--formula', sys.argv[1], '-'])\n"
+            "with open('/proc/self/status', encoding='ascii') as fh:\n"
+            "    peak = [ln for ln in fh if ln.startswith('VmHWM:')]\n"
+            "print(code, peak[0].split()[1])\n")
+    peaks = []
+    for formula in ("F[0,10] (x > 0)", "F[0,1e7] (x > 0)"):
+        proc = subprocess.run([sys.executable, "-c", code, formula],
+                              input="x\n1\n", capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code_, kib = proc.stdout.splitlines()[-1].split()
+        assert code_ == "0"
+        peaks.append(int(kib))
+    assert peaks[1] - peaks[0] <= 5 * 1024, peaks
 
 
 def test_benchmark_traced_child_runs(tmp_path):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case
@@ -196,6 +196,41 @@ class TestStateSize:
                 MonitorState(f, X)
 
 
+    def test_arrays_hold_the_first_capacity_not_the_horizon(self):
+        # F[0,1e7] decides at sample 0 and the benchmark's W=10,000 stream
+        # at sample 100, long before either outgrows the first capacity
+        cap = monitor._FIRST_CAPACITY
+        mon = MonitorState(parse("F[0,10000000] (x > 0)"), X)
+        assert max(_held_bytes(mon)) <= 32 * cap
+        assert mon.push_sample([1.0]).decided_at == 0
+        assert max(_held_bytes(mon)) <= 32 * cap
+
+        window, s = 10_000, 100
+        head, _ = overvoltage_trace(s, 0, over17=17, spread=s)
+        tail, _ = overvoltage_trace(2 * window + 1 - s, 1, over17=1,
+                                    spread=1)
+        mon = MonitorState(
+            parse(overvoltage_formulas(window=window)["phi5"]), ("v",))
+        held = _held_bytes(mon)
+        assert max(held) <= 32 * cap
+        for row in np.vstack([head.values, tail.values]):
+            if mon.push_sample(row).decided:
+                break
+        assert mon.verdict.decided_at == s
+        assert _held_bytes(mon) == held
+        # the entries past the arrays are reported all the same
+        assert len(mon.node_entries(len(held) - 1)) == 2 * window + 1
+
+
+def _held_bytes(mon):
+    """Bytes in each node's arrays: its entries and a suffix node's -A and
+    B frontiers."""
+    return [node.iv.nbytes + sum(x.nbytes for x in (node.neg_above,
+                                                    node.below)
+                                 if x is not None)
+            for node in mon._pre]
+
+
 class TestDecisions:
     def test_early_false(self):
         # eight leading nonpositive values leave at most 3 of the 7
@@ -256,6 +291,23 @@ class TestDecisions:
         with pytest.raises(error):
             NaiveMonitor(f, X, bounds=bounds)
         with pytest.raises(error):
+            rosi_naive(f, prefix, bounds=bounds)
+
+    @pytest.mark.parametrize("text,bounds", [
+        ("G[0,2] (1e308*x - 1e308*y > 0)", {"x": (10.0, 20.0)}),  # [nan, inf]
+        ("F[0,2] (1e308*x > 0)", {"x": (10.0, 20.0)}),  # [inf, inf]
+        ("F[0,2] (-1e308*x > 0)", {"x": (10.0, 20.0)}),  # [-inf, -inf]
+    ])
+    def test_atom_range_with_no_finite_value_is_refused(self, text, bounds):
+        # every sample inside these bounds overflows the atom's margin, so
+        # no verdict may rest on the overflowed range
+        f = validate(parse(text), XY)
+        prefix = Signal(XY, np.empty((0, 2)), 1.0)
+        with pytest.raises(ParamOutOfRange, match="no finite margin"):
+            MonitorState(f, XY, bounds=bounds)
+        with pytest.raises(ParamOutOfRange, match="no finite margin"):
+            NaiveMonitor(f, XY, bounds=bounds)
+        with pytest.raises(ParamOutOfRange, match="no finite margin"):
             rosi_naive(f, prefix, bounds=bounds)
 
     @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
@@ -411,6 +463,74 @@ class TestPerNodeOracle:
         text, bounds, values = case
         f = validate(parse(text), XY)
         mon = MonitorState(f, XY, bounds=bounds)
+        for i, row in enumerate(values):
+            if mon.verdict.decided:
+                break
+            mon.push_sample(row)
+            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
+            for nid, node in mon.node_ids():
+                for t, got in mon.node_entries(nid).items():
+                    assert got == rosi_naive(node, prefix, t, bounds), \
+                        (text, bounds, i, nid, t)
+
+
+@st.composite
+def _growth_cases(draw):
+    """Parents that read past a child's arrays while the arrays grow from
+    one sample: F, G and every rank of C over a refining child, Until with
+    b > 0 on either side of one, and && over children of different
+    horizons; half the time under bounds whose 0.0 end ties the -0.0
+    margin of x < 0 at x = 0."""
+    def atom():
+        return draw(st.sampled_from(("x > 0", "x < 0", "y >= 0",
+                                     "x + y < 1")))
+
+    def span():
+        a = draw(st.integers(0, 3))
+        return a, a + draw(st.integers(1, 6))
+
+    def ranked(child):
+        a, b = span()
+        kind = draw(st.sampled_from("FGCC"))
+        if kind != "C":
+            return f"{kind}[{a},{b}] ({child})"
+        return f"C[{a},{b}]^{draw(st.integers(1, b - a + 1))} ({child})"
+
+    a, b = span()
+    refining = draw(st.sampled_from(
+        [ranked(atom()), f"({atom()}) U[{a},{b}] ({atom()})"]))
+    a, b = span()
+    text = draw(st.sampled_from([
+        ranked(refining),
+        f"({atom()}) U[{a},{b}] ({refining})",
+        f"({refining}) U[{a},{b}] ({atom()})",
+        f"G[0,{b}] (({refining}) && ({atom()}))",
+    ]))
+    bounds = draw(st.sampled_from(
+        [None, {"x": (0, 2), "y": (-2, 0)}, {"x": (-1, 3)}]))
+    values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=10, max_size=30))
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+              for row in values]
+    return text, bounds, values
+
+
+class TestGrowth:
+    @given(_growth_cases())
+    @example(("G[0,3] (F[0,1] (x < 0))", {"x": (0, 2)}, [(0, 0)] * 6))
+    @example(("C[0,4]^3 (F[0,1] (x < 0))", {"x": (0, 2)}, [(0, 0)] * 6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_entry_matches_rosi_naive_as_the_arrays_grow(self, case):
+        # from a capacity of one sample every push past a power of two
+        # grows the arrays, and every parent window reaches past them.
+        # (text || A) && A, with A the atom x > 0 at sample 40, keeps the
+        # root open through the stream, so every push runs every step
+        text, bounds, values = case
+        f = validate(parse(f"(({text}) || G[40,40] (x > 0)) && "
+                           "G[40,40] (x > 0)"), XY)
+        with mock.patch.object(monitor, "_FIRST_CAPACITY", 1):
+            mon = MonitorState(f, XY, bounds=bounds)
         for i, row in enumerate(values):
             if mon.verdict.decided:
                 break
