@@ -170,8 +170,6 @@ class _PrefixMonitor:
             f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
         self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
                         a.sign, a.rhs) for a in self._atom_pos]
-        for a in self._atom_pos:  # refuses a range with no finite value
-            atom_bounds(a, self.bounds)
 
     def _prefix(self) -> Signal:
         return Signal(self.names, np.array(self._rows), self.delta)
@@ -270,6 +268,15 @@ def _entries(node: _Node, r: int, n: int) -> np.ndarray:
     if x.shape[1] < n:
         x = np.hstack((x, np.repeat(node.init[:, None], n - x.shape[1], 1)))
     return x
+
+
+def _extended(x: np.ndarray, size: int, fill) -> np.ndarray:
+    """A copy of x lengthened to ``size`` along its last axis, the new
+    part holding ``fill``."""
+    n = x.shape[-1]
+    y = np.empty((*x.shape[:-1], size))
+    y[..., :n], y[..., n:] = x, fill
+    return y
 
 
 def _until_anchor(left: _Node, right: _Node, t: int, a: int, b: int,
@@ -445,7 +452,8 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
     else:
         a, b = node.a, node.b = form.span
         if isinstance(form, Until):
-            # anchors past tmax read past a child's arrays
+            # anchors past tmax read past a child's arrays; the others
+            # take plain slices, which is measurably faster on psi_rec
             tmax = min(llo + liv.shape[1] - b, rlo + riv.shape[1] - 1 - b)
 
             def anchor(t):
@@ -522,7 +530,8 @@ class MonitorState(_PrefixMonitor):
         position in ``_spans``.  The state's size over the whole horizon,
         16 bytes per entry and 16 more per anchor of a ``suffix`` node, is
         checked first, though the arrays start at ``_FIRST_CAPACITY``
-        samples.
+        samples.  The check bounds the final state: while a growth step
+        copies a node, that node's old arrays are held as well.
         """
         ranges = node_horizons(self.formula)
         need = sum(16 * max(hi - lo + 1, 0) * (1 + _is_suffix(form))
@@ -566,21 +575,19 @@ class MonitorState(_PrefixMonitor):
         No anchor past the last sample has moved from ``init`` (every reach
         has ra >= 0), so the new entries hold ``init`` and the frontier
         arrays inf.  A push grows the arrays, doubling ``cap``, before it
-        reaches an anchor at ``cap``.
+        reaches an anchor at ``cap``.  The old steps, which hold the old
+        arrays, go first, so each node's old arrays are freed as soon as
+        its new ones are filled.
         """
-        self._cap = cap
+        self._cap, self._plan = cap, []
         for node in self._pre:
             size = max(min(node.hi + 1, cap) - node.lo, 0)
-            n = node.iv.shape[1]
-            if size > n:
-                iv = np.empty((2, size))
-                iv[:, :n], iv[:, n:] = node.iv, node.init[:, None]
-                node.iv = iv
-                node.lb, node.ub = iv
+            if size > node.iv.shape[1]:
+                node.iv = _extended(node.iv, size, node.init[:, None])
+                node.lb, node.ub = node.iv
                 if node.below is not None:
-                    node.neg_above, node.below = (
-                        np.concatenate((x, np.full(size - n, INF)))
-                        for x in (node.neg_above, node.below))
+                    node.neg_above = _extended(node.neg_above, size, INF)
+                    node.below = _extended(node.below, size, INF)
         self._plan = [(p, _make_step(node, kids, self._spans, self._atom_pos))
                       for p, node, kids in self._wiring]
 

@@ -718,6 +718,29 @@ def test_output_bytes_are_pinned(cmd, formula, digest, tmp_path):
     assert _output_digest(cmd, formula, tmp_path) == digest
 
 
+@pytest.mark.parametrize("formula,digest", [
+    ("G[0,1100] (F[0,1] (x < 0))",
+     "903d363d04aa58ddc1913f1ad7565e12e77ccb7c8b52feb9d4ffdf410c3b9d5c"),
+    ("F[0,1100] (G[0,1] (x > 0))",
+     "723f77c4b26783cc40a5300f22a055ff9f4bcbf4d4e2e0de588e9bddebac21da"),
+])
+def test_output_past_the_first_capacity_is_pinned(formula, digest, tmp_path):
+    # the outer window reads past its child's arrays until they grow at
+    # sample 1,024; under x=0:2 a zero sample's -0.0 or 0.0 ties with the
+    # other zero at the end of the child's initial entry.  Recorded from
+    # the monitor that allocated every node's whole range before sample 0.
+    assert monitor._FIRST_CAPACITY == 1024
+    sig = tmp_path / "zeros.csv"
+    sig.write_text("x\n" + "0\n" * 1030, encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(["monitor", "--run-to-end", "--trace", str(trace),
+                            "--bounds", "x=0:2", "--formula", formula,
+                            str(sig)])
+    got = hashlib.sha256(f"{code}\n{out}".encode())
+    got.update(trace.read_bytes())
+    assert got.hexdigest() == digest
+
+
 def test_entry_point_freezes_import_time_objects():
     # `python -m ctstl.cli` keeps what its imports left out of later
     # garbage collections; main(), which tests call in process, does not
