@@ -76,9 +76,13 @@ def _read_signal(args):
         return read_signal_csv(fh, delta=args.step)
 
 
+# Each command parses its formula before it reads the signal, so a bad
+# formula fails at once; validation needs the signal's header and step.
+
 def cmd_eval(args) -> int:
+    f = parse(_formula_text(args))
     sig = _read_signal(args)
-    f = validate(parse(_formula_text(args)), sig.names, sig.delta)
+    f = validate(f, sig.names, sig.delta)
     ok = _sweep_at(f, sig, _sample_index(args.at, sig.delta),
                    boolean=True) > 0
     print("true" if ok else "false")
@@ -86,8 +90,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rob(args) -> int:
+    f = parse(_formula_text(args))
     sig = _read_signal(args)
-    f = validate(parse(_formula_text(args)), sig.names, sig.delta)
+    f = validate(f, sig.names, sig.delta)
     if args.sweep:
         rho = robustness_trace(f, sig)
         print("t,rho")
@@ -109,6 +114,7 @@ def _trace_rows(mon: MonitorState, i: int, out) -> None:
 def cmd_monitor(args) -> int:
     from .monitor import MonitorState
 
+    f = parse(_formula_text(args))
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(_open_source(args.signal))
         trace_fh = stack.enter_context(
@@ -116,7 +122,7 @@ def cmd_monitor(args) -> int:
         lines = Utf8Lines(fh)
         names, has_time, rows = open_signal_stream(lines)
         delta, samples = samples_at_step(has_time, rows, args.step)
-        mon = MonitorState(parse(_formula_text(args)), names, delta=delta,
+        mon = MonitorState(f, names, delta=delta,
                            bounds=_parse_bounds(args.bounds))
         out = sys.stdout
         for i, vals in enumerate(samples):

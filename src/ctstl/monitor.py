@@ -147,7 +147,8 @@ class _PrefixMonitor:
 
     A subclass computes the root interval after each sample in
     ``_root(i, ys)``, where ``ys`` holds the sample's atom margins, and sets
-    the verdict before any sample; once the verdict is decided, further
+    the verdict before any sample; a root returned as the same object as
+    the verdict's keeps the verdict.  Once the verdict is decided, further
     samples are counted but not evaluated.  Every sample is checked first,
     even after the verdict: it must be finite, inside its variable's
     declared bounds, and give every atom a finite margin (finite samples
@@ -178,7 +179,7 @@ class _PrefixMonitor:
         """Consume one sample vector; returns the (possibly new) verdict."""
         if len(x) != len(self.names):
             raise ArityMismatch(len(self.names), len(x))
-        row = tuple(float(v) for v in x)
+        row = tuple(map(float, x))
         if not all(map(math.isfinite, row)):
             raise ValueError("signal samples must be finite")
         # bounds promise every sample's range; a verdict may rest on them
@@ -203,7 +204,9 @@ class _PrefixMonitor:
             self._rows.append(row)
         if self.verdict.decided:
             return self.verdict
-        self.verdict = _judge(self._root(i, ys), decided_at=i)
+        root = self._root(i, ys)
+        if root is not self.verdict.rosi:  # an unchanged root keeps it
+            self.verdict = _judge(root, decided_at=i)
         return self.verdict
 
     def finalize(self) -> Verdict:
@@ -316,12 +319,11 @@ def _changed_span(node: _Node, c: int, lo: int,
     for rank, keys, v in ((node.k, node.neg_above, -x),
                           (w - node.k + 1, node.below, x)):
         end = min(hi, top - rank)
-        if end < lo:
+        # keys rise with t: none above v at end means none in lo..end
+        if end < lo or keys[end - node.lo] <= v:
             continue
-        start = lo + int(np.searchsorted(
-            keys[lo - node.lo:end - node.lo + 1], v, "right"))
-        if start <= end:
-            runs.append((start, end))
+        runs.append((lo + int(keys[lo - node.lo:end - node.lo + 1]
+                              .searchsorted(v, "right")), end))
     runs.sort()
     if len(runs) == 2 and runs[1][0] <= runs[0][1] + 1:
         runs = [(runs[0][0], max(runs[0][1], runs[1][1]))]
@@ -426,7 +428,7 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
         def atom(i, ys):
             if not lo <= i <= hi:
                 return None
-            iv[:, i - lo] = ys[q]
+            lb[i - lo] = ub[i - lo] = ys[q]
             return i, i
 
         return atom
@@ -603,8 +605,16 @@ class MonitorState(_PrefixMonitor):
 
     # -- inspection ---------------------------------------------------
 
+    _rosi = RoSI(0.0, 0.0)  # the last root; being zero, this one is not kept
+
     def root_rosi(self) -> RoSI:
-        return RoSI(*self._pre[0].iv[:, 0].tolist())
+        """The root interval; the same object while both bounds stay
+        equal and nonzero (an equal zero may have changed its sign)."""
+        lb, ub = self._pre[0].iv[:, 0].tolist()
+        r = self._rosi
+        if lb != r.lb or ub != r.ub or not lb or not ub:
+            r = self._rosi = RoSI(lb, ub)
+        return r
 
     def node_ids(self) -> list[tuple[int, Formula]]:
         return [(nid, node.form) for nid, node in enumerate(self._pre)]

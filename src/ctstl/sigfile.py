@@ -25,8 +25,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -344,9 +343,11 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-@dataclass(frozen=True)
-class MonitorEvent:
-    """One line of monitor output: sample index, root interval, verdict."""
+class MonitorEvent(NamedTuple):
+    """One line of monitor output: sample index, root interval, verdict.
+
+    A named tuple, which builds several times faster than a frozen
+    dataclass; ``ctstl monitor`` builds one per row."""
 
     i: int
     lb: float

@@ -24,7 +24,7 @@ from conftest import formula_texts
 from ctstl import Signal, horizon, parse, validate, write_signal_csv
 from ctstl import cli, monitor, sigfile
 from ctstl.cli import main
-from ctstl.generators import overvoltage_formulas
+from ctstl.generators import overvoltage_formulas, overvoltage_trace
 from ctstl.logic import _fmt_num
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -739,6 +739,74 @@ def test_output_past_the_first_capacity_is_pinned(formula, digest, tmp_path):
     got = hashlib.sha256(f"{code}\n{out}".encode())
     got.update(trace.read_bytes())
     assert got.hexdigest() == digest
+
+
+@pytest.mark.parametrize("bounds,digest", [
+    ([], "00664eeb51456d9c32c1e2d5beb678873c203f38f6fcd26f1416eb61ac5c74ba"),
+    (["--bounds", "v=0:2"], "7149c0d66c7bf200107a483f0f99035b388a6faa367787a0117b04a52b94a28c"),
+], ids=["unbounded", "bounded"])
+def test_paper_scale_stream_bytes_are_pinned(bounds, digest, tmp_path):
+    # TestWalkBudget's W=10,000 phi5 stream, to its verdict at sample 100;
+    # every sample lies in 0..2.  Recorded from the monitor that built a
+    # new verdict and event dataclass on every push.
+    window, s = 10_000, 100
+    head, _ = overvoltage_trace(s, 0, over17=17, spread=s)
+    tail, _ = overvoltage_trace(2 * window + 1 - s, 1, over17=1, spread=1)
+    rows = np.vstack([head.values, tail.values[:1]])
+    assert 0 <= rows.min() and rows.max() <= 2
+    sig = tmp_path / "paper.csv"
+    with open(sig, "w", encoding="utf-8", newline="") as fh:
+        write_signal_csv(fh, Signal(("v",), rows))
+    code, out, _ = run_cli(["monitor", *bounds, "--formula",
+                            overvoltage_formulas(window=window)["phi5"],
+                            str(sig)])
+    assert (code, len(out.splitlines())) == (1, s + 1)
+    got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == digest
+
+
+# x >= 0 gives 0.0 at x = 0 and x <= 0 gives -0.0, so under x=0:1 a root
+# bound moves between the two zeros while its value stays equal
+ZERO_SIGN_FORMULA = \
+    "(x <= 0) || G[0,8] (x >= 0.5) || F[0,8] ((x >= 0) && (x <= 0))"
+ZERO_SIGN_ROWS = [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("formula,rows,digest", [
+    (ZERO_SIGN_FORMULA, ZERO_SIGN_ROWS, "85529591694424a62f9d6131cadd5c219b6997fea2a0d7a0fcdfa2ad6b8de0ae"),
+    ("F[0,6] ((x >= 0) && (x <= 0)) || G[0,6] ((x >= 0) && (x <= 0))",
+     [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0], "e87004f5dc8ad17782d78a2162859dddaabaa3eb72cb69fddfc57352271c3bb9"),
+])
+def test_zero_sign_of_the_root_is_pinned(formula, rows, digest):
+    # an equal root of another zero sign prints anew: recorded from the
+    # monitor that built a new verdict on every push
+    code, out, _ = run_cli(
+        ["monitor", "--run-to-end", "--bounds", "x=0:1", "--formula",
+         formula, "-"], stdin_text="x\n" + "".join(f"{x}\n" for x in rows))
+    zeros = {line.split(", ")[2] for line in out.splitlines()}
+    assert {'"ub": 0.0', '"ub": -0.0'} <= zeros
+    got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])
+def test_bad_formula_fails_before_the_signal_is_read(cmd):
+    # stdin stays open and no byte arrives: the parse error must not wait
+    # for the signal
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctstl.cli", cmd, "--formula", "F[0,", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        code = proc.wait(timeout=30)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        for fh in (proc.stdin, proc.stdout, proc.stderr):
+            fh.close()
+    assert code == 2
+    assert err.startswith("error: unexpected end of input at offset 4")
 
 
 def test_entry_point_freezes_import_time_objects():

@@ -258,6 +258,30 @@ class TestDecisions:
                            bounds={"x": (-3.0, 2.0)})
         assert mon.root_rosi() == naive
 
+    def test_unchanged_root_keeps_its_verdict(self):
+        # a push that leaves both root bounds as they were, neither zero,
+        # returns the same verdict; one that moves a bound, or leaves a
+        # zero that may have changed its sign, returns a new one
+        f = parse("(x <= 0) || G[0,8] (x >= 0.5) "
+                  "|| F[0,8] ((x >= 0) && (x <= 0))")
+        mon = MonitorState(f, X, bounds={"x": (0.0, 1.0)})
+        seen = set()
+        for x in [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]:
+            prev = mon.verdict
+            v = mon.push_sample([x])
+            was, now = prev.rosi, v.rosi
+            # root_rosi keeps its object on the same terms
+            assert (mon.root_rosi() is now) == (0 not in (now.lb, now.ub))
+            if (was.lb, was.ub) != (now.lb, now.ub):
+                kind = "moved"
+            elif 0 in (now.lb, now.ub):
+                kind = "zero" if str(was) == str(now) else "zero sign"
+            else:
+                kind = "kept"
+            assert (v is prev) == (kind == "kept"), (x, kind)
+            seen.add(kind)
+        assert seen == {"moved", "zero", "zero sign", "kept"}
+
     def test_finalize_point_and_zero(self):
         f = parse("F[0,3] (x > 1)")
         mon = MonitorState(f, X)
