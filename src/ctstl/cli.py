@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -21,8 +20,8 @@ from .sigfile import (MonitorEvent, Utf8Lines, open_signal_stream,
                       write_signal_csv)
 from .syntax import parse
 
-# The monitor, the generators and the benchmark are imported by the
-# commands that use them, so that a batch command does not pay for them.
+# The monitor, the generators, the benchmark and json are imported by the
+# commands that use them, so that no other command pays for them.
 if TYPE_CHECKING:
     from .monitor import MonitorState
 
@@ -144,6 +143,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import json
+
     from .generators import glucose_trace, overvoltage_trace
 
     if args.scenario == "overvoltage":
@@ -163,6 +164,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import json
+
     from . import bench as benchmod
 
     print(json.dumps(benchmod.bench_kth(

@@ -131,8 +131,10 @@ Formula = Union[Atom, Not, And, Or, Until, Eventually, Always, Cumulative]
 
 
 def _fmt_num(x: float) -> str:
+    """An integral value below 1e16 in magnitude without a fraction, any
+    other by ``repr`` (so a huge integral value keeps its exponent)."""
     x = float(x)
-    if math.isfinite(x) and x == int(x):
+    if -1e16 < x < 1e16 and x == int(x):
         return str(int(x))
     return repr(x)
 

@@ -40,12 +40,14 @@ it, and ``node_entries`` reports it for every anchor of the node's range.
   every affected anchor knows a suffix of the child trace and pads the
   rest, so its entry follows from two order statistics of what it knows,
   kept per anchor in two arrays.  Each array is monotone in the anchor, so
-  a new sample changes them on one run of anchors each, found by
-  bisection; per run, a selection of the values above it seeds a capped
-  sorted list and one walk recomputes just its anchors, with no list for
-  a statistic still infinite there.  Over a refining child (``rescan``)
-  each open anchor's window is re-partitioned, or scanned for its
-  minimum or maximum when the rank is the first or the last;
+  a new sample changes them on one run of anchors each.  The step's
+  writer finds the runs by bisection, and skips the push while no anchor
+  knows enough samples for either statistic; per run, a selection of the
+  values above it seeds a capped sorted list and one walk over plain
+  floats recomputes just its anchors, with no list for a statistic still
+  infinite there.  Over a refining child (``rescan``) each open anchor's
+  window is re-partitioned, or scanned for its minimum or maximum when
+  the rank is the first or the last;
 * Until rescans each open anchor's windows directly, in the same loop.
   Rescans are exact for any child because a node's ``iv`` always holds
   the current interval, pads included; a settled (point) entry never moves.
@@ -183,12 +185,13 @@ class _PrefixMonitor:
         if not all(map(math.isfinite, row)):
             raise ValueError("signal samples must be finite")
         # bounds promise every sample's range; a verdict may rest on them
-        for name, (lo, hi) in self.bounds.items():
-            v = row[self.names.index(name)]
-            if not lo <= v <= hi:
-                raise ParamOutOfRange(
-                    f"sample {self.i} has {name}={v}, outside its bounds "
-                    f"{name}={lo}:{hi}")
+        if self.bounds:
+            for name, (lo, hi) in self.bounds.items():
+                v = row[self.names.index(name)]
+                if not lo <= v <= hi:
+                    raise ParamOutOfRange(
+                        f"sample {self.i} has {name}={v}, outside its "
+                        f"bounds {name}={lo}:{hi}")
         ys = []
         for atom, terms, sign, rhs in self._atoms:
             acc = 0.0
@@ -297,47 +300,15 @@ def _until_anchor(left: _Node, right: _Node, t: int, a: int, b: int,
     return np.minimum(rx, pm).max(1)
 
 
-def _changed_span(node: _Node, c: int, lo: int,
-                  hi: int) -> list[tuple[int, int]]:
-    """The runs of anchors in lo..hi whose entry new child sample c moves.
-
-    Anchor t knows m_t = c-t-a+1 samples.  Its entry is a function of A_t,
-    the k-th largest known (-inf while m_t < k), and B_t, the
-    (w-k+1)-th smallest known (+inf while m_t < w-k+1); the node keeps -A
-    in ``neg_above`` and B in ``below``.  The known sets are nested, so A
-    is non-increasing and B non-decreasing in t.  The new value x raises A
-    exactly where m_t >= k and A_t < x, and lowers B exactly where
-    m_t >= w-k+1 and B_t > x: each a run that ends at the highest anchor
-    of enough samples, found by bisection.  Returns the A-run and the
-    B-run, one run when they touch, none when neither has an anchor.
-    """
-    child = node.children[0]
-    x = float(child.lb[c - child.lo])
-    top = c - node.a + 1  # m_t = top - t
-    w = node.b - node.a + 1
-    runs = []
-    for rank, keys, v in ((node.k, node.neg_above, -x),
-                          (w - node.k + 1, node.below, x)):
-        end = min(hi, top - rank)
-        # keys rise with t: none above v at end means none in lo..end
-        if end < lo or keys[end - node.lo] <= v:
-            continue
-        runs.append((lo + int(keys[lo - node.lo:end - node.lo + 1]
-                              .searchsorted(v, "right")), end))
-    runs.sort()
-    if len(runs) == 2 and runs[1][0] <= runs[0][1] + 1:
-        runs = [(runs[0][0], max(runs[0][1], runs[1][1]))]
-    return runs
-
-
 def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     """Recompute anchors lo..hi, a run whose windows hold child sample c.
 
     Anchor t in [c-b, c-a] knows child[t+a .. c], m values, and pads the
-    other w-m.  Its k-th largest is the pad clamped to [A, B] (see
-    :func:`_changed_span`): B is also the (k-(w-m))-th largest known.  Both
-    ranks lie among the w-k+1 smallest knowns, and the anchors' known sets
-    are nested suffixes, so one walk from c down to anchor lo, keeping
+    other w-m.  Its k-th largest is the pad clamped to [A, B]: A is the
+    k-th largest known (-inf while m < k) and B the (w-k+1)-th smallest
+    known (+inf while m < w-k+1), which is also the (k-(w-m))-th largest.
+    Both ranks lie among the w-k+1 smallest knowns, and the anchors' known
+    sets are nested suffixes, so one walk from c down to anchor lo, keeping
     those smallest values sorted, serves every anchor of the run.  When
     k < w-k+1 the walk ranks the negated values at w-k+1 instead (the k-th
     largest of x is minus the (w-k+1)-th largest of -x, which swaps and
@@ -346,42 +317,51 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     cap of them, ``np.partition`` finds the cap-th smallest, and the
     values below it and its first ties in arrival order are sorted, which
     is the list a value-by-value walk builds, ties of 0.0 and -0.0
-    included.  A statistic whose rank no anchor of the run reaches is
-    infinite on the run already, so it gets no list and keeps its array.
+    included.  Until an anchor knows k values the walk keeps B alone, the
+    list's last value; A, -inf there already, gets no list.
     """
     child = node.children[0]
-    w = node.b - node.a + 1
-    k = node.k
-    vals = child.lb[lo + node.a - child.lo:c - child.lo + 1][::-1]
+    a, k = node.a, node.k
+    w = node.b - a + 1
+    run = child.lb[lo + a - child.lo:c - child.lo + 1][::-1]
     flip = 2 * k < w + 1
     if flip:
-        k, vals = w - k + 1, -vals
+        k, run = w - k + 1, -run
     cap = w - k + 1
-    skip = c - node.a - hi  # walk steps before anchor hi
-    seed = vals[:skip]
+    skip = c - a - hi  # walk steps before anchor hi
     if skip > cap:
+        seed = run[:skip]
         p = np.partition(seed, cap - 1)[cap - 1]
-        seed = np.concatenate((seed[seed < p], seed[seed == p]))[:cap]
-    kept = sorted(seed.tolist())
-    kth: list[float] = []
-    cth: list[float] = []
-    for m, v in enumerate(vals[skip:].tolist(), skip + 1):
-        if m <= cap:
-            insort(kept, v)
-        elif v < kept[-1]:
+        kept = sorted(np.concatenate((seed[seed < p], seed[seed == p]))
+                      [:cap].tolist())
+        vals = run[skip:].tolist()
+    else:
+        vals = run.tolist()
+        # a pad of inf takes the place of the values not known yet
+        kept = sorted(vals[:skip]) + [INF] * (cap - skip)
+        vals = vals[skip:]
+    top, cth, kth = kept[-1], [], []
+    nb = max(k - 1 - skip, 0)  # values walked before an anchor knows k
+    for v in vals[:nb]:
+        if v < top:
             insort(kept, v)
             kept.pop()
-        if m >= cap:  # the walk's B, then its A, known from here on
-            cth.append(kept[-1])
-            if m >= k:
-                kth.append(kept[m - k])
-    # reversed, the lists start at anchor lo; past their ends the anchors
-    # know too few values, and their arrays hold inf already
+            top = kept[-1]
+        cth.append(top)
+    for q, v in enumerate(vals[nb:], skip + nb + 1 - k):
+        if v < top:
+            insort(kept, v)
+            kept.pop()
+            top = kept[-1]
+        cth.append(top)
+        kth.append(kept[q])
+    # reversed, the lists start at anchor lo; past kth's end the anchors
+    # know fewer than k values, and their A holds -inf already
     r0 = lo - node.lo
+    r, init = slice(r0, hi - node.lo + 1), child.init[:, None]
     fb, fa = ((node.neg_above, node.below) if flip
               else (node.below, node.neg_above))
-    fb[r0:r0 + len(cth)] = cth[::-1]
-    r, init = slice(r0, hi - node.lo + 1), child.init[:, None]
+    fb[r] = cth[::-1]
     if kth:
         fa[r0:r0 + len(kth)] = np.negative(kth[::-1])
     if kth or flip:
@@ -486,13 +466,47 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
                         iv[:, r] = anchor(t)
                 return s, e
         else:
+            # -A and B rise with the anchor (see _suffix_push), so child
+            # sample i moves each on one run of anchors, which ends at the
+            # highest anchor that knows as many samples as its rank
+            clb, least = child.lb, a - 1 + min(node.k, w - node.k + 1)
+            keyed = ((node.k, node.neg_above, -1.0),
+                     (w - node.k + 1, node.below, 1.0))
+
             def write(i, s, e):  # suffix
-                # over a point-valued child, sample i changes child
-                # anchor i alone; the parent reads the runs' hull
-                runs = _changed_span(node, i, s, e)
+                if i - least < s:  # no anchor knows enough samples yet
+                    return None
+                x, top = clb.item(i - clo), i - a + 1  # t knows top-t
+                runs = []
+                for rank, keys, sign in keyed:
+                    end, v = min(e, top - rank), sign * x
+                    # none above v at end means none in s..end
+                    if end >= s and keys.item(end - lo) > v:
+                        runs.append((s + int(keys[s - lo:end - lo + 1]
+                                             .searchsorted(v, "right")), end))
+                runs.sort()
+                if len(runs) == 2 and runs[1][0] <= runs[0][1] + 1:
+                    runs = [(runs[0][0], max(runs[0][1], runs[1][1]))]
                 for run in runs:
                     _suffix_push(node, i, *run)
+                # the parent reads the runs' hull
                 return (runs[0][0], runs[-1][1]) if runs else None
+
+    if len(kids) == 1:
+        ((p, ra, rb),) = kids
+
+        def step(i, ys):
+            span = spans[p]
+            if span is None:
+                return None
+            s, e = span[0] - rb, span[1] - ra
+            if s < lo:
+                s = lo
+            if e > hi:
+                e = hi
+            return write(i, s, e) if s <= e else None
+
+        return step
 
     def step(i, ys):
         s, e = hi + 1, lo - 1

@@ -304,8 +304,8 @@ def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
                end: str = "\n") -> None:
     """Write the rows of a 2-D float array as CSV, each line ended by `end`.
 
-    Numbers follow :func:`ctstl.logic._fmt_num`: an integral value is
-    written without a fraction, any other by ``repr``.  With a step, each
+    Numbers follow :func:`ctstl.logic._fmt_num`: an integral value below
+    1e16 in magnitude is written without a fraction, any other by ``repr``.  With a step, each
     row starts with its time, the row index times the step.  A few thousand
     rows go to each ``write`` call.
     """
@@ -319,7 +319,8 @@ def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
 
 
 def _fmt_nums(xs: list[float]) -> list[str]:
-    return [str(int(x)) if x.is_integer() else repr(x) for x in xs]
+    return [str(int(x)) if -1e16 < x < 1e16 and x.is_integer() else repr(x)
+            for x in xs]
 
 
 def write_signal_csv(dest: IO[str], signal: Signal,

@@ -340,16 +340,18 @@ class TestBadInput:
                        id=f"monitor-state-beyond-numpy-{b}")
           for b in ("2e18", "1e300")),
         # bounds under which every sample overflows the atom's margin: the
-        # range [nan, inf] ended in a traceback, [inf, inf] in a verdict
+        # range [nan, inf] ended in a traceback, [inf, inf] in a verdict.
+        # 1e308 is integral, and printed digit by digit it took 309
+        # characters
         pytest.param(["monitor", "--formula",
                       "G[0,2] (1e308*x - 1e308*y > 0)", "--bounds",
                       "x=10:20", "-"], "x,y\n",
-                     "no finite margin within the bounds",
-                     id="monitor-bounds-overflow-nan"),
+                     "atom 1e+308*x - 1e+308*y > 0 has no finite margin "
+                     "within the bounds", id="monitor-bounds-overflow-nan"),
         pytest.param(["monitor", "--formula", "F[0,2] (1e308*x > 0)",
                       "--bounds", "x=10:20", "-"], "x\n",
-                     "no finite margin within the bounds",
-                     id="monitor-bounds-overflow-inf"),
+                     "atom 1e+308*x > 0 has no finite margin within the "
+                     "bounds", id="monitor-bounds-overflow-inf"),
         # a state too large to count in floats
         pytest.param(["monitor", "--formula", "F[0,1e308] F[0,1e308] (x > 0)",
                       "-"], "x\n1\n", "out of memory",
@@ -383,6 +385,7 @@ class TestBadInput:
         code, out, err = run_cli(argv, stdin_text=text)
         assert code == 2
         assert err.startswith("error: ") and says in err
+        assert err.count("\n") == 1 and len(err) < 200  # one short line
         if "--run-to-end" in argv:
             # the verdict came before the refused last row, which gets no
             # event
@@ -787,6 +790,57 @@ def test_zero_sign_of_the_root_is_pinned(formula, rows, digest):
     assert {'"ub": 0.0', '"ub": -0.0'} <= zeros
     got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert got == digest
+
+
+# a row's margin of (x > 0) || (y < 0): 0,1 gives 0.0 and -1,0 gives -0.0,
+# so the rank walks' seeds tie the two zeros
+_ZERO_WALK_CELLS = ["0,1", "-1,0", "0,1", "-1,0", "1,1", "-1,0", "0,1",
+                    "-1,1"]
+_ZERO_WALK_ROWS = [_ZERO_WALK_CELLS[(t * t + 3 * t) % 11 % 8]
+                   for t in range(60)]
+
+
+@pytest.mark.parametrize("formula,path,digest", [
+    ("C[0,23]^17 ((x > 0) || (y < 0))", "B alone",
+     "571d836e81e6e9f7d905c5a48ecb2f8ac2bfd0f8907b43326836de8237fd46bc"),
+    ("C[0,28]^6 ((x > 0) || (y < 0))", "flipped",
+     "8cf3ef000279ee3324025f8fd75b156b8c5452ed22c8578a6e933823f338d47a"),
+    ("F[0,6] C[0,33]^11 ((x > 0) || (y < 0))", "seed past cap",
+     "7556a1ba56b8e234f2d357de0393020ff8d1307a203ab9950dd2533a494f02a6"),
+])
+def test_zero_signs_through_the_suffix_walk_are_pinned(
+        formula, path, digest, tmp_path, monkeypatch):
+    # recorded from the suffix push that walked numpy slices and found its
+    # runs in a helper of its own; each case takes the path it names: a
+    # walk with no anchor at rank k, a rank below (w+1)/2, and a seed of
+    # more than cap values, which goes through np.partition
+    seen = set()
+    push = monitor._suffix_push
+
+    def spy(node, c, lo, hi):
+        w, k = node.b - node.a + 1, node.k
+        if 2 * k < w + 1:
+            seen.add("flipped")
+        k = max(k, w - k + 1)
+        if c - node.a - hi > w - k + 1:
+            seen.add("seed past cap")
+        if c - node.a - lo + 1 < k:
+            seen.add("B alone")
+        push(node, c, lo, hi)
+
+    monkeypatch.setattr(monitor, "_suffix_push", spy)
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        ["monitor", "--run-to-end", "--trace", str(trace), "--bounds",
+         "x=-1:1", "--formula", formula, "-"],
+        stdin_text="x,y\n" + "".join(f"{r}\n" for r in _ZERO_WALK_ROWS))
+    assert path in seen
+    bounds = {f.split(": ")[1] for line in out.splitlines()
+              for f in line.split(", ")[1:3]}
+    assert {"0.0", "-0.0"} <= bounds
+    got = hashlib.sha256(f"{code}\n{out}".encode())
+    got.update(trace.read_bytes())
+    assert got.hexdigest() == digest
 
 
 @pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])

@@ -645,6 +645,62 @@ class TestChangedAnchorFrontier:
                         (text, bounds, i, nid, t)
 
 
+@st.composite
+def _long_window_cases(draw):
+    """A rank node over a point child at a window of 40 to 80 samples, its
+    rank within 4 of either end, under a G that gives it up to 4 anchors;
+    the stream fills every anchor's window, with bounds half the time.
+    Past cap values above a run's last anchor, the walk's seed is chosen
+    by np.partition, among small integers that tie."""
+    w = draw(st.integers(40, 80))
+    d = draw(st.integers(0, 4))
+    k = draw(st.sampled_from([1 + d, w - d]))
+    a, g = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    child = draw(st.sampled_from(_ATOMS + ("(x > 0) || (y < 0)",)))
+    text = f"G[0,{g}] C[{a},{a + w - 1}]^{k} ({child})"
+    bounds = draw(st.none() | st.fixed_dictionaries(
+        {"x": st.tuples(st.integers(-3, 0), st.integers(0, 3))},
+        optional={"y": st.tuples(st.integers(-3, 0), st.integers(0, 3))}))
+    n = g + a + w + draw(st.integers(0, 10))
+    values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=n, max_size=n))
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+              for row in values]
+    return text, bounds, values
+
+
+class TestPartitionSeed:
+    @given(_long_window_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_entries_match_rosi_naive_through_long_seeds(self, case):
+        # (text || A) && A, with A the atom x > 0 at sample 200, keeps the
+        # root open through the stream; the rank node's entries, and the
+        # G's above them, are checked after every push
+        text, bounds, values = case
+        f = validate(parse(f"(({text}) || G[200,200] (x > 0)) && "
+                           "G[200,200] (x > 0)"), XY)
+        mon = MonitorState(f, XY, bounds=bounds)
+        nodes = mon.node_ids()[2:4]  # G[0,g] and the rank node
+        push, seeds = monitor._suffix_push, []
+
+        def counted(node, c, lo, hi):
+            w, k = node.b - node.a + 1, node.k
+            seeds.append(c - node.a - hi - min(k, w - k + 1))
+            push(node, c, lo, hi)
+
+        with mock.patch.object(monitor, "_suffix_push", counted):
+            for i, row in enumerate(values):
+                mon.push_sample(row)
+                prefix = Signal(XY, np.array(values[:i + 1], dtype=float),
+                                1.0)
+                for nid, node in nodes:
+                    for t, got in mon.node_entries(nid).items():
+                        assert got == rosi_naive(node, prefix, t, bounds), \
+                            (text, bounds, i, nid, t)
+        assert max(seeds) > 0  # some walk's seed went through np.partition
+
+
 class TestWalkBudget:
     def test_paper_scale_push_walks_only_the_changed_run(self, monkeypatch):
         # TestPaperScale's stream to its verdict at sample 100: a full

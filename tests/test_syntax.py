@@ -12,9 +12,12 @@ from ctstl.generators import glucose_formulas, overvoltage_formulas
 from ctstl.randgen import random_formula
 
 _name = st.sampled_from(["x", "y", "longish_name2"])
-_coeff = st.sampled_from([-2.5, -1.0, 1.0, 0.5, 3.0])
+# integral values of 1e16 and above print by repr, in exponent form
+_huge = st.floats(1e16, 1.7976931348623157e308)
+_coeff = st.sampled_from([-2.5, -1.0, 1.0, 0.5, 3.0]) | _huge | _huge.map(
+    lambda v: -v)
 _cmp = st.sampled_from(["<", "<=", ">", ">="])
-_num = st.integers(-9, 9).map(float)
+_num = st.integers(-9, 9).map(float) | _huge | _huge.map(lambda v: -v)
 
 
 @st.composite
@@ -33,7 +36,7 @@ def _ivl(draw):
 def _wrap(children):
     c_node = st.builds(
         lambda iv, t, ch: Cumulative(iv, float(t), ch),
-        _ivl(), st.integers(1, 3), children)
+        _ivl(), st.integers(1, 3) | _huge, children)
     return st.one_of(
         st.builds(Not, children),
         st.builds(And, children, children),
