@@ -32,9 +32,8 @@ _EXPORTS = {
         "Always", "And", "Atom", "Cumulative", "Eventually", "Formula", "Not",
         "Or", "TimeInterval", "Until", "horizon", "iter_nodes",
         "node_horizons", "validate"), "logic"),
-    **dict.fromkeys((
-        "MonitorState", "NaiveMonitor", "RoSI", "Verdict", "rosi_naive"),
-        "monitor"),
+    **dict.fromkeys(("MonitorState", "RoSI", "Verdict"), "monitor"),
+    **dict.fromkeys(("NaiveMonitor", "rosi_naive"), "oracle"),
     **dict.fromkeys((
         "max_tau_oracle", "robustness", "robustness_trace",
         "satisfies"), "semantics"),

@@ -8,7 +8,8 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .monitor import MonitorState, NaiveMonitor
+from .monitor import MonitorState
+from .oracle import NaiveMonitor
 from .randgen import random_formula, random_signal
 from .windows import naive_kth_batch, sliding_kth_batch
 

@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING
 from .errors import CTSTLError, ParamOutOfRange
 from .logic import _fmt_num, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
-from .sigfile import (MonitorEvent, Utf8Lines, open_signal_stream,
-                      read_signal_csv, samples_at_step, write_rows,
-                      write_signal_csv)
+from .sigfile import (MonitorEvent, Utf8Lines, event_reindexer,
+                      open_signal_stream, read_signal_csv, samples_at_step,
+                      write_rows, write_signal_csv)
 from .syntax import parse
 
 # The monitor, the generators, the benchmark and json are imported by the
@@ -123,12 +123,17 @@ def cmd_monitor(args) -> int:
         delta, samples = samples_at_step(has_time, rows, args.step)
         mon = MonitorState(f, names, delta=delta,
                            bounds=_parse_bounds(args.bounds))
-        out = sys.stdout
+        out, last = sys.stdout, None
         for i, vals in enumerate(samples):
             v = mon.push_sample(vals)
+            if v is last:  # a kept verdict keeps its line but the index
+                line = same(i)
+            else:
+                last, line = v, MonitorEvent(i, v.rosi.lb, v.rosi.ub,
+                                             v.outcome, v.decided).to_json()
+                same = event_reindexer(line)
             # one write call per line; print() writes the newline apart
-            out.write(MonitorEvent(i, v.rosi.lb, v.rosi.ub, v.outcome,
-                                   v.decided).to_json() + "\n")
+            out.write(line + "\n")
             out.flush()
             if trace_fh is not None:
                 _trace_rows(mon, i, trace_fh)

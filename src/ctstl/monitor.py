@@ -42,24 +42,28 @@ it, and ``node_entries`` reports it for every anchor of the node's range.
   kept per anchor in two arrays.  Each array is monotone in the anchor, so
   a new sample changes them on one run of anchors each.  The step's
   writer finds the runs by bisection, and skips the push while no anchor
-  knows enough samples for either statistic; per run, a selection of the
-  values above it seeds a capped sorted list and one walk over plain
-  floats recomputes just its anchors, with no list for a statistic still
-  infinite there.  Over a refining child (``rescan``) each open anchor's
-  window is re-partitioned, or scanned for its minimum or maximum when
-  the rank is the first or the last;
+  knows enough samples for either statistic; while no anchor of the span
+  knows k samples, the k-th largest is -inf there and the writer searches
+  and recomputes the other statistic's run alone.  Per run, a selection
+  of the values above it seeds a capped sorted list and one walk over
+  plain floats recomputes just its anchors, with no list for a statistic
+  still infinite there; under an unbounded child such a run stores one
+  order-statistic row and copies it into the upper bounds, the lower
+  ones holding -inf already.  Over a refining child (``rescan``) each
+  open anchor's window is re-partitioned, or scanned for its minimum or
+  maximum when the rank is the first or the last;
 * Until rescans each open anchor's windows directly, in the same loop.
   Rescans are exact for any child because a node's ``iv`` always holds
   the current interval, pads included; a settled (point) entry never moves.
 
-``rosi_naive`` recomputes the same intervals by direct recursion and is
-both the correctness oracle and the performance baseline, wrapped as
-:class:`NaiveMonitor` for engine-against-engine runs.  Both monitors share
-one verdict contract (:class:`_PrefixMonitor`): the prefix bookkeeping,
-the checks of every sample and its atom margins, ``push_sample`` and
-``finalize``; each supplies only its root interval.  ``finalize`` settles
-an exactly-zero root on a complete trace with the offline sweep's boolean
-atom map over the kept rows.
+The test oracle, ``rosi_naive`` and :class:`NaiveMonitor`, recomputes the
+same intervals by direct recursion in :mod:`ctstl.oracle`, which a
+monitor run does not load.  Both monitors share one verdict contract
+(:class:`_PrefixMonitor`): the prefix bookkeeping, the checks of every
+sample and its atom margins, ``push_sample`` and ``finalize``; each
+supplies only its root interval.  ``finalize`` settles an exactly-zero
+root on a complete trace with the offline sweep's boolean atom map over
+the kept rows.
 """
 
 from __future__ import annotations
@@ -155,8 +159,9 @@ class _PrefixMonitor:
     even after the verdict: it must be finite, inside its variable's
     declared bounds, and give every atom a finite margin (finite samples
     can overflow).  A refused sample changes no state.  Only the first
-    horizon+1 rows are kept: no later row reaches anchor 0, the only anchor
-    ``finalize`` and the root interval read.
+    horizon+1 rows are kept, and only while the verdict is open: no later
+    row reaches anchor 0, the only anchor ``finalize`` and the root
+    interval read, and neither reads the rows of a decided verdict.
     """
 
     def __init__(self, formula: Formula, schema: Sequence[str],
@@ -203,10 +208,10 @@ class _PrefixMonitor:
             ys.append(y)
         i = self.i
         self.i += 1
-        if len(self._rows) <= self.horizon:
-            self._rows.append(row)
         if self.verdict.decided:
             return self.verdict
+        if len(self._rows) <= self.horizon:
+            self._rows.append(row)
         root = self._root(i, ys)
         if root is not self.verdict.rosi:  # an unchanged root keeps it
             self.verdict = _judge(root, decided_at=i)
@@ -238,7 +243,7 @@ class _Node:
 
     __slots__ = (
         "form", "lo", "hi", "a", "b", "k", "children",
-        "iv", "lb", "ub", "init", "neg_above", "below",
+        "iv", "lb", "ub", "init", "neg_above", "below", "open_init",
     )
 
     def __init__(self, form: Formula, lo: int, hi: int):
@@ -323,20 +328,22 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     child = node.children[0]
     a, k = node.a, node.k
     w = node.b - a + 1
-    run = child.lb[lo + a - child.lo:c - child.lo + 1][::-1]
+    known = child.lb[lo + a - child.lo:c - child.lo + 1]
     flip = 2 * k < w + 1
     if flip:
-        k, run = w - k + 1, -run
+        k, known = w - k + 1, -known
     cap = w - k + 1
     skip = c - a - hi  # walk steps before anchor hi
     if skip > cap:
-        seed = run[:skip]
+        seed = known[:hi - lo:-1]
         p = np.partition(seed, cap - 1)[cap - 1]
         kept = sorted(np.concatenate((seed[seed < p], seed[seed == p]))
                       [:cap].tolist())
-        vals = run[skip:].tolist()
+        vals = known[:hi - lo + 1].tolist()
+        vals.reverse()
     else:
-        vals = run.tolist()
+        vals = known.tolist()
+        vals.reverse()
         # a pad of inf takes the place of the values not known yet
         kept = sorted(vals[:skip]) + [INF] * (cap - skip)
         vals = vals[skip:]
@@ -357,18 +364,23 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
         kth.append(kept[q])
     # reversed, the lists start at anchor lo; past kth's end the anchors
     # know fewer than k values, and their A holds -inf already
+    cth.reverse()
     r0 = lo - node.lo
-    r, init = slice(r0, hi - node.lo + 1), child.init[:, None]
+    r = slice(r0, hi - node.lo + 1)
     fb, fa = ((node.neg_above, node.below) if flip
               else (node.below, node.neg_above))
-    fb[r] = cth[::-1]
+    fb[r] = cth
     if kth:
-        fa[r0:r0 + len(kth)] = np.negative(kth[::-1])
+        kth.reverse()
+        fa[r0:r0 + len(kth)] = np.negative(kth)
     if kth or flip:
-        np.maximum(-node.neg_above[r], np.minimum(init, node.below[r]),
+        np.maximum(-node.neg_above[r], np.minimum(child.init[:, None],
+                                                  node.below[r]),
                    out=node.iv[:, r])
+    elif node.open_init:  # (A, B) with A = -inf, which lb holds already
+        node.ub[r] = node.below[r]
     else:  # A is -inf on the run, and max(-inf, y) is y
-        np.minimum(init, node.below[r], out=node.iv[:, r])
+        np.minimum(child.init[:, None], node.below[r], out=node.iv[:, r])
 
 
 def _is_suffix(form: Formula) -> bool:
@@ -469,14 +481,25 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
             # -A and B rise with the anchor (see _suffix_push), so child
             # sample i moves each on one run of anchors, which ends at the
             # highest anchor that knows as many samples as its rank
-            clb, least = child.lb, a - 1 + min(node.k, w - node.k + 1)
-            keyed = ((node.k, node.neg_above, -1.0),
-                     (w - node.k + 1, node.below, 1.0))
+            k, kb, below = node.k, w - node.k + 1, node.below
+            clb, least = child.lb, a - 1 + min(k, kb)
+            keyed = ((k, node.neg_above, -1.0), (kb, below, 1.0))
+            # under a child entry of (-inf, inf) an entry is (A, max(A, B)),
+            # which _suffix_push stores in one row while A is -inf
+            node.open_init = cinit.tolist() == [-INF, INF]
 
             def write(i, s, e):  # suffix
                 if i - least < s:  # no anchor knows enough samples yet
                     return None
                 x, top = clb.item(i - clo), i - a + 1  # t knows top-t
+                if top - k < s:  # A is -inf on s..e; only B can move
+                    end = min(e, top - kb)
+                    if below.item(end - lo) <= x:
+                        return None
+                    run = s + int(below[s - lo:end - lo + 1]
+                                  .searchsorted(x, "right")), end
+                    _suffix_push(node, i, *run)
+                    return run
                 runs = []
                 for rank, keys, sign in keyed:
                     end, v = min(e, top - rank), sign * x
@@ -644,100 +667,3 @@ class MonitorState(_PrefixMonitor):
         out.update(dict.fromkeys(range(node.lo + len(out), node.hi + 1),
                                  RoSI(*node.init.tolist())))
         return out
-
-
-def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
-               bounds: Mapping[str, Bounds] | None = None) -> RoSI:
-    """Interval semantics by direct recursion over the partial trace.
-
-    Instants beyond the prefix contribute the atom-level ranges.  Exact for
-    the same componentwise interval recursion the monitor maintains, and
-    therefore its oracle.
-    """
-    f = validate(f, prefix.names, prefix.delta)
-    bounds = check_bounds(bounds, prefix.names)
-    for _, node in iter_nodes(f):  # refuses a range with no finite value
-        if isinstance(node, Atom):
-            atom_bounds(node, bounds)
-    n = len(prefix)
-    rows = [tuple(float(v) for v in prefix.values[j]) for j in range(n)]
-    name_to_col = {name: j for j, name in enumerate(prefix.names)}
-    memo: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def atom_point(node: Atom, t: int) -> float:
-        acc = 0.0
-        for name, coeff in node.coeffs:
-            acc += coeff * rows[t][name_to_col[name]]
-        y = node.sign * (acc - node.rhs)
-        if not -INF < y < INF:
-            raise NonFiniteMargin(format_formula(node), t, y)
-        return y
-
-    def ev(node: Formula, t: int) -> tuple[float, float]:
-        key = (id(node), t)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Atom):
-            if t < n:
-                y = atom_point(node, t)
-                out = (y, y)
-            else:
-                out = atom_bounds(node, bounds)
-        elif isinstance(node, Not):
-            clo, chi = ev(node.child, t)
-            out = (-chi, -clo)
-        elif isinstance(node, (And, Or)):
-            llo, lhi = ev(node.left, t)
-            rlo, rhi = ev(node.right, t)
-            if isinstance(node, And):
-                out = (min(llo, rlo), min(lhi, rhi))
-            else:
-                out = (max(llo, rlo), max(lhi, rhi))
-        elif isinstance(node, Until):
-            a, b = node.span
-            best_lo, best_hi = -INF, -INF
-            pm_lo, pm_hi = INF, INF
-            for d in range(b + 1):
-                if d >= 1:
-                    llo, lhi = ev(node.left, t + d - 1)
-                    pm_lo = min(pm_lo, llo)
-                    pm_hi = min(pm_hi, lhi)
-                if d >= a:
-                    rlo, rhi = ev(node.right, t + d)
-                    best_lo = max(best_lo, min(rlo, pm_lo))
-                    best_hi = max(best_hi, min(rhi, pm_hi))
-            out = (best_lo, best_hi)
-        elif isinstance(node, (Eventually, Always)):
-            a, b = node.span
-            vals = [ev(node.child, t + d) for d in range(a, b + 1)]
-            agg = max if isinstance(node, Eventually) else min
-            out = (agg(v[0] for v in vals), agg(v[1] for v in vals))
-        elif isinstance(node, Cumulative):
-            a, b = node.span
-            vals = [ev(node.child, t + d) for d in range(a, b + 1)]
-            los = sorted((v[0] for v in vals), reverse=True)
-            his = sorted((v[1] for v in vals), reverse=True)
-            out = (los[node.order - 1], his[node.order - 1])
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = out
-        return out
-
-    return RoSI(*ev(f, t))
-
-
-class NaiveMonitor(_PrefixMonitor):
-    """Same interface and verdict contract, by full prefix recomputation.
-
-    Every push rebuilds the root interval with rosi_naive, so a push costs
-    O(prefix * window) instead of the incremental engine's near-constant
-    work; exists to cross-check verdicts and to be benchmarked against.
-    """
-
-    def __init__(self, f: Formula, schema: Sequence[str], delta: float = 1.0,
-                 bounds: Mapping[str, Bounds] | None = None):
-        super().__init__(f, schema, delta, bounds)
-        self.verdict = _judge(self._root(-1, []), decided_at=-1)
-
-    def _root(self, i: int, ys: list[float]) -> RoSI:
-        return rosi_naive(self.formula, self._prefix(), 0, self.bounds)

@@ -25,7 +25,7 @@ import io
 import itertools
 import math
 import re
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -362,3 +362,10 @@ class MonitorEvent(NamedTuple):
                 f'"lb": {_json_float(self.lb)}, "ub": {_json_float(self.ub)}, '
                 f'"verdict": {_JSON_CONST[self.verdict]}, '
                 f'"decided": {_JSON_CONST[self.decided]}}}')
+
+
+def event_reindexer(line: str) -> Callable[[int], str]:
+    """Row index i -> the event line of row i with the fields of ``line``
+    after its index: the line of a row whose verdict is ``line``'s."""
+    rest = line[line.index(","):]
+    return lambda i: f'{{"i": {i}{rest}'

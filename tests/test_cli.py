@@ -792,6 +792,35 @@ def test_zero_sign_of_the_root_is_pinned(formula, rows, digest):
     assert got == digest
 
 
+@pytest.mark.parametrize("formula,bounds,rows,kinds", [
+    (ZERO_SIGN_FORMULA, {"x": (0, 1)}, ZERO_SIGN_ROWS, {"kept", "zero sign"}),
+    ("G[0,30] (x > -5)", {}, [1] * 40 + [-9] * 5, {"kept", "decided"}),
+], ids=["zero sign", "kept and decided"])
+def test_reused_event_lines_print_the_pushed_verdict(formula, bounds, rows,
+                                                     kinds):
+    # the CLI renders a line only for a new verdict and reuses it, under
+    # the row's own index, while push_sample returns the same verdict:
+    # while the root stays open and equal, and after the decision.  An
+    # equal root of another zero sign is a new verdict.
+    argv = [f"--bounds={n}={lo}:{hi}" for n, (lo, hi) in bounds.items()]
+    _, out, _ = run_cli(["monitor", "--run-to-end", *argv, "--formula",
+                         formula, "-"],
+                        stdin_text="x\n" + "".join(f"{x}\n" for x in rows))
+    mon = monitor.MonitorState(parse(formula), ("x",), bounds=bounds)
+    want, seen, last = [], set(), None
+    for i, x in enumerate(rows):
+        v = mon.push_sample([x])
+        want.append(sigfile.MonitorEvent(i, v.rosi.lb, v.rosi.ub, v.outcome,
+                                         v.decided).to_json())
+        if v is last:
+            seen.add("decided" if v.decided else "kept")
+        elif last is not None and v.rosi == last.rosi:
+            seen.add("zero sign")
+        last = v
+    assert seen == kinds
+    assert out.splitlines() == want
+
+
 # a row's margin of (x > 0) || (y < 0): 0,1 gives 0.0 and -1,0 gives -0.0,
 # so the rank walks' seeds tie the two zeros
 _ZERO_WALK_CELLS = ["0,1", "-1,0", "0,1", "-1,0", "1,1", "-1,0", "0,1",
@@ -905,6 +934,34 @@ def test_monitor_memory_follows_the_stream_not_the_horizon():
         assert proc.returncode == 0, proc.stderr
         code_, kib = proc.stdout.splitlines()[-1].split()
         assert code_ == "0"
+        peaks.append(int(kib))
+    assert peaks[1] - peaks[0] <= 5 * 1024, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the child's VmHWM from /proc")
+def test_decided_monitor_keeps_no_rows():
+    # G[0,1e6] is decided at sample 0; --run-to-end checks and prints the
+    # other 299,999 rows, but nothing reads them, so none is kept
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import os, sys\n"
+            "from ctstl.cli import main\n"
+            "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
+            "code = main(['monitor', '--run-to-end', '--formula',\n"
+            "             'G[0,1000000] (x > 0)', '-'])\n"
+            "sys.stdout.close()\n"
+            "with open('/proc/self/status', encoding='ascii') as fh:\n"
+            "    peak = [ln for ln in fh if ln.startswith('VmHWM:')]\n"
+            "print(code, peak[0].split()[1], file=sys.__stdout__)\n")
+    peaks = []
+    for rows in (10, 300_000):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              input="x\n" + "-1\n" * rows,
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code_, kib = proc.stdout.split()
+        assert code_ == "1"
         peaks.append(int(kib))
     assert peaks[1] - peaks[0] <= 5 * 1024, peaks
 

@@ -42,6 +42,19 @@ def test_cli_import_leaves_the_online_and_generator_modules_out():
     assert loaded == []
 
 
+def test_monitor_run_leaves_the_oracle_out():
+    # a monitor child neither compiles nor loads the recursive oracle
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from ctstl.cli import main\n"
+        "sys.stdin = io.StringIO('x\\n1\\n-1\\n')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['monitor', '--formula', 'G[0,3] (x > 0)', '-'])\n"
+        "print(json.dumps([code, 'ctstl.monitor' in sys.modules,\n"
+        "                  'ctstl.oracle' in sys.modules]))\n")
+    assert loaded == [1, True, False]
+
+
 def test_star_import_and_dir_list_every_export():
     missing = _fresh(
         "import json\n"

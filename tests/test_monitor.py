@@ -828,7 +828,11 @@ _WALKED = ("lb", "ub", "neg_above", "below")
 def _walk_cases(draw):
     """A rank node over a point child whose zeros come with both signs
     (x < 0 at x = 0 gives -0.0), k on both sides of (w+1)/2, under an
-    optional G that gives it anchors the walk passes without writing."""
+    optional G that gives it anchors the walk passes without writing.
+    Optional bounds on x and y, some with a zero end, give the child a
+    finite or half-finite initial entry, which the store combines in
+    numpy; an unbounded child takes the one-row store while no anchor
+    knows k values."""
     w = draw(st.integers(1, 30))
     k = draw(st.integers(1, (w + 1) // 2))
     k = draw(st.sampled_from([k, w + 1 - k]))
@@ -843,9 +847,15 @@ def _walk_cases(draw):
     if g:
         text = f"G[0,{g}] ({text})"
     n = draw(st.integers(1, 80))
+    bound = st.none() | st.tuples(st.sampled_from([-INF, -2.0, 0.0]),
+                                  st.sampled_from([0.0, 2.0, INF]))
+    bounds = {name: b for name, b in zip(XY, draw(st.tuples(bound, bound)))
+              if b is not None}
     cell = st.sampled_from([0.0, -0.0]) | st.integers(-2, 2).map(float)
-    values = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
-    return text, values
+    cells = [cell.filter(lambda v, lo=lo, hi=hi: lo <= v <= hi)
+             for lo, hi in (bounds.get(name, (-INF, INF)) for name in XY)]
+    values = draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
+    return text, values, bounds
 
 
 class TestSeededWalk:
@@ -853,7 +863,7 @@ class TestSeededWalk:
     @settings(max_examples=150, deadline=None)
     def test_seeded_walk_writes_the_bits_of_the_insort_walk(self, case):
         # == cannot see a flipped -0.0, but an event line would
-        text, values = case
+        text, values, bounds = case
         push = monitor._suffix_push
 
         def both(node, c, lo, hi):
@@ -865,7 +875,7 @@ class TestSeededWalk:
             push(node, c, lo, hi)
             assert [getattr(node, f).tobytes() for f in _WALKED] == want
 
-        mon = MonitorState(parse(text), XY)
+        mon = MonitorState(parse(text), XY, bounds=bounds)
         with mock.patch.object(monitor, "_suffix_push", both):
             for row in values:
                 if mon.push_sample(row).decided:
