@@ -105,7 +105,7 @@ def cmd_rob(args) -> int:
 def _trace_rows(mon: MonitorState, i: int, out) -> None:
     delta = mon.delta
     for nid, _ in mon.node_ids():
-        for t, rosi in sorted(mon.node_entries(nid).items()):
+        for t, rosi in mon.node_entries(nid).items():
             out.write(f"{nid},{_fmt_num(t * delta)},{i},"
                       f"{_fmt_num(rosi.lb)},{_fmt_num(rosi.ub)}\n")
 

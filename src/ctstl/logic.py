@@ -130,13 +130,16 @@ class Cumulative:
 Formula = Union[Atom, Not, And, Or, Until, Eventually, Always, Cumulative]
 
 
+def _fmt_nums(xs: list[float]) -> list[str]:
+    """Each float written as every output writes a number: an integral
+    value below 1e16 in magnitude without a fraction, any other by
+    ``repr`` (so a huge integral value keeps its exponent)."""
+    return [str(int(x)) if -1e16 < x < 1e16 and x.is_integer() else repr(x)
+            for x in xs]
+
+
 def _fmt_num(x: float) -> str:
-    """An integral value below 1e16 in magnitude without a fraction, any
-    other by ``repr`` (so a huge integral value keeps its exponent)."""
-    x = float(x)
-    if -1e16 < x < 1e16 and x == int(x):
-        return str(int(x))
-    return repr(x)
+    return _fmt_nums([float(x)])[0]
 
 
 def _snap_int(x: float) -> int | None:

@@ -642,14 +642,17 @@ class MonitorState(_PrefixMonitor):
 
     # -- inspection ---------------------------------------------------
 
-    _rosi = RoSI(0.0, 0.0)  # the last root; being zero, this one is not kept
+    _rosi = RoSI(0.0, 0.0)  # the last root
 
     def root_rosi(self) -> RoSI:
         """The root interval; the same object while both bounds stay
-        equal and nonzero (an equal zero may have changed its sign)."""
+        equal.  A zero bound is always +0.0: only the sign of a nonzero
+        robustness carries a verdict."""
         lb, ub = self._pre[0].iv[:, 0].tolist()
+        lb += 0.0
+        ub += 0.0
         r = self._rosi
-        if lb != r.lb or ub != r.ub or not lb or not ub:
+        if lb != r.lb or ub != r.ub:
             r = self._rosi = RoSI(lb, ub)
         return r
 
@@ -657,7 +660,8 @@ class MonitorState(_PrefixMonitor):
         return [(nid, node.form) for nid, node in enumerate(self._pre)]
 
     def node_entries(self, nid: int) -> dict[int, RoSI]:
-        """Current worklist of one node: anchor instant -> interval."""
+        """Current worklist of one node: anchor instant -> interval, in
+        ascending anchor order."""
         if not 0 <= nid < len(self._pre):
             raise KeyError(nid)
         node = self._pre[nid]

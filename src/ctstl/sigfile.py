@@ -3,22 +3,20 @@
 Signals travel as CSV: a header row naming the variables, one row of finite
 numbers per sample.  An optional leading column named ``t`` carries
 timestamps; it must be uniformly spaced (relative tolerance 1e-9) and sets
-the step unless one is given, then it is dropped.  This module is the only
-place that knows the format: the whole-file reader and the monitor's stream
-share one header parser, one row parser and one step policy
-(:func:`samples_at_step`).  Files are UTF-8 bytes: the stream decodes
-them line by line (:class:`Utf8Lines`), the whole-file reader all at once.
-The whole-file reader converts and checks all cells at once in numpy and
-replays the stream only when a check fails, decoding included, so both
-raise the same error at the same line.  Both CSV
-writers share one number formatter and write a few thousand rows per call.
-Monitor runs emit one JSON object per line; infinities appear as the
-JSON-style Infinity tokens.
+the step unless one is given, then it is dropped.  Files are UTF-8 bytes.
+The monitor's stream (:func:`open_signal_stream` and
+:func:`samples_at_step`) is the one definition of a valid file: it decodes
+line by line (:class:`Utf8Lines`) and raises the first error at its line.
+The whole-file reader is a fast path that only accepts: it converts and
+checks all cells at once in numpy, and on any failure hands the same input
+to the stream, so both give the same signal or the same error.  Both CSV
+writers print numbers as :func:`ctstl.logic._fmt_nums` does, a few thousand
+rows per call.  Monitor runs emit one JSON object per line; infinities
+appear as the JSON-style Infinity tokens.
 """
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import csv
 import io
@@ -30,6 +28,7 @@ from typing import IO, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SignalFormatError, UndecodableLine
+from .logic import _fmt_nums
 from .signals import Signal
 
 _REL_TOL = 1e-9
@@ -205,50 +204,40 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
 def read_signal_csv(source: IO, delta: float | None = None) -> Signal:
     """Load a whole CSV signal under the step policy of the stream.
 
-    A binary source is read and checked as UTF-8 at once.  All cells
-    become one float64 array in a single conversion, which accepts exactly
-    what ``float()`` accepts.  If any check fails (the decoding, a row's
-    arity, a cell, finiteness, the step or the spacing of the ``t``
-    column), the rows are replayed through the stream's parser and step
-    policy, which raise the stream's first error at the stream's line.
+    The source is read once: a binary one as bytes, decoded as UTF-8 while
+    its rows are read, a text one as its own lines.  All cells become one
+    float64 array in a single conversion, which accepts exactly what
+    ``float()`` accepts.  This path only accepts: on any doubt (a byte
+    that is not UTF-8, a malformed record, a row of the wrong arity, or a
+    check of :func:`_convert` that fails) the stream reads the same input,
+    and its signal or its first error, at its line, is the answer.
     """
-    if _is_binary(source):
+    binary = _is_binary(source)
+    if binary:
         data = source.read()
-        try:  # ASCII is UTF-8 already; anything else must decode
-            data.isascii() or data.decode()
-        except UnicodeDecodeError:
-            # decoded line by line, the stream raises this error at its
-            # line, or an earlier row's error first
-            names, has_time, rows = open_signal_stream(io.BytesIO(data))
-            list(samples_at_step(has_time, rows, delta)[1])
-            raise
-        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                  newline="")
-    rd, names = _read_header(source)
-    width = len(names)
-    # cells of the rows of the right arity, end to end; the number of such
-    # rows before each blank row; the first row of the wrong arity
-    cells: list[str] = []
-    blanks: list[int] = []
-    bad: list[str] | None = None
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 newline="")
+    else:
+        data = lines = list(source)
     try:
+        rd, names = _read_header(lines)
+        width = len(names)
+        cells: list[str] = []  # the cells of every row, end to end
         for row in rd:
             if len(row) == width:
                 cells.extend(row)
             elif row:
-                bad = row
                 break
-            else:
-                blanks.append(len(cells) // width)
-    except csv.Error as exc:
-        # the stream would raise an error of an earlier row first
-        _replay(names, cells, blanks, None, delta)
-        raise _malformed(exc, rd) from None
-    if bad is None:
-        sig = _convert(names, cells, delta)
-        if sig is not None:
-            return sig
-    return _replay(names, cells, blanks, bad, delta)
+        else:
+            sig = _convert(names, cells, delta)
+            if sig is not None:
+                return sig
+    except (SignalFormatError, csv.Error, UnicodeDecodeError):
+        pass
+    names, has_time, rows = open_signal_stream(
+        io.BytesIO(data) if binary else data)
+    step, samples = samples_at_step(has_time, rows, delta)
+    return Signal(names, list(samples), step)
 
 
 def _convert(names: tuple[str, ...], cells: list[str],
@@ -280,34 +269,13 @@ def _step_ok(step: float) -> bool:
     return step > 0 and math.isfinite(step)
 
 
-def _replay(names: tuple[str, ...], cells: list[str], blanks: list[int],
-            bad: list[str] | None, delta: float | None) -> Signal:
-    """Kept rows through the stream's parser and step policy, numbered as
-    the stream numbers them; raises the stream's first error."""
-    width = len(names)
-    n = len(cells) // width
-
-    def numbered() -> Iterator[tuple[int, Sequence[str]]]:
-        for i in range(n):
-            yield (2 + i + bisect.bisect_right(blanks, i),
-                   cells[i * width:(i + 1) * width])
-        if bad is not None:
-            yield 2 + n + len(blanks), bad
-
-    has_time = names[0] == "t"
-    rows = ((line, _parse_row(row, width, line)) for line, row in numbered())
-    step, samples = samples_at_step(has_time, rows, delta)
-    return Signal(names[1:] if has_time else names, list(samples), step)
-
-
 def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
                end: str = "\n") -> None:
     """Write the rows of a 2-D float array as CSV, each line ended by `end`.
 
-    Numbers follow :func:`ctstl.logic._fmt_num`: an integral value below
-    1e16 in magnitude is written without a fraction, any other by ``repr``.  With a step, each
-    row starts with its time, the row index times the step.  A few thousand
-    rows go to each ``write`` call.
+    Numbers are written as :func:`ctstl.logic._fmt_nums` writes them.
+    With a step, each row starts with its time, the row index times the
+    step.  A few thousand rows go to each ``write`` call.
     """
     n = values.shape[0]
     for a in range(0, n, _CHUNK_ROWS):
@@ -316,11 +284,6 @@ def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
         if step is not None:
             cols.insert(0, _fmt_nums((np.arange(a, b) * step).tolist()))
         out.write(end.join(map(",".join, zip(*cols))) + end)
-
-
-def _fmt_nums(xs: list[float]) -> list[str]:
-    return [str(int(x)) if -1e16 < x < 1e16 and x.is_integer() else repr(x)
-            for x in xs]
 
 
 def write_signal_csv(dest: IO[str], signal: Signal,

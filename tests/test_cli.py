@@ -769,39 +769,40 @@ def test_paper_scale_stream_bytes_are_pinned(bounds, digest, tmp_path):
 
 
 # x >= 0 gives 0.0 at x = 0 and x <= 0 gives -0.0, so under x=0:1 a root
-# bound moves between the two zeros while its value stays equal
+# bound moves between the two zeros while its value stays equal; it prints
+# as the one zero 0.0
 ZERO_SIGN_FORMULA = \
     "(x <= 0) || G[0,8] (x >= 0.5) || F[0,8] ((x >= 0) && (x <= 0))"
 ZERO_SIGN_ROWS = [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("formula,rows,digest", [
-    (ZERO_SIGN_FORMULA, ZERO_SIGN_ROWS, "85529591694424a62f9d6131cadd5c219b6997fea2a0d7a0fcdfa2ad6b8de0ae"),
+    (ZERO_SIGN_FORMULA, ZERO_SIGN_ROWS, "17a2b8b0e34565c8678e4ffd5ce87b11d39ae71523a71fef708279bae2e148ff"),
     ("F[0,6] ((x >= 0) && (x <= 0)) || G[0,6] ((x >= 0) && (x <= 0))",
-     [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0], "e87004f5dc8ad17782d78a2162859dddaabaa3eb72cb69fddfc57352271c3bb9"),
+     [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0], "7d9dc6c75f51392958f6d907eac2a62e2bfd7d6a9bc4c974bb02fd96fdc54b9f"),
 ])
 def test_zero_sign_of_the_root_is_pinned(formula, rows, digest):
-    # an equal root of another zero sign prints anew: recorded from the
-    # monitor that built a new verdict on every push
+    # every zero bound prints as 0.0: recorded from the monitor that built
+    # a new verdict on every push, with each -0.0 of its lines read as 0.0
     code, out, _ = run_cli(
         ["monitor", "--run-to-end", "--bounds", "x=0:1", "--formula",
          formula, "-"], stdin_text="x\n" + "".join(f"{x}\n" for x in rows))
     zeros = {line.split(", ")[2] for line in out.splitlines()}
-    assert {'"ub": 0.0', '"ub": -0.0'} <= zeros
+    assert '"ub": 0.0' in zeros and "-0.0" not in out
     got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert got == digest
 
 
 @pytest.mark.parametrize("formula,bounds,rows,kinds", [
-    (ZERO_SIGN_FORMULA, {"x": (0, 1)}, ZERO_SIGN_ROWS, {"kept", "zero sign"}),
+    (ZERO_SIGN_FORMULA, {"x": (0, 1)}, ZERO_SIGN_ROWS, {"kept", "kept zero"}),
     ("G[0,30] (x > -5)", {}, [1] * 40 + [-9] * 5, {"kept", "decided"}),
 ], ids=["zero sign", "kept and decided"])
 def test_reused_event_lines_print_the_pushed_verdict(formula, bounds, rows,
                                                      kinds):
     # the CLI renders a line only for a new verdict and reuses it, under
     # the row's own index, while push_sample returns the same verdict:
-    # while the root stays open and equal, and after the decision.  An
-    # equal root of another zero sign is a new verdict.
+    # while the root stays open and equal, a zero one included, and after
+    # the decision.  No bound prints as -0.0.
     argv = [f"--bounds={n}={lo}:{hi}" for n, (lo, hi) in bounds.items()]
     _, out, _ = run_cli(["monitor", "--run-to-end", *argv, "--formula",
                          formula, "-"],
@@ -813,12 +814,14 @@ def test_reused_event_lines_print_the_pushed_verdict(formula, bounds, rows,
         want.append(sigfile.MonitorEvent(i, v.rosi.lb, v.rosi.ub, v.outcome,
                                          v.decided).to_json())
         if v is last:
-            seen.add("decided" if v.decided else "kept")
-        elif last is not None and v.rosi == last.rosi:
-            seen.add("zero sign")
+            seen.add("decided" if v.decided else "kept zero"
+                     if 0 in (v.rosi.lb, v.rosi.ub) else "kept")
+        else:
+            assert last is None or v.rosi != last.rosi
         last = v
     assert seen == kinds
     assert out.splitlines() == want
+    assert "-0.0" not in out
 
 
 # a row's margin of (x > 0) || (y < 0): 0,1 gives 0.0 and -1,0 gives -0.0,
@@ -831,16 +834,18 @@ _ZERO_WALK_ROWS = [_ZERO_WALK_CELLS[(t * t + 3 * t) % 11 % 8]
 
 @pytest.mark.parametrize("formula,path,digest", [
     ("C[0,23]^17 ((x > 0) || (y < 0))", "B alone",
-     "571d836e81e6e9f7d905c5a48ecb2f8ac2bfd0f8907b43326836de8237fd46bc"),
+     "78be4ab4d67ac938227b4459f309c9b8c1de416fdcf9c355e9c785c0fbf2611a"),
     ("C[0,28]^6 ((x > 0) || (y < 0))", "flipped",
-     "8cf3ef000279ee3324025f8fd75b156b8c5452ed22c8578a6e933823f338d47a"),
+     "101a822ded57b3cdca9853a22f5ace011e86ce397ef42fccf4ecb207ee5c465a"),
     ("F[0,6] C[0,33]^11 ((x > 0) || (y < 0))", "seed past cap",
-     "7556a1ba56b8e234f2d357de0393020ff8d1307a203ab9950dd2533a494f02a6"),
+     "176fee8ff7fc45225972becbea12a67b9a18898839a7e2504e1d288cd9a7bbf0"),
 ])
 def test_zero_signs_through_the_suffix_walk_are_pinned(
         formula, path, digest, tmp_path, monkeypatch):
     # recorded from the suffix push that walked numpy slices and found its
-    # runs in a helper of its own; each case takes the path it names: a
+    # runs in a helper of its own, with each -0.0 of its event lines read
+    # as 0.0 (its trace rows print both zeros as 0); each case takes the
+    # path it names: a
     # walk with no anchor at rank k, a rank below (w+1)/2, and a seed of
     # more than cap values, which goes through np.partition
     seen = set()
@@ -866,7 +871,7 @@ def test_zero_signs_through_the_suffix_walk_are_pinned(
     assert path in seen
     bounds = {f.split(": ")[1] for line in out.splitlines()
               for f in line.split(", ")[1:3]}
-    assert {"0.0", "-0.0"} <= bounds
+    assert "0.0" in bounds and "-0.0" not in bounds
     got = hashlib.sha256(f"{code}\n{out}".encode())
     got.update(trace.read_bytes())
     assert got.hexdigest() == digest

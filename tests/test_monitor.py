@@ -259,9 +259,9 @@ class TestDecisions:
         assert mon.root_rosi() == naive
 
     def test_unchanged_root_keeps_its_verdict(self):
-        # a push that leaves both root bounds as they were, neither zero,
-        # returns the same verdict; one that moves a bound, or leaves a
-        # zero that may have changed its sign, returns a new one
+        # a push that leaves both root bounds as they were, a zero that was
+        # of another sign included, returns the same verdict; one that
+        # moves a bound returns a new one.  A zero bound is always 0.0.
         f = parse("(x <= 0) || G[0,8] (x >= 0.5) "
                   "|| F[0,8] ((x >= 0) && (x <= 0))")
         mon = MonitorState(f, X, bounds={"x": (0.0, 1.0)})
@@ -271,16 +271,18 @@ class TestDecisions:
             v = mon.push_sample([x])
             was, now = prev.rosi, v.rosi
             # root_rosi keeps its object on the same terms
-            assert (mon.root_rosi() is now) == (0 not in (now.lb, now.ub))
+            assert mon.root_rosi() is now
+            assert all(b or math.copysign(1.0, b) > 0
+                       for b in (now.lb, now.ub))
             if (was.lb, was.ub) != (now.lb, now.ub):
                 kind = "moved"
             elif 0 in (now.lb, now.ub):
-                kind = "zero" if str(was) == str(now) else "zero sign"
+                kind = "zero"
             else:
                 kind = "kept"
-            assert (v is prev) == (kind == "kept"), (x, kind)
+            assert (v is prev) == (kind != "moved"), (x, kind)
             seen.add(kind)
-        assert seen == {"moved", "zero", "zero sign", "kept"}
+        assert seen == {"moved", "zero", "kept"}
 
     def test_finalize_point_and_zero(self):
         f = parse("F[0,3] (x > 1)")
@@ -491,6 +493,9 @@ class TestPerNodeOracle:
             if mon.verdict.decided:
                 break
             mon.push_sample(row)
+            root = mon.root_rosi()
+            assert all(b or math.copysign(1.0, b) > 0
+                       for b in (root.lb, root.ub)), (text, bounds, i)
             prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
             for nid, node in mon.node_ids():
                 for t, got in mon.node_entries(nid).items():

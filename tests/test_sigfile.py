@@ -172,22 +172,42 @@ def _outcome(read):
         return (type(exc), str(exc), exc.line)
 
 
+def _source(text):
+    return io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
+
+
 def _via_stream(text, step):
-    names, has_time, rows = open_signal_stream(io.StringIO(text))
+    names, has_time, rows = open_signal_stream(_source(text))
     step, samples = samples_at_step(has_time, rows, step)
     values = np.array(list(samples), dtype=np.float64)
     return names, step, values.reshape(-1, len(names)).tobytes()
 
 
 def _via_file(text, step):
-    sig = read_signal_csv(io.StringIO(text), delta=step)
+    sig = read_signal_csv(_source(text), delta=step)
     return sig.names, sig.delta, np.ascontiguousarray(sig.values).tobytes()
 
 
-@given(_csv_files())
+@st.composite
+def _as_bytes(draw, text):
+    """The UTF-8 bytes of `text`, as the CLI reads a file: some with CRLF
+    line ends, some with a byte that is not UTF-8 (a stray 0xff, or a 0xc3
+    whose character is cut off) anywhere in the header or a row."""
+    data = text.encode()
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    bad = draw(st.sampled_from([None, None, b"\xff", b"\xc3"]))
+    if bad is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+@given(_csv_files(), st.data())
 @settings(max_examples=500, deadline=None)
-def test_whole_file_reader_matches_the_stream_bit_for_bit(case):
-    # same names, step and value bits, or the same error at the same line
+def test_whole_file_reader_matches_the_stream_bit_for_bit(case, data):
+    # same names, step and value bits, or the same error at the same line,
+    # over text and over the bytes that the CLI passes
     text, step = case
     want = _outcome(lambda: _via_stream(text, step))
     assert _outcome(lambda: _via_file(text, step)) == want
@@ -196,6 +216,9 @@ def test_whole_file_reader_matches_the_stream_bit_for_bit(case):
         rd, names = sigfile._read_header(io.StringIO(text))
         cells = [cell for row in rd for cell in row]
         assert sigfile._convert(names, cells, step) is not None
+    raw = data.draw(_as_bytes(text))
+    assert _outcome(lambda: _via_file(raw, step)) == \
+        _outcome(lambda: _via_stream(raw, step))
 
 
 def test_csv_error_comes_after_the_errors_of_earlier_rows():
