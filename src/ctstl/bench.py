@@ -20,8 +20,12 @@ def _time(fn, *args):
     return perf_counter() - t0, out
 
 
-def _check_sizes(n: int, w: int) -> None:
-    for name, v in (("n", n), ("w", w)):
+def _check(seed: int, **sizes: int) -> None:
+    """A seed must be >= 0 (numpy's generators refuse one below) and every
+    size >= 1."""
+    if seed < 0:
+        raise ParamOutOfRange(f"seed must be >= 0, got {seed}")
+    for name, v in sizes.items():
         if v < 1:
             raise ParamOutOfRange(f"{name} must be >= 1, got {v}")
 
@@ -33,7 +37,7 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
     The engine is the wavelet matrix of ``windows``; the report calls it
     ``worklist``.  Outputs must agree exactly or the report flags it.
     """
-    _check_sizes(n, w)
+    _check(seed, n=n, w=w)
     if k is None:
         k = max(1, w // 2)
     rng = np.random.default_rng(seed)
@@ -56,7 +60,7 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
 def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0) -> dict:
     """Per-sample engine cost at window w vs 2w (k tracks w/2), each the
     median of three calls."""
-    _check_sizes(n, w)
+    _check(seed, n=n, w=w)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
     w2 = min(2 * w, n)  # degenerate traces: keep the probe window feasible
@@ -86,6 +90,7 @@ def bench_monitor(cases: int = 100, seed: int = 0) -> dict:
     end; the report carries the count so a benchmark run doubles as a
     cross-check.
     """
+    _check(seed)
     rng = np.random.default_rng(seed)
     names = ("x", "y")
     mismatch = 0

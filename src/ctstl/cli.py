@@ -147,19 +147,25 @@ def cmd_monitor(args) -> int:
     return 0 if verdict.outcome else 1
 
 
+# each scenario's excursion budgets, the flags of its gen sub-command
+_BUDGETS = {
+    "overvoltage": (("over17", "samples in (1.7, 2)"),
+                    ("over14", "samples in (1.4, 1.7)"),
+                    ("over13", "samples in (1.3, 1.4)"),
+                    ("overcap", "samples above 2")),
+    "glucose": (("hypo", "samples below 70"), ("hyper", "samples above 180")),
+}
+
+
 def cmd_gen(args) -> int:
     import json
 
-    from .generators import glucose_trace, overvoltage_trace
+    from . import generators
 
-    if args.scenario == "overvoltage":
-        sig, report = overvoltage_trace(
-            args.length, args.seed, over17=args.over17, over14=args.over14,
-            over13=args.over13, overcap=args.overcap, spread=args.spread)
-    else:
-        sig, report = glucose_trace(
-            args.length, args.seed, hypo=args.hypo, hyper=args.hyper,
-            spread=args.spread)
+    trace = getattr(generators, f"{args.scenario}_trace")
+    sig, report = trace(args.length, args.seed, spread=args.spread,
+                        **{b: getattr(args, b)
+                           for b, _ in _BUDGETS[args.scenario]})
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_signal_csv(fh, sig, time_column=args.time_column)
     report["out"] = args.out
@@ -189,14 +195,16 @@ def _add_formula_flags(p) -> None:
     g.add_argument("--formula-file", help="file containing the formula")
 
 
-def _add_common(p, with_at: bool) -> None:
+def _add_common(p) -> None:
     _add_formula_flags(p)
     p.add_argument("signal", help="signal CSV file, or - for stdin")
     p.add_argument("--step", type=float, default=None,
                    help="sample period (default: from t column, else 1)")
-    if with_at:
-        p.add_argument("--at", type=float, default=0.0,
-                       help="evaluation time (a multiple of the step)")
+
+
+def _add_at(p) -> None:
+    p.add_argument("--at", type=float, default=0.0,
+                   help="evaluation time (a multiple of the step)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,17 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="boolean satisfaction at a time point")
-    _add_common(p, with_at=True)
+    _add_common(p)
+    _add_at(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("rob", help="robustness at a time point or sweep")
-    _add_common(p, with_at=True)
-    p.add_argument("--sweep", action="store_true",
+    _add_common(p)
+    g = p.add_mutually_exclusive_group()
+    _add_at(g)
+    g.add_argument("--sweep", action="store_true",
                    help="CSV of robustness at every admissible time")
     p.set_defaults(fn=cmd_rob)
 
     p = sub.add_parser("monitor", help="stream samples, emit verdicts")
-    _add_common(p, with_at=False)
+    _add_common(p)
     p.add_argument("--bounds", action="append", metavar="VAR=LO:HI",
                    help="range of an unsampled variable (repeatable)")
     p.add_argument("--trace", metavar="FILE",
@@ -227,23 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_monitor)
 
     p = sub.add_parser("gen", help="write a synthetic scenario trace")
-    p.add_argument("scenario", choices=("overvoltage", "glucose"))
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--length", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spread", type=int, default=None,
-                   help="confine excursions to the first N samples")
-    p.add_argument("--time-column", action="store_true",
-                   help="include a t column in the output")
-    p.add_argument("--over17", type=int, default=0,
-                   help="samples in (1.7, 2)")
-    p.add_argument("--over14", type=int, default=0,
-                   help="samples in (1.4, 1.7)")
-    p.add_argument("--over13", type=int, default=0,
-                   help="samples in (1.3, 1.4)")
-    p.add_argument("--overcap", type=int, default=0, help="samples above 2")
-    p.add_argument("--hypo", type=int, default=0, help="samples below 70")
-    p.add_argument("--hyper", type=int, default=0, help="samples above 180")
+    scenarios = p.add_subparsers(dest="scenario", required=True)
+    for scenario, budgets in _BUDGETS.items():
+        q = scenarios.add_parser(scenario, help=f"the {scenario} scenario")
+        q.add_argument("--out", required=True, help="output CSV path")
+        q.add_argument("--length", type=int, default=20_000)
+        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--spread", type=int, default=None,
+                       help="confine excursions to the first N samples")
+        q.add_argument("--time-column", action="store_true",
+                       help="include a t column in the output")
+        for budget, text in budgets:
+            q.add_argument(f"--{budget}", type=int, default=0, help=text)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench", help="time the sliding-rank engines")

@@ -29,23 +29,38 @@ DEFAULT_WINDOW = 10_000
 VOLT_LIMITS = ((1.7, 16), (1.4, 30), (1.3, 160))
 
 
-def _place(rng: np.random.Generator, length: int, counts: list[int],
-           spread: int | None) -> list[np.ndarray]:
-    total = sum(counts)
+def _excursion_trace(length: int, seed: int, spread: int | None,
+                     nominal: tuple[float, float],
+                     bands: list[tuple[str, int, tuple[float, float]]]
+                     ) -> np.ndarray:
+    """``length`` samples uniform in ``nominal``, of which, for each
+    ``(name, count, band)`` of ``bands``, ``count`` are redrawn uniform in
+    ``band``.  The excursions take distinct places in the first ``spread``
+    samples (default 80 % of the trace)."""
+    for name, c, _ in bands:
+        if c < 0:
+            raise ParamOutOfRange(f"{name} must be >= 0, got {c}")
+    if length < 1:
+        raise ParamOutOfRange(f"length must be >= 1, got {length}")
+    for name, v in (("seed", seed), ("spread", spread)):
+        if v is not None and v < 0:
+            raise ParamOutOfRange(f"{name} must be >= 0, got {v}")
+    total = sum(c for _, c, _ in bands)
     region = spread if spread is not None else max(int(0.8 * length), 1)
     region = min(region, length)
     if total > region:
         raise ParamOutOfRange(
             f"{total} excursion samples do not fit in the first "
             f"{region} samples")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(*nominal, size=length)
     picked = rng.choice(region, size=total, replace=False)
     rng.shuffle(picked)
-    out = []
     at = 0
-    for c in counts:
-        out.append(np.sort(picked[at:at + c]))
+    for _, c, band in bands:
+        x[np.sort(picked[at:at + c])] = rng.uniform(*band, size=c)
         at += c
-    return out
+    return x
 
 
 def overvoltage_trace(length: int, seed: int, over17: int = 0,
@@ -59,20 +74,9 @@ def overvoltage_trace(length: int, seed: int, over17: int = 0,
     Excursions land uniformly in the first ``spread`` samples (default
     80 % of the trace).
     """
-    for name, c in (("over17", over17), ("over14", over14),
-                    ("over13", over13), ("overcap", overcap)):
-        if c < 0:
-            raise ParamOutOfRange(f"{name} must be >= 0, got {c}")
-    if length < 1:
-        raise ParamOutOfRange(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(0.95, 1.05, size=length)
-    i17, i14, i13, icap = _place(
-        rng, length, [over17, over14, over13, overcap], spread)
-    v[i17] = rng.uniform(1.72, 1.95, size=over17)
-    v[i14] = rng.uniform(1.45, 1.65, size=over14)
-    v[i13] = rng.uniform(1.33, 1.38, size=over13)
-    v[icap] = rng.uniform(2.05, 2.3, size=overcap)
+    v = _excursion_trace(length, seed, spread, (0.95, 1.05), [
+        ("over17", over17, (1.72, 1.95)), ("over14", over14, (1.45, 1.65)),
+        ("over13", over13, (1.33, 1.38)), ("overcap", overcap, (2.05, 2.3))])
     sig = Signal(("v",), v.reshape(-1, 1), 1.0)
     report = {
         "scenario": "overvoltage",
@@ -88,16 +92,8 @@ def overvoltage_trace(length: int, seed: int, over17: int = 0,
 def glucose_trace(length: int, seed: int, hypo: int = 0, hyper: int = 0,
                   spread: int | None = None) -> tuple[Signal, dict]:
     """Blood-glucose trace (mg/dL) with chosen hypo/hyper sample counts."""
-    for name, c in (("hypo", hypo), ("hyper", hyper)):
-        if c < 0:
-            raise ParamOutOfRange(f"{name} must be >= 0, got {c}")
-    if length < 1:
-        raise ParamOutOfRange(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(90.0, 150.0, size=length)
-    ihypo, ihyper = _place(rng, length, [hypo, hyper], spread)
-    x[ihypo] = rng.uniform(48.0, 62.0, size=hypo)
-    x[ihyper] = rng.uniform(195.0, 260.0, size=hyper)
+    x = _excursion_trace(length, seed, spread, (90.0, 150.0), [
+        ("hypo", hypo, (48.0, 62.0)), ("hyper", hyper, (195.0, 260.0))])
     sig = Signal(("x",), x.reshape(-1, 1), 1.0)
     report = {
         "scenario": "glucose",

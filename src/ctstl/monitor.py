@@ -13,8 +13,8 @@ children bound once.  Anchor t of a node reads its children's anchors
 t+ra .. t+rb, the child's reach (``logic._reach``), so a push runs the
 steps in one shape: from the spans of anchors its children rewrote, each
 step takes s-rb .. e-ra within its own anchors, and the writer of its
-kind rewrites those and returns the span it actually rewrote, or None,
-into a preallocated list that its parent reads.  A node keeps its entries
+kind rewrites those and leaves the span it actually rewrote, or None, in
+the node's ``span``, where its parent reads it.  A node keeps its entries
 in one ``(2, n)`` array ``iv``, lower bounds in row 0 and upper bounds in
 row 1 (``lb`` and ``ub`` are its row views), and each writer updates both
 bounds in one numpy expression.
@@ -242,7 +242,7 @@ class _Node:
     """Mutable per-node monitoring state."""
 
     __slots__ = (
-        "form", "lo", "hi", "a", "b", "k", "children",
+        "form", "lo", "hi", "a", "b", "k", "children", "span",
         "iv", "lb", "ub", "init", "neg_above", "below", "open_init",
     )
 
@@ -250,8 +250,8 @@ class _Node:
         self.form = form
         self.lo = lo
         self.hi = hi
-        self.a = self.b = self.k = 0
         self.children: list[_Node] = []
+        self.span: tuple[int, int] | None = None  # rewritten by the last push
 
 
 def _initial_entry(node: _Node, bounds) -> np.ndarray:
@@ -389,28 +389,19 @@ def _is_suffix(form: Formula) -> bool:
             and horizon(form.child) == 0)
 
 
-def _rank_value(x: np.ndarray, j: int) -> np.ndarray:
-    """The (j+1)-th smallest of each row of x: a min or max at either end."""
-    if j == 0:
-        return x.min(1)
-    if j == x.shape[1] - 1:
-        return x.max(1)
-    return np.partition(x, j, 1)[:, j]
-
-
-def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
+def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
                atom_pos: dict[Atom, int]):
     """The push step of one node: ``step(i, ys)`` rewrites the node's
     entries that sample i, of atom margins ``ys``, changes and returns
     their anchor span, or None.
 
-    ``kids`` holds each child's position in ``spans``, where the child's
-    step left its span s..e, and its reach (ra, rb).  The step hands the
-    hull of the anchors s-rb .. e-ra, within the node's own, to the
-    writer of the node's kind, which returns the span it rewrote.
-    Everything a step needs besides the sample is bound here, once; the
-    module functions above are looked up at each call, so a test can wrap
-    them.
+    ``kids`` holds each child, whose step left its span s..e in its
+    ``span``, and its reach (ra, rb).  The step hands the hull of the
+    anchors s-rb .. e-ra, within the node's own, to the writer of the
+    node's kind, which returns the span it rewrote; the plan stores it in
+    the node's ``span``.  Everything a step needs besides the sample is
+    bound here, once; the module functions above are looked up at each
+    call, so a test can wrap them.
     """
     form, lo, hi, iv = node.form, node.lo, node.hi, node.iv
     lb, ub = iv
@@ -464,11 +455,10 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
 
             def anchor(t):
                 q = t + a - clo
-                if q + w <= cn:
-                    return _rank_value(civ[:, q:q + w], j)
-                if 0 < j < w - 1:
-                    return _rank_value(_entries(child, q, w), j)
-                return fold(cinit, fold.reduce(civ[:, q:], 1))
+                if 0 < j < w - 1:  # a middle rank: the (j+1)-th smallest
+                    return np.partition(_entries(child, q, w), j, 1)[:, j]
+                x = fold.reduce(civ[:, q:q + w], 1)
+                return fold(cinit, x) if q + w > cn else x
 
         if not _is_suffix(form):
             def write(i, s, e):  # rescan
@@ -516,10 +506,10 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
                 return (runs[0][0], runs[-1][1]) if runs else None
 
     if len(kids) == 1:
-        ((p, ra, rb),) = kids
+        ((kid, ra, rb),) = kids
 
         def step(i, ys):
-            span = spans[p]
+            span = kid.span
             if span is None:
                 return None
             s, e = span[0] - rb, span[1] - ra
@@ -533,8 +523,8 @@ def _make_step(node: _Node, kids: list[tuple[int, int, int]], spans: list,
 
     def step(i, ys):
         s, e = hi + 1, lo - 1
-        for p, ra, rb in kids:
-            span = spans[p]
+        for kid, ra, rb in kids:
+            span = kid.span
             if span is not None:
                 if span[0] - rb < s:
                     s = span[0] - rb
@@ -565,11 +555,10 @@ class MonitorState(_PrefixMonitor):
         """The push plan: one step per node with anchors, children first.
 
         Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
-        and each push stores a step's span at the node's post-order
-        position in ``_spans``.  The state's size over the whole horizon,
-        16 bytes per entry and 16 more per anchor of a ``suffix`` node, is
-        checked first, though the arrays start at ``_FIRST_CAPACITY``
-        samples.  The check bounds the final state: while a growth step
+        and each push leaves a step's span in its node's ``span``.  The
+        state's size over the whole horizon, 16 bytes per entry and 16 more
+        per anchor of a ``suffix`` node, is checked first, though the arrays
+        start at ``_FIRST_CAPACITY`` samples.  The check bounds the final state: while a growth step
         copies a node, that node's old arrays are held as well.
         """
         ranges = node_horizons(self.formula)
@@ -581,30 +570,25 @@ class MonitorState(_PrefixMonitor):
                 f"monitor state of {need / 2**30:.3g} GiB exceeds the "
                 f"{_MAX_STATE_BYTES / 2**30:.3g} GiB of physical memory")
         pre: list[_Node] = []
-        spans: list[tuple[int, int] | None] = []
         wiring = []
 
-        def build(form: Formula) -> tuple[_Node, int]:
+        def build(form: Formula) -> _Node:
             node = _Node(form, *ranges[len(pre)])
             pre.append(node)
-            kids = [(*build(child), ra, rb)
-                    for child, ra, rb in _reach(form)]
-            node.children = [child for child, _, _, _ in kids]
+            kids = [(build(child), ra, rb) for child, ra, rb in _reach(form)]
+            node.children = [child for child, _, _ in kids]
             node.init = _initial_entry(node, self.bounds)
             node.iv = np.empty((2, 0))
             node.lb, node.ub = node.iv
             # a suffix node's -A and B of every anchor
             node.neg_above = node.below = (
                 np.empty(0) if _is_suffix(form) else None)
-            p = len(spans)
-            spans.append(None)
             if node.lo <= node.hi:
-                wiring.append(
-                    (p, node, [(cp, ra, rb) for _, cp, ra, rb in kids]))
-            return node, p
+                wiring.append((node, kids))
+            return node
 
         build(self.formula)
-        self._pre, self._spans, self._wiring = pre, spans, wiring
+        self._pre, self._wiring = pre, wiring
         self._grow(_FIRST_CAPACITY)
 
     def _grow(self, cap: int) -> None:
@@ -627,17 +611,16 @@ class MonitorState(_PrefixMonitor):
                 if node.below is not None:
                     node.neg_above = _extended(node.neg_above, size, INF)
                     node.below = _extended(node.below, size, INF)
-        self._plan = [(p, _make_step(node, kids, self._spans, self._atom_pos))
-                      for p, node, kids in self._wiring]
+        self._plan = [(node, _make_step(node, kids, self._atom_pos))
+                      for node, kids in self._wiring]
 
     # -- update pass --------------------------------------------------
 
     def _root(self, i: int, ys: list[float]) -> RoSI:
         if i == self._cap:  # samples come one at a time
             self._grow(2 * i)
-        spans = self._spans
-        for p, step in self._plan:
-            spans[p] = step(i, ys)
+        for node, step in self._plan:
+            node.span = step(i, ys)
         return self.root_rosi()
 
     # -- inspection ---------------------------------------------------

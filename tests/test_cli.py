@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +25,7 @@ from conftest import formula_texts
 from ctstl import Signal, horizon, parse, validate, write_signal_csv
 from ctstl import cli, monitor, sigfile
 from ctstl.cli import main
+from ctstl.errors import ParamOutOfRange
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
 from ctstl.logic import _fmt_num
 
@@ -157,6 +159,14 @@ class TestRob:
         code, out, _ = run_cli(
             ["rob", "--formula-file", str(ff), fig4_file])
         assert code == 0 and out.strip() == "7"
+
+    @pytest.mark.parametrize("flags", [["--sweep", "--at", "5"],
+                                       ["--at", "0", "--sweep"]])
+    def test_at_with_sweep_is_a_usage_error(self, flags, fig4_file):
+        # a sweep covers every time, so --at has no meaning there
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rob", "--formula", "x > 0", *flags, fig4_file])
+        assert exc.value.code == 2
 
 
 class TestMonitor:
@@ -308,6 +318,15 @@ class TestBadInput:
         (["bench", "--w", "0", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--w", "-5", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--n", "-3", "--cases", "0"], "", "n must be >= 1"),
+        # numpy's generators refuse a negative seed with a ValueError
+        pytest.param(["bench", "--seed", "-1", "--cases", "0"], "",
+                     "seed must be >= 0, got -1", id="bench-negative-seed"),
+        pytest.param(["gen", "overvoltage", "--seed", "-1", "--out",
+                      os.devnull], "", "seed must be >= 0, got -1",
+                     id="gen-negative-seed"),
+        pytest.param(["gen", "glucose", "--spread", "-5", "--out",
+                      os.devnull], "", "spread must be >= 0, got -5",
+                     id="gen-negative-spread"),
         # a field over the CSV reader's size limit; explicit ids keep the
         # long input out of the test names
         *(pytest.param([cmd, "--formula", "G[0,3] (x > 0)", "-"],
@@ -529,6 +548,30 @@ def _cli_runs(draw):
     return argv + ["-"], text, first_bad
 
 
+@st.composite
+def _gen_bench_runs(draw):
+    """A gen or bench call with small, possibly negative, integer flags,
+    and whether it gives a negative seed or spread."""
+    if draw(st.booleans()):
+        scenario, budgets = draw(st.sampled_from([
+            ("overvoltage", ["over17", "over14", "over13", "overcap"]),
+            ("glucose", ["hypo", "hyper"])]))
+        argv = ["gen", scenario]
+        flags = ["length", "seed", "spread", *budgets]
+    else:
+        argv = ["bench", f"--cases={draw(st.integers(0, 1))}"]
+        flags = ["n", "w", "k", "seed"]
+    negative = False
+    for flag in flags:
+        # the sizes are always given: their defaults make slow runs
+        v = draw(st.integers(-3, 40) if flag in ("length", "n", "w")
+                 else st.none() | st.integers(-3, 40))
+        if v is not None:
+            argv.append(f"--{flag}={v}")
+            negative |= flag in ("seed", "spread") and v < 0
+    return argv, negative
+
+
 class TestFuzz:
     @given(_cli_runs())
     @settings(max_examples=300, deadline=None)
@@ -552,6 +595,20 @@ class TestFuzz:
         assert len(events) <= first_bad
         if code != 2:
             assert events and events[-1]["decided"] is True
+
+    @given(_gen_bench_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_gen_and_bench_keep_the_exit_contract(self, run):
+        argv, negative = run
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[0] == "gen":
+                argv = [*argv, "--out", os.path.join(tmp, "out.csv")]
+            # an exception escaping main() fails the test by itself
+            code, _, err = run_cli(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if negative:
+            assert code == 2 and err.startswith("error: ")
 
 
 @st.composite
@@ -1066,6 +1123,18 @@ class TestGen:
             ["eval", "--formula", "C[0,60000]^59984 (v < 1.7)", str(out)])
         assert (code, out_text.strip()) == (0, "true")
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "glucose", "--over17", "5"],
+        ["gen", "overvoltage", "--hypo", "3"],
+        ["gen", "glucose", "--overcap", "1"]])
+    def test_another_scenarios_budget_is_refused(self, argv, tmp_path):
+        # another scenario's budget would embed nothing
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_infeasible_budget_exit_two(self, tmp_path):
         code, _, err = run_cli(
             ["gen", "overvoltage", "--length", "10", "--over17", "40",
@@ -1084,6 +1153,14 @@ class TestBench:
         assert kth["speedup"] > 0
         mon = next(r for r in reports if r["engine"] == "monitor")
         assert mon["mismatches"] == 0
+
+    def test_every_bench_function_refuses_a_negative_seed(self):
+        from ctstl import bench
+
+        for fn in (bench.bench_kth, bench.bench_scaling,
+                   bench.bench_monitor):
+            with pytest.raises(ParamOutOfRange, match="seed must be >= 0"):
+                fn(seed=-1)
 
     def test_tiny_trace_no_assertion(self):
         code, out, _ = run_cli(

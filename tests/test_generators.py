@@ -64,6 +64,18 @@ class TestGlucose:
             assert satisfies(f, sig, 0) is True
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize("trace", [overvoltage_trace, glucose_trace])
+    @pytest.mark.parametrize("kw,says", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"spread": -5}, "spread must be >= 0, got -5")])
+    def test_negative_seed_or_spread_is_refused(self, trace, kw, says):
+        # numpy's generators refuse a negative seed with a ValueError, and
+        # no region has a negative size
+        with pytest.raises(ParamOutOfRange, match=says):
+            trace(100, **{"seed": 0, **kw})
+
+
 class TestFormulaFamilies:
     def test_overvoltage_budgets(self):
         fam = overvoltage_formulas(window=2000)

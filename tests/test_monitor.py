@@ -765,6 +765,30 @@ class TestWalkBudget:
                    for got in runs.values())
         assert walked <= 0.6 * hull
 
+    def test_paper_scale_extremum_rescan_pads_no_window(self, monkeypatch):
+        # the root G reads past its child's arrays from the first push: it
+        # folds the child's init into its min once, and never builds a
+        # padded copy of a 10,001-entry window
+        window, s = 10_000, 100
+        head, _ = overvoltage_trace(s, 0, over17=17, spread=s)
+        tail, _ = overvoltage_trace(2 * window + 1 - s, 1, over17=1,
+                                    spread=1)
+        mon = MonitorState(
+            parse(overvoltage_formulas(window=window)["phi5"]), ("v",))
+        padded = []
+        entries = monitor._entries
+
+        def counted(node, r, n):
+            padded.append(n)
+            return entries(node, r, n)
+
+        monkeypatch.setattr(monitor, "_entries", counted)
+        for row in np.vstack([head.values, tail.values]):
+            if mon.push_sample(row).decided:
+                break
+        assert mon.verdict.decided_at == s
+        assert padded == []
+
     @pytest.mark.parametrize("text,sign", [("F[0,499] (x > 0)", -1.0),
                                            ("G[0,499] (x > 0)", 1.0)])
     def test_extremum_walks_only_at_a_new_record(self, monkeypatch, text,
