@@ -179,6 +179,8 @@ def cmd_bench(args) -> int:
 
     from . import bench as benchmod
 
+    if args.cases < 0:  # 0 skips the monitor cross-check
+        raise ParamOutOfRange(f"cases must be >= 0, got {args.cases}")
     print(json.dumps(benchmod.bench_kth(
         n=args.n, w=args.w, k=args.k, seed=args.seed)))
     print(json.dumps(benchmod.bench_scaling(
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="boolean satisfaction at a time point")
     _add_common(p)
     _add_at(p)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, parser=p)
 
     p = sub.add_parser("rob", help="robustness at a time point or sweep")
     _add_common(p)
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_at(g)
     g.add_argument("--sweep", action="store_true",
                    help="CSV of robustness at every admissible time")
-    p.set_defaults(fn=cmd_rob)
+    p.set_defaults(fn=cmd_rob, parser=p)
 
     p = sub.add_parser("monitor", help="stream samples, emit verdicts")
     _add_common(p)
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-node interval snapshots as CSV")
     p.add_argument("--run-to-end", action="store_true",
                    help="keep emitting events after the verdict is final")
-    p.set_defaults(fn=cmd_monitor)
+    p.set_defaults(fn=cmd_monitor, parser=p)
 
     p = sub.add_parser("gen", help="write a synthetic scenario trace")
     scenarios = p.add_subparsers(dest="scenario", required=True)
@@ -250,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include a t column in the output")
         for budget, text in budgets:
             q.add_argument(f"--{budget}", type=int, default=0, help=text)
+        q.set_defaults(parser=q)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench", help="time the sliding-rank engines")
@@ -259,12 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=20,
                    help="random streams for the monitor cross-check")
-    p.set_defaults(fn=cmd_bench)
+    p.set_defaults(fn=cmd_bench, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse hands a sub-command's unknown flags up to the root; the
+    # sub-command's own parser reports them, with its own usage
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except CTSTLError as exc:

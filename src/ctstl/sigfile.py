@@ -3,7 +3,8 @@
 Signals travel as CSV: a header row naming the variables, one row of finite
 numbers per sample.  An optional leading column named ``t`` carries
 timestamps; it must be uniformly spaced (relative tolerance 1e-9) and sets
-the step unless one is given, then it is dropped.  Files are UTF-8 bytes.
+the step unless one is given, then it is dropped.  Files are UTF-8 bytes;
+a leading byte-order mark is dropped too.
 The monitor's stream (:func:`open_signal_stream` and
 :func:`samples_at_step`) is the one definition of a valid file: it decodes
 line by line (:class:`Utf8Lines`) and raises the first error at its line.
@@ -129,6 +130,8 @@ def _read_header(fh: IO) -> tuple[Iterator[list[str]], tuple[str, ...]]:
             from None
     except csv.Error as exc:
         raise _malformed(exc, rd) from None
+    if header:  # a byte-order mark, as Excel writes, names no column
+        header[0] = header[0].removeprefix("\ufeff")
     names = tuple(h.strip() for h in header)
     if not names or any(not n for n in names):
         raise SignalFormatError("blank column name in header", 1)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, SourceSpan
 from .logic import (
+    COMPARATORS,
     Always,
     And,
     Atom,
@@ -43,34 +44,16 @@ from .logic import (
     _fmt_num,
 )
 
-_KEYWORDS = {
-    "U": "U", "F": "F", "G": "G", "C": "C",
-    "and": "ANDKW", "or": "ORKW", "not": "NOTKW",
-}
+# A token's kind is its text, but for a number (NUM), an identifier (IDENT)
+# and the end of input (EOF).  These words are reserved; each one's kind is
+# the symbol it spells, or itself.
+_WORDS = {"U": "U", "F": "F", "G": "G", "C": "C",
+          "and": "&&", "or": "||", "not": "!"}
 
-_TOKEN_SPEC = [
-    ("WS", r"\s+"),
-    ("NUM", r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("ANDOP", r"&&"),
-    ("OROP", r"\|\|"),
-    ("LE", r"<="),
-    ("GE", r">="),
-    ("LT", r"<"),
-    ("GT", r">"),
-    ("BANG", r"!"),
-    ("LPAR", r"\("),
-    ("RPAR", r"\)"),
-    ("LBRK", r"\["),
-    ("RBRK", r"\]"),
-    ("COMMA", r","),
-    ("CARET", r"\^"),
-    ("PLUS", r"\+"),
-    ("MINUS", r"-"),
-    ("STAR", r"\*"),
-]
-
-_MASTER = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
+_MASTER = re.compile(r"(?P<WS>\s+)"
+                     r"|(?P<NUM>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+                     r"|(?P<OP>&&|\|\||<=|>=|[<>!()\[\],^+\-*])")
 
 
 @dataclass(frozen=True)
@@ -96,20 +79,18 @@ def _tokenize(text: str) -> list[_Tok]:
         kind = m.lastgroup
         if kind != "WS":
             tok_text = m.group()
-            if kind == "IDENT":
-                kind = _KEYWORDS.get(tok_text, "IDENT")
+            if kind == "OP":
+                kind = tok_text
+            elif kind == "IDENT":
+                kind = _WORDS.get(tok_text, "IDENT")
             toks.append(_Tok(kind, tok_text, pos, m.end()))
         pos = m.end()
     toks.append(_Tok("EOF", "", len(text), len(text)))
     return toks
 
 
-_CMP = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -121,24 +102,25 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"found {tok.text!r}" if tok.kind != "EOF"
-                else "unexpected end of input",
-                tok.span, frozenset({what}))
+    def expect(self, kind: str, what: str | None = None) -> _Tok:
+        if self.peek().kind != kind:
+            self.unexpected(what or f"'{kind}'")
         return self.advance()
 
     def fail(self, msg: str, tok: _Tok, *expected: str):
         raise ParseError(msg, tok.span, frozenset(expected))
+
+    def unexpected(self, *expected: str):
+        tok = self.peek()
+        self.fail(f"found {tok.text!r}" if tok.kind != "EOF"
+                  else "unexpected end of input", tok, *expected)
 
     # -- grammar ------------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.or_expr()
         if self.peek().kind == "U":
-            op = self.advance()
+            self.advance()
             interval = self.interval()
             right = self.or_expr()
             if self.peek().kind == "U":
@@ -149,27 +131,27 @@ class _Parser:
 
     def or_expr(self) -> Formula:
         node = self.and_expr()
-        while self.peek().kind in ("OROP", "ORKW"):
+        while self.peek().kind == "||":
             self.advance()
             node = Or(node, self.and_expr())
         return node
 
     def and_expr(self) -> Formula:
         node = self.unary()
-        while self.peek().kind in ("ANDOP", "ANDKW"):
+        while self.peek().kind == "&&":
             self.advance()
             node = And(node, self.unary())
         return node
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind in ("BANG", "NOTKW"):
+        if tok.kind == "!":
             self.advance()
             return Not(self.unary())
         if tok.kind in ("F", "G", "C"):
             # bare F/G/C without an interval is a reserved word misused
             # as a variable, not a temporal operator
-            if self.toks[self.pos + 1].kind != "LBRK":
+            if self.toks[self.pos + 1].kind != "[":
                 self.fail(f"{tok.text!r} is a reserved word", tok,
                           "'[' after a temporal operator")
             self.advance()
@@ -178,28 +160,25 @@ class _Parser:
                 return Eventually(interval, self.unary())
             if tok.kind == "G":
                 return Always(interval, self.unary())
-            self.expect("CARET", "'^'")
+            self.expect("^")
             tau = self.number()
             return Cumulative(interval, tau, self.unary())
         return self.primary()
 
     def primary(self) -> Formula:
-        if self.peek().kind == "LPAR":
+        if self.peek().kind == "(":
             self.advance()
             node = self.formula()
-            self.expect("RPAR", "')'")
+            self.expect(")")
             return node
         return self.predicate()
 
     def predicate(self) -> Formula:
         start = self.peek()
         coeffs, const = self.sum()
-        tok = self.peek()
-        if tok.kind not in _CMP:
-            self.fail(f"found {tok.text!r}" if tok.kind != "EOF"
-                      else "unexpected end of input",
-                      tok, "comparison operator")
-        op = _CMP[self.advance().kind]
+        if self.peek().kind not in COMPARATORS:
+            self.unexpected("comparison operator")
+        op = self.advance().kind
         rcoeffs, rconst = self.sum()
         # everything moves left except the constant: sum cmp sum becomes
         # (left - right) cmp (rconst - const)
@@ -216,7 +195,7 @@ class _Parser:
         coeffs: dict[str, float] = {}
         const = 0.0
         sign = 1.0
-        if self.peek().kind == "MINUS":
+        if self.peek().kind == "-":
             self.advance()
             sign = -1.0
         while True:
@@ -225,15 +204,9 @@ class _Parser:
                 const += sign * value
             else:
                 coeffs[name] = coeffs.get(name, 0.0) + sign * value
-            tok = self.peek()
-            if tok.kind == "PLUS":
-                self.advance()
-                sign = 1.0
-            elif tok.kind == "MINUS":
-                self.advance()
-                sign = -1.0
-            else:
+            if self.peek().kind not in ("+", "-"):
                 break
+            sign = 1.0 if self.advance().kind == "+" else -1.0
         return coeffs, const
 
     def term(self) -> tuple[str | None, float]:
@@ -242,36 +215,33 @@ class _Parser:
         if tok.kind == "NUM":
             self.advance()
             value = float(tok.text)
-            if self.peek().kind == "STAR":
+            if self.peek().kind == "*":
                 self.advance()
                 return self.variable(), value
             return None, value
         if tok.kind == "IDENT":
             name = self.variable()
-            if self.peek().kind == "STAR":
+            if self.peek().kind == "*":
                 self.advance()
                 return name, self.number()
             return name, 1.0
-        self.fail(f"found {tok.text!r}" if tok.kind != "EOF"
-                  else "unexpected end of input",
-                  tok, "number", "variable")
+        self.unexpected("number", "variable")
 
     def variable(self) -> str:
         tok = self.peek()
-        if tok.kind in _KEYWORDS.values() and tok.kind != "IDENT":
+        if tok.text in _WORDS:
             self.fail(f"{tok.text!r} is a reserved word", tok, "variable")
         return self.expect("IDENT", "variable").text
 
     def number(self) -> float:
         return float(self.expect("NUM", "number").text)
 
-
     def interval(self) -> TimeInterval:
-        self.expect("LBRK", "'['")
+        self.expect("[")
         lo = self.number()
-        self.expect("COMMA", "','")
+        self.expect(",")
         hi = self.number()
-        self.expect("RBRK", "']'")
+        self.expect("]")
         return TimeInterval(lo, hi)
 
 

@@ -318,6 +318,9 @@ class TestBadInput:
         (["bench", "--w", "0", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--w", "-5", "--cases", "0"], "", "w must be >= 1"),
         (["bench", "--n", "-3", "--cases", "0"], "", "n must be >= 1"),
+        # a negative count would skip the monitor cross-check silently
+        pytest.param(["bench", "--n", "10", "--w", "3", "--cases", "-4"], "",
+                     "cases must be >= 0, got -4", id="bench-negative-cases"),
         # numpy's generators refuse a negative seed with a ValueError
         pytest.param(["bench", "--seed", "-1", "--cases", "0"], "",
                      "seed must be >= 0, got -1", id="bench-negative-seed"),
@@ -468,6 +471,42 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: out of memory: monitor state of ")
 
+    @pytest.mark.parametrize("argv, usage, refused", [
+        (["gen", "glucose", "--over17", "5", "--out", "x.csv"],
+         "usage: ctstl gen glucose ", "--over17 5"),
+        (["eval", "--formula", "x > 0", "f.csv", "--sweep"],
+         "usage: ctstl eval ", "--sweep")], ids=["gen", "eval"])
+    def test_refused_flag_shows_the_sub_commands_usage(self, argv, usage,
+                                                       refused, capsys):
+        # argparse hands a sub-parser's unknown flags up to the root, whose
+        # usage names no flag of the sub-command
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        prog = usage.removeprefix("usage: ").rstrip()
+        assert err.startswith(usage)
+        assert err.endswith(f"\n{prog}: error: unrecognized arguments: "
+                            f"{refused}\n")
+
+    @pytest.mark.parametrize("header, rows", [
+        ("t,x", ["0,-1", "0.5,-1", "1,3", "1.5,-1"]),
+        ("x", ["-1", "-1", "3", "-1"])])
+    @pytest.mark.parametrize("cmd", [["eval"], ["rob", "--sweep"],
+                                     ["monitor"]])
+    def test_byte_order_mark_changes_nothing(self, cmd, header, rows,
+                                             tmp_path):
+        # Excel and many Windows tools start UTF-8 CSV with EF BB BF; read
+        # as part of the first name, it hides a t column or renames x
+        text = "\n".join([header, *rows]) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        f = [*cmd, "--formula", "F[0,1] (x > 0)"]
+        want = run_cli([*f, str(plain)])
+        assert want[0] in (0, 1) and want[2] == ""
+        assert run_cli([*f, str(marked)]) == want
+
     def test_inexact_step_product_does_not_flip_the_verdict(self):
         # 3 * 0.3 is 0.8999999999999999 < 0.9; all three paths must count
         # against the bound rank 3 and agree
@@ -551,7 +590,7 @@ def _cli_runs(draw):
 @st.composite
 def _gen_bench_runs(draw):
     """A gen or bench call with small, possibly negative, integer flags,
-    and whether it gives a negative seed or spread."""
+    and whether it gives a negative seed, spread or case count."""
     if draw(st.booleans()):
         scenario, budgets = draw(st.sampled_from([
             ("overvoltage", ["over17", "over14", "over13", "overcap"]),
@@ -559,9 +598,10 @@ def _gen_bench_runs(draw):
         argv = ["gen", scenario]
         flags = ["length", "seed", "spread", *budgets]
     else:
-        argv = ["bench", f"--cases={draw(st.integers(0, 1))}"]
+        cases = draw(st.integers(-3, 1))
+        argv = ["bench", f"--cases={cases}"]
         flags = ["n", "w", "k", "seed"]
-    negative = False
+    negative = argv[0] == "bench" and cases < 0
     for flag in flags:
         # the sizes are always given: their defaults make slow runs
         v = draw(st.integers(-3, 40) if flag in ("length", "n", "w")

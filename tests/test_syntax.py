@@ -147,6 +147,60 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("C[0,2] (x > 1)")  # missing ^tau
 
+    # every path that raises, with its whole message and span
+    @pytest.mark.parametrize("text, message, span", [
+        # expect: each bracket, separator and token class
+        ("x > 0 U", "unexpected end of input at offset 7 (expected one of: "
+         "'[')", (7, 7)),
+        ("F[0 2] x > 0", "found '2' at offset 4 (expected one of: ',')",
+         (4, 5)),
+        ("F[0,2 (x > 0)", "found '(' at offset 6 (expected one of: ']')",
+         (6, 7)),
+        ("F[, 2] (x > 0)", "found ',' at offset 2 (expected one of: number)",
+         (2, 3)),
+        ("C[0,2] 1 (x > 0)", "found '1' at offset 7 (expected one of: '^')",
+         (7, 8)),
+        ("(x > 0", "unexpected end of input at offset 6 (expected one of: "
+         "')')", (6, 6)),
+        ("x * y > 0", "found 'y' at offset 4 (expected one of: number)",
+         (4, 5)),
+        # the comparator
+        ("x + y", "unexpected end of input at offset 5 (expected one of: "
+         "comparison operator)", (5, 5)),
+        ("x * 2 * 3 > 0", "found '*' at offset 6 (expected one of: "
+         "comparison operator)", (6, 7)),
+        # a term
+        ("x > ", "unexpected end of input at offset 4 (expected one of: "
+         "number, variable)", (4, 4)),
+        ("x > 0 and or > 1", "found 'or' at offset 10 (expected one of: "
+         "number, variable)", (10, 12)),
+        # reserved words
+        ("G 0,2] (x > 0)", "'G' is a reserved word at offset 0 (expected "
+         "one of: '[' after a temporal operator)", (0, 1)),
+        ("2 * U > 1", "'U' is a reserved word at offset 4 (expected one of: "
+         "variable)", (4, 5)),
+        ("2 * and > 1", "'and' is a reserved word at offset 4 (expected one "
+         "of: variable)", (4, 7)),
+        # the tokenizer, trailing input, chained U, no variable
+        ("x # 0", "unexpected character '#' at offset 2", (2, 3)),
+        ("x < 1 <", "trailing input starting at '<' at offset 6 (expected "
+         "one of: end of formula)", (6, 7)),
+        ("(x>0) U[0,1] (y>0) U[0,1] (x<0)", "chained U needs parentheses "
+         "(non-associative) at offset 19 (expected one of: end of formula)",
+         (19, 20)),
+        ("3 > 2", "predicate references no variable at offset 0", (0, 5)),
+    ])
+    def test_error_message_and_span(self, text, message, span):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+        assert (e.value.span.start, e.value.span.end) == span
+
+    def test_word_and_symbol_spellings_parse_alike(self):
+        words = "not (x > 0 and y < 1) or F[0,2] (x >= 1 and not y <= 0)"
+        symbols = "!(x > 0 && y < 1) || F[0,2] (x >= 1 && !y <= 0)"
+        assert parse(words) == parse(symbols)
+
 
 class TestRoundTrip:
     def test_fig4_round_trip(self):
