@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
-    with open(args.formula_file, "r", encoding="utf-8") as fh:
+    with open(args.formula_file, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -70,17 +70,18 @@ def _open_source(path: str):
             yield fh
 
 
-def _read_signal(args):
+def _offline_input(args):
+    """The parsed formula of ``eval`` or ``rob``, and its signal.
+
+    The formula is parsed before the signal is read, so a bad formula
+    fails at once; validation needs the signal's header and step."""
+    f = parse(_formula_text(args))
     with _open_source(args.signal) as fh:
-        return read_signal_csv(fh, delta=args.step)
+        return f, read_signal_csv(fh, delta=args.step)
 
-
-# Each command parses its formula before it reads the signal, so a bad
-# formula fails at once; validation needs the signal's header and step.
 
 def cmd_eval(args) -> int:
-    f = parse(_formula_text(args))
-    sig = _read_signal(args)
+    f, sig = _offline_input(args)
     f = validate(f, sig.names, sig.delta)
     ok = _sweep_at(f, sig, _sample_index(args.at, sig.delta),
                    boolean=True) > 0
@@ -89,14 +90,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rob(args) -> int:
-    f = parse(_formula_text(args))
-    sig = _read_signal(args)
-    f = validate(f, sig.names, sig.delta)
+    f, sig = _offline_input(args)
     if args.sweep:
-        rho = robustness_trace(f, sig)
+        rho = robustness_trace(f, sig)  # validates f
         print("t,rho")
         write_rows(sys.stdout, rho.reshape(-1, 1), sig.delta)
         return 0
+    f = validate(f, sig.names, sig.delta)
     r = _sweep_at(f, sig, _sample_index(args.at, sig.delta), boolean=False)
     print(_fmt_num(r))
     return 0
@@ -274,10 +274,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
-    except CTSTLError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CTSTLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -105,17 +105,14 @@ def glucose_trace(length: int, seed: int, hypo: int = 0, hyper: int = 0,
     return sig, report
 
 
-def overvoltage_formulas(window: int = DEFAULT_WINDOW,
-                         g_window: int | None = None) -> dict[str, str]:
+def overvoltage_formulas(window: int = DEFAULT_WINDOW) -> dict[str, str]:
     """Voltage formula family over a [0, window] cumulative span.
 
     Each (threshold, limit) pair of VOLT_LIMITS allows at most limit + 1
     samples at or above the threshold inside any window (window + 1 -
     (window - limit) instants may miss the under-threshold requirement).
-    phi5 repeats the conjunction of phi1-phi4 along [0, g_window].
+    phi5 repeats the conjunction of phi1-phi4 along [0, window].
     """
-    if g_window is None:
-        g_window = window
     parts = {"phi1": "v <= 2"}
     for j, (thr, limit) in enumerate(VOLT_LIMITS, start=2):
         tau = window - limit
@@ -125,7 +122,7 @@ def overvoltage_formulas(window: int = DEFAULT_WINDOW,
         parts[f"phi{j}"] = (
             f"C[0,{window}]^{_fmt_num(tau)} (v < {_fmt_num(thr)})")
     conj = " && ".join(f"({phi})" for phi in parts.values())
-    parts["phi5"] = f"G[0,{g_window}] ({conj})"
+    parts["phi5"] = f"G[0,{window}] ({conj})"
     return parts
 
 

@@ -220,21 +220,17 @@ class _PrefixMonitor:
     def finalize(self) -> Verdict:
         """Resolve the verdict at end of stream.
 
-        A point root decides by sign; an exactly-zero point on a complete
-        trace falls back to the qualitative semantics.  Anything else stays
-        Unknown, with the residual interval attached.
+        ``_judge`` has decided every root that excludes zero, so an open
+        root is decided here only when it is exactly zero on a complete
+        trace, by the qualitative semantics.  Anything else stays Unknown,
+        with the residual interval attached.
         """
         if self.verdict.decided:
             return self.verdict
         root = self.verdict.rosi
-        last = self.i - 1
-        if root.is_point:
-            r = root.lb
-            if r != 0:
-                self.verdict = Verdict(r > 0, root, last)
-            elif self.i >= self.horizon + 1:
-                ok = _sweep_at(self.formula, self._prefix(), 0, boolean=True)
-                self.verdict = Verdict(ok > 0, root, last)
+        if root.lb == root.ub == 0 and self.i > self.horizon:
+            ok = _sweep_at(self.formula, self._prefix(), 0, boolean=True)
+            self.verdict = Verdict(ok > 0, root, self.i - 1)
         return self.verdict
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import NonFiniteMargin
 from .logic import (
     Always,
     And,
@@ -28,8 +27,8 @@ from .logic import (
     validate,
 )
 from .monitor import INF, RoSI, _judge, _PrefixMonitor
-from .signals import Bounds, Signal, atom_bounds, check_bounds
-from .syntax import format_formula
+from .signals import (Bounds, Signal, atom_bounds, check_bounds,
+                      secondary_signal)
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
@@ -42,22 +41,14 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
     """
     f = validate(f, prefix.names, prefix.delta)
     bounds = check_bounds(bounds, prefix.names)
-    for _, node in iter_nodes(f):  # refuses a range with no finite value
-        if isinstance(node, Atom):
-            atom_bounds(node, bounds)
+    atoms = [node for _, node in iter_nodes(f) if isinstance(node, Atom)]
+    for node in atoms:  # refuses a range with no finite value
+        atom_bounds(node, bounds)
     n = len(prefix)
-    rows = [tuple(float(v) for v in prefix.values[j]) for j in range(n)]
-    name_to_col = {name: j for j, name in enumerate(prefix.names)}
+    # margins as the offline semantics scores them; one that overflows is
+    # refused, as the monitor refuses its sample
+    margins = {id(node): secondary_signal(node, prefix) for node in atoms}
     memo: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def atom_point(node: Atom, t: int) -> float:
-        acc = 0.0
-        for name, coeff in node.coeffs:
-            acc += coeff * rows[t][name_to_col[name]]
-        y = node.sign * (acc - node.rhs)
-        if not -INF < y < INF:
-            raise NonFiniteMargin(format_formula(node), t, y)
-        return y
 
     def ev(node: Formula, t: int) -> tuple[float, float]:
         key = (id(node), t)
@@ -65,7 +56,7 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
             return memo[key]
         if isinstance(node, Atom):
             if t < n:
-                y = atom_point(node, t)
+                y = float(margins[id(node)][t])
                 out = (y, y)
             else:
                 out = atom_bounds(node, bounds)

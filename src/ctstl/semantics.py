@@ -174,8 +174,8 @@ def _signs(node: Atom, signal: Signal) -> np.ndarray:
 
 
 def _sweep(f: Formula, signal: Signal, atom_map) -> np.ndarray:
-    """Value at every admissible anchor, atoms mapped by atom_map."""
-    f = validate(f, signal.names, signal.delta)
+    """Value at every admissible anchor, atoms mapped by atom_map; f is
+    validated against the signal's names and step."""
     n = len(signal)
     h = horizon(f)
     if n - h <= 0:
@@ -218,6 +218,7 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
     over its child's trace, so the whole thing is near-linear in trace
     length for fixed windows.
     """
+    f = validate(f, signal.names, signal.delta)
     return _sweep(f, signal, secondary_signal)
 
 
@@ -226,9 +227,9 @@ def _sweep_at(f: Formula, signal: Signal, t: int, *,
     """The sweep at anchor t alone, over rows [t, t + horizon(f)].
 
     With ``boolean`` the atoms map to +-1, so the result is +1 exactly when
-    ``satisfies(f, signal, t)``; without, it equals ``robustness``.
+    ``satisfies(f, signal, t)``; without, it equals ``robustness``.  As
+    in ``_sweep``, f is validated.
     """
-    f = validate(f, signal.names, signal.delta)
     _admissible(f, signal, t)
     rows = Signal(signal.names, signal.values[t:t + horizon(f) + 1],
                   signal.delta)

@@ -50,10 +50,12 @@ from .logic import (
 _WORDS = {"U": "U", "F": "F", "G": "G", "C": "C",
           "and": "&&", "or": "||", "not": "!"}
 
+# ASCII: without it, \d and \s take any Unicode digit and space
 _MASTER = re.compile(r"(?P<WS>\s+)"
                      r"|(?P<NUM>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
                      r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-                     r"|(?P<OP>&&|\|\||<=|>=|[<>!()\[\],^+\-*])")
+                     r"|(?P<OP>&&|\|\||<=|>=|[<>!()\[\],^+\-*])",
+                     re.ASCII)
 
 
 @dataclass(frozen=True)

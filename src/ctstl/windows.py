@@ -27,9 +27,10 @@ def _as_trace(trace) -> np.ndarray:
     return arr
 
 
-def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
-    """The trace, and the offset and width of a window (lo, hi) of integer
-    sample offsets, 0 <= lo <= hi."""
+def _prep(trace, interval, k=1) -> tuple[np.ndarray, int, int]:
+    """The trace from the start of a window (lo, hi) of integer sample
+    offsets, 0 <= lo <= hi, on; the window's width; and a rank k within it
+    as an int."""
     arr = _as_trace(trace)
     lo, hi = map(operator.index, interval)
     if not 0 <= lo <= hi:
@@ -37,7 +38,10 @@ def _prep(trace, interval) -> tuple[np.ndarray, int, int]:
     w = hi - lo + 1
     if hi > arr.size - 1:
         raise WindowExceedsTrace(w, arr.size)
-    return arr, lo, w
+    k = int(k)
+    if not 1 <= k <= w:
+        raise RankOutOfRange(k, w)
+    return arr[lo:], w, k
 
 
 def _wavelet_kth(values, w, k) -> np.ndarray:
@@ -81,11 +85,7 @@ def sliding_kth_batch(trace, interval, k: int) -> np.ndarray:
 
     Output index t runs from 0; entry t covers the window anchored at t.
     """
-    arr, lo, w = _prep(trace, interval)
-    k = int(k)
-    if not 1 <= k <= w:
-        raise RankOutOfRange(k, w)
-    return _wavelet_kth(arr[lo:], w, k)
+    return _wavelet_kth(*_prep(trace, interval, k))
 
 
 def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:
@@ -99,8 +99,8 @@ def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    arr, lo, w = _prep(trace, interval)
-    x = arr[lo:] if mode == "min" else -arr[lo:]
+    x, w, _ = _prep(trace, interval)
+    x = x if mode == "min" else -x
     m = x.size - w + 1
     blocks = np.concatenate((x, np.full(-x.size % w, np.inf))).reshape(-1, w)
     fwd = np.minimum.accumulate(blocks, axis=1).ravel()
@@ -136,41 +136,32 @@ def until_batch(lvals, rvals, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _chunk_rows(w: int) -> int:
-    # keep each partitioned block near 64 MB
-    return max(1, int(8_000_000 // max(w, 1)))
+def _per_window(x: np.ndarray, w: int, agg) -> np.ndarray:
+    """agg of every complete width-w window of x, agg taking a block of
+    windows, one per row.  Chunked so each block stays near 64 MB."""
+    view = np.lib.stride_tricks.sliding_window_view(x, w)
+    out = np.empty(view.shape[0], dtype=np.float64)
+    step = max(1, 8_000_000 // w)
+    for s in range(0, out.size, step):
+        out[s:s + step] = agg(view[s:s + step])
+    return out
 
 
 def naive_kth_batch(trace, interval, k: int) -> np.ndarray:
     """Per-window rank by re-partitioning every window from scratch.
 
     O(n * w) total work; the baseline the incremental engine is measured
-    against.  Chunked so the materialized window matrix stays bounded.
+    against.
     """
-    arr, lo, w = _prep(trace, interval)
-    k = int(k)
-    if not 1 <= k <= w:
-        raise RankOutOfRange(k, w)
-    shifted = arr[lo:]
-    view = np.lib.stride_tricks.sliding_window_view(shifted, w)
-    out = np.empty(view.shape[0], dtype=np.float64)
-    step = _chunk_rows(w)
-    for s in range(0, out.size, step):
-        e = min(s + step, out.size)
-        out[s:e] = np.partition(view[s:e], w - k, axis=1)[:, w - k]
-    return out
+    x, w, k = _prep(trace, interval, k)
+    return _per_window(
+        x, w, lambda v: np.partition(v, w - k, axis=1)[:, w - k])
 
 
 def naive_extremum_batch(trace, interval, mode: str) -> np.ndarray:
     """Per-window scan min/max; oracle for sliding_extremum_batch."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    arr, lo, w = _prep(trace, interval)
-    view = np.lib.stride_tricks.sliding_window_view(arr[lo:], w)
-    out = np.empty(view.shape[0], dtype=np.float64)
-    step = _chunk_rows(w)
+    x, w, _ = _prep(trace, interval)
     agg = np.min if mode == "min" else np.max
-    for s in range(0, out.size, step):
-        e = min(s + step, out.size)
-        out[s:e] = agg(view[s:e], axis=1)
-    return out
+    return _per_window(x, w, lambda v: agg(v, axis=1))

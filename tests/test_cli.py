@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, event streams, determinism."""
 
+import contextlib
 import csv
 import gc
 import hashlib
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import formula_texts
 from ctstl import Signal, horizon, parse, validate, write_signal_csv
-from ctstl import cli, monitor, sigfile
+from ctstl import cli, logic, monitor, sigfile
 from ctstl.cli import main
 from ctstl.errors import ParamOutOfRange
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
@@ -159,6 +160,41 @@ class TestRob:
         code, out, _ = run_cli(
             ["rob", "--formula-file", str(ff), fig4_file])
         assert code == 0 and out.strip() == "7"
+
+    def test_time_counts_from_the_first_row(self):
+        # --at and the sweep's t are offsets from the first row, not values
+        # of the t column, which sets only the step
+        text = "t,x\n100,1\n101,-2\n102,3\n"
+        f = ["--formula", "x > 0", "-"]
+        assert run_cli(["rob", "--sweep", *f], stdin_text=text) == \
+            (0, "t,rho\n0,1\n1,-2\n2,3\n", "")
+        assert run_cli(["eval", "--at", "2", *f], stdin_text=text) == \
+            (0, "true\n", "")
+        assert run_cli(["eval", "--at", "100", *f], stdin_text=text) == \
+            (2, "", "error: anchor 100 outside trace of length 3\n")
+
+    @pytest.mark.parametrize("cmd", [["eval"], ["eval", "--at", "1"],
+                                     ["rob"], ["rob", "--sweep"]])
+    def test_formula_is_validated_once(self, cmd):
+        # the command binds its formula to the signal's names and step, and
+        # the sweep takes it bound; every module's name for validate counts
+        calls, real = [], logic.validate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        with contextlib.ExitStack() as stack:
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("ctstl") and \
+                        getattr(mod, "validate", None) is real:
+                    stack.enter_context(
+                        mock.patch.object(mod, "validate", counted))
+            code, _, err = run_cli(
+                [*cmd, "--formula", "G[0,1] C[0,1]^1 (x > 0)", "-"],
+                stdin_text="x\n1\n2\n3\n4\n")
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("flags", [["--sweep", "--at", "5"],
                                        ["--at", "0", "--sweep"]])
@@ -506,6 +542,21 @@ class TestBadInput:
         want = run_cli([*f, str(plain)])
         assert want[0] in (0, 1) and want[2] == ""
         assert run_cli([*f, str(marked)]) == want
+
+    @pytest.mark.parametrize("cmd", [["eval"], ["rob", "--sweep"],
+                                     ["monitor"]])
+    def test_byte_order_mark_in_a_formula_file_changes_nothing(self, cmd,
+                                                              tmp_path):
+        # the same tools start a formula file with the same mark
+        plain, marked = tmp_path / "plain.stl", tmp_path / "marked.stl"
+        plain.write_bytes(b"F[0,1] (x > 0)\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        text = "x\n-1\n-1\n3\n-1\n"
+        want = run_cli([*cmd, "--formula-file", str(plain), "-"],
+                       stdin_text=text)
+        assert want[0] in (0, 1) and want[2] == ""
+        assert run_cli([*cmd, "--formula-file", str(marked), "-"],
+                       stdin_text=text) == want
 
     def test_inexact_step_product_does_not_flip_the_verdict(self):
         # 3 * 0.3 is 0.8999999999999999 < 0.9; all three paths must count

@@ -98,6 +98,6 @@ class TestFormulaFamilies:
         assert f2.child.order == 72
         assert f3.order == 202
 
-    def test_g_window_override(self):
-        fam = overvoltage_formulas(window=2000, g_window=500)
-        assert fam["phi5"].startswith("G[0,500]")
+    def test_phi5_repeats_over_the_window(self):
+        fam = overvoltage_formulas(window=2000)
+        assert fam["phi5"].startswith("G[0,2000]")

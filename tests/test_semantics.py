@@ -190,6 +190,14 @@ class TestRobustnessTrace:
         with pytest.raises(EmptyAdmissibleRange):
             robustness_trace(f, sig(1, 2, 3))
 
+    def test_binds_its_formula_to_the_signal_step(self):
+        # a formula bound at another step is bound again, not trusted
+        s = sig(-1, -1, -1, 5, delta=0.5)
+        stale = validate(parse("F[0,1] (x > 0)"), X, 1.0)
+        assert robustness_trace(stale, s).tolist() == [-1.0, 5.0]
+        assert robustness_trace(parse("F[0,1] (x > 0)"), s).tolist() == \
+            [-1.0, 5.0]
+
 
 @st.composite
 def _sweep_cases(draw):

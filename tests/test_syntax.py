@@ -189,6 +189,13 @@ class TestParseErrors:
          "(non-associative) at offset 19 (expected one of: end of formula)",
          (19, 20)),
         ("3 > 2", "predicate references no variable at offset 0", (0, 5)),
+        # tokens are ASCII: a Unicode digit or space is neither
+        ("x > \u0663", "unexpected character '\u0663' at offset 4", (4, 5)),
+        ("F[0,\uff12]\u3000(x > 0)", "unexpected character '\uff12' at "
+         "offset 4", (4, 5)),
+        ("F[0,2]\u3000(x > 0)", "unexpected character '\\u3000' at offset "
+         "6", (6, 7)),
+        ("x >\u00a00", "unexpected character '\\xa0' at offset 3", (3, 4)),
     ])
     def test_error_message_and_span(self, text, message, span):
         with pytest.raises(ParseError) as e:
