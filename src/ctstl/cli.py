@@ -29,8 +29,11 @@ if TYPE_CHECKING:
 def _formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
-    with open(args.formula_file, "r", encoding="utf-8-sig") as fh:
-        return fh.read()
+    # decoded as a signal is, so a bad byte names its line; line ends read
+    # as text mode reads them
+    with open(args.formula_file, "rb") as fh:
+        text = "".join(Utf8Lines(fh)).removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
@@ -276,12 +279,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (CTSTLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        # a formula file's: a signal's error names its line; exc's own
-        # position would count from the start of a decoded chunk
-        print(f"error: input is not UTF-8 text ({exc.reason}: "
-              f"{exc.object[exc.start:exc.end]!r})", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # e.g. monitor state for a window too wide to allocate

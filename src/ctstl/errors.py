@@ -102,7 +102,7 @@ class SignalFormatError(CTSTLError):
 
 
 class UndecodableLine(SignalFormatError):
-    """A line of a signal holds bytes that are not UTF-8."""
+    """A line of a signal or formula file holds bytes that are not UTF-8."""
 
     def __init__(self, line: int, exc: UnicodeDecodeError):
         super().__init__(f"input is not UTF-8 text at line {line:,} "

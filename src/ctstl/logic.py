@@ -232,24 +232,29 @@ def _span(node) -> tuple[int, int]:
     return node.span
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The children of f, in pre-order."""
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, (And, Or, Until)):
+        return f.left, f.right
+    if isinstance(f, (Not, Eventually, Always, Cumulative)):
+        return (f.child,)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 def _reach(f: Formula) -> list[tuple[Formula, int, int]]:
     """Each child of f, in pre-order, with its reach (ra, rb): anchor t of
     f reads the child's anchors t+ra .. t+rb.  The reach is empty when
     ra > rb."""
-    if isinstance(f, Atom):
-        return []
-    if isinstance(f, Not):
-        return [(f.child, 0, 0)]
-    if isinstance(f, (And, Or)):
-        return [(f.left, 0, 0), (f.right, 0, 0)]
+    kids = _children(f)
+    if isinstance(f, (Atom, Not, And, Or)):
+        return [(child, 0, 0) for child in kids]
+    a, b = _span(f)
     if isinstance(f, Until):
-        a, b = _span(f)
         # the left argument is only read on [t, t1), so never past t + b - 1
         return [(f.left, 0, b - 1), (f.right, a, b)]
-    if isinstance(f, (Eventually, Always, Cumulative)):
-        a, b = _span(f)
-        return [(f.child, a, b)]
-    raise TypeError(f"not a formula node: {f!r}")
+    return [(f.child, a, b)]
 
 
 def horizon(f: Formula) -> int:
@@ -260,22 +265,13 @@ def horizon(f: Formula) -> int:
 
 def iter_nodes(f: Formula) -> Iterator[tuple[int, Formula]]:
     """Yield (id, node) pairs in pre-order; ids are stable per formula."""
-    counter = 0
 
-    def walk(node: Formula) -> Iterator[tuple[int, Formula]]:
-        nonlocal counter
-        me = counter
-        counter += 1
-        yield me, node
-        if isinstance(node, Not):
-            yield from walk(node.child)
-        elif isinstance(node, (And, Or, Until)):
-            yield from walk(node.left)
-            yield from walk(node.right)
-        elif isinstance(node, (Eventually, Always, Cumulative)):
-            yield from walk(node.child)
+    def walk(node: Formula) -> Iterator[Formula]:
+        yield node
+        for child in _children(node):
+            yield from walk(child)
 
-    return walk(f)
+    return enumerate(walk(f))
 
 
 def node_horizons(f: Formula) -> dict[int, tuple[int, int]]:

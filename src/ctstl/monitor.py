@@ -379,12 +379,6 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
         np.minimum(child.init[:, None], node.below[r], out=node.iv[:, r])
 
 
-def _is_suffix(form: Formula) -> bool:
-    """Whether a node is a rank node over a point-valued child."""
-    return (isinstance(form, (Eventually, Always, Cumulative))
-            and horizon(form.child) == 0)
-
-
 def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
                atom_pos: dict[Atom, int]):
     """The push step of one node: ``step(i, ys)`` rewrites the node's
@@ -456,7 +450,7 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
                 x = fold.reduce(civ[:, q:q + w], 1)
                 return fold(cinit, x) if q + w > cn else x
 
-        if not _is_suffix(form):
+        if node.below is None:
             def write(i, s, e):  # rescan
                 for t in range(s, e + 1):
                     r = t - lo
@@ -551,20 +545,14 @@ class MonitorState(_PrefixMonitor):
         """The push plan: one step per node with anchors, children first.
 
         Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
-        and each push leaves a step's span in its node's ``span``.  The
-        state's size over the whole horizon, 16 bytes per entry and 16 more
-        per anchor of a ``suffix`` node, is checked first, though the arrays
-        start at ``_FIRST_CAPACITY`` samples.  The check bounds the final state: while a growth step
+        and each push leaves a step's span in its node's ``span``.  The walk
+        allocates only empty arrays; then the state's size over the whole
+        horizon, 16 bytes per entry and 16 more per anchor of a ``suffix``
+        node, is checked, though the arrays start at ``_FIRST_CAPACITY``
+        samples.  The check bounds the final state: while a growth step
         copies a node, that node's old arrays are held as well.
         """
         ranges = node_horizons(self.formula)
-        need = sum(16 * max(hi - lo + 1, 0) * (1 + _is_suffix(form))
-                   for (_, form), (lo, hi) in zip(iter_nodes(self.formula),
-                                                  ranges.values()))
-        if need > _MAX_STATE_BYTES:
-            raise MemoryError(
-                f"monitor state of {need / 2**30:.3g} GiB exceeds the "
-                f"{_MAX_STATE_BYTES / 2**30:.3g} GiB of physical memory")
         pre: list[_Node] = []
         wiring = []
 
@@ -576,14 +564,22 @@ class MonitorState(_PrefixMonitor):
             node.init = _initial_entry(node, self.bounds)
             node.iv = np.empty((2, 0))
             node.lb, node.ub = node.iv
-            # a suffix node's -A and B of every anchor
-            node.neg_above = node.below = (
-                np.empty(0) if _is_suffix(form) else None)
+            # a rank node over a point-valued child is a suffix node, which
+            # keeps -A and B of every anchor
+            suffix = (isinstance(form, (Eventually, Always, Cumulative))
+                      and horizon(form.child) == 0)
+            node.neg_above = node.below = np.empty(0) if suffix else None
             if node.lo <= node.hi:
                 wiring.append((node, kids))
             return node
 
         build(self.formula)
+        need = sum(16 * max(node.hi - node.lo + 1, 0)
+                   * (1 + (node.below is not None)) for node in pre)
+        if need > _MAX_STATE_BYTES:
+            raise MemoryError(
+                f"monitor state of {need / 2**30:.3g} GiB exceeds the "
+                f"{_MAX_STATE_BYTES / 2**30:.3g} GiB of physical memory")
         self._pre, self._wiring = pre, wiring
         self._grow(_FIRST_CAPACITY)
 

@@ -82,7 +82,7 @@ def _decode(raw: bytes, line: int, final: bool = True) -> str:
 
 
 class Utf8Lines:
-    """The lines of a signal source, for the stream reader.
+    """The lines of a signal source or a formula file.
 
     Iterating a binary source reads its bytes as they arrive and decodes
     them as UTF-8 one line at a time, so a byte that is not UTF-8 raises
@@ -146,6 +146,7 @@ def open_signal_stream(fh: IO) -> tuple[tuple[str, ...], bool, Rows]:
     """Header plus a lazy row iterator, for monitoring as data arrives.
 
     Returns (variable names, had-time-column, iterator of (line, values)).
+    A row's line is the CSV reader's line count, its record's last line.
     Timestamps stay in the rows; :func:`samples_at_step` checks and drops
     them.  A binary source is decoded line by line (:class:`Utf8Lines`).
     """
@@ -154,10 +155,10 @@ def open_signal_stream(fh: IO) -> tuple[tuple[str, ...], bool, Rows]:
 
     def gen() -> Rows:
         try:
-            for line, cells in enumerate(rd, start=2):
-                if not cells:
-                    continue
-                yield line, _parse_row(cells, len(names), line)
+            for cells in rd:
+                if cells:
+                    line = rd.line_num
+                    yield line, _parse_row(cells, len(names), line)
         except csv.Error as exc:
             raise _malformed(exc, rd) from None
 

@@ -1285,3 +1285,50 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "monitor" in proc.stdout
+
+
+# a quoted field may hold a line break: the record "2\n" spans lines 3 and 4,
+# so each later row is on the line after its record's count
+@pytest.mark.parametrize("text, says", [
+    ('x\n1\n"2\n"\n3\na\n', "line 6: bad number 'a'\n"),
+    ('x\n1\n"2\n"\n3\n4,5\n', "line 6: expected 1 columns, got 2\n"),
+    ('t,x\n0,1\n1,"2\n"\n2,3\n4,5\n',
+     "line 6: time column not uniformly spaced: 2.0 apart, the step is "
+     "1.0\n")], ids=["bad-number", "arity", "spacing"])
+@pytest.mark.parametrize("cmd", [["monitor"], ["eval"], ["rob"],
+                                 ["rob", "--sweep"]])
+def test_a_row_error_after_a_multi_line_record_names_its_physical_line(
+        cmd, text, says, tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_bytes(text.encode())
+    for source, stdin in ((str(path), None), ("-", text)):
+        code, out, err = run_cli(
+            [*cmd, "--formula", "G[0,10] (x > 0)", source], stdin)
+        assert (code, err) == (2, f"error: {says}")
+        # monitor emits the three good rows' events first
+        assert len(out.splitlines()) == (3 if cmd == ["monitor"] else 0)
+
+
+@pytest.mark.parametrize("cmd", [["monitor"], ["eval"], ["rob"],
+                                 ["rob", "--sweep"]])
+def test_a_bad_byte_in_a_formula_file_names_its_line(cmd, tmp_path):
+    path = tmp_path / "formula.stl"
+    path.write_bytes(b"G[0,1]\n(x > \xff0)\n")
+    code, out, err = run_cli([*cmd, "--formula-file", str(path), "-"],
+                             "x\n1\n2\n")
+    assert (code, out) == (2, "")
+    assert err == ("error: input is not UTF-8 text at line 2 "
+                   "(invalid start byte: b'\\xff')\n")
+
+
+def test_formula_file_line_ends_count_as_one_character(tmp_path):
+    # a parse error's offset counts each line end as text mode reads it,
+    # one character, whether the file ends its lines in \n, \r\n or \r
+    path = tmp_path / "formula.stl"
+    got = []
+    for end in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(b"x > 0" + end + b"&& @" + end)
+        got.append(run_cli(["eval", "--formula-file", str(path), "-"],
+                           "x\n1\n"))
+    assert got[0] == (2, "", "error: unexpected character '@' at offset 9\n")
+    assert got[1] == got[0] and got[2] == got[0]

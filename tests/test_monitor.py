@@ -15,14 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case
-from ctstl import (MonitorState, NaiveMonitor, RoSI, Signal, Verdict,
-                   horizon, parse, robustness, rosi_naive, satisfies,
-                   validate)
+from ctstl import (Always, And, Atom, Eventually, MonitorState, NaiveMonitor,
+                   RoSI, Signal, TimeInterval, Until, Verdict, horizon,
+                   iter_nodes, node_horizons, parse, robustness, rosi_naive,
+                   satisfies, validate)
 from ctstl import monitor
 from ctstl.errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange,
                           UnknownVariable)
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
-from ctstl.randgen import random_signal
+from ctstl.randgen import random_formula, random_signal
 
 X = ("x",)
 XY = ("x", "y")
@@ -85,6 +86,9 @@ class TestRoSIAlgebra:
     def test_verdict_str(self):
         assert str(Verdict(None, RoSI(-1, 1), None)) == "Unknown"
         assert str(Verdict(True, RoSI(2, 2), 5)) == "True"
+
+    def test_rosi_str(self):
+        assert str(RoSI(-INF, 1.5)) == "[-inf, 1.5]"
 
 
 class TestAgainstNaiveRecursion:
@@ -195,6 +199,18 @@ class TestStateSize:
             with pytest.raises(MemoryError, match="physical memory"):
                 MonitorState(f, X)
 
+
+    def test_state_is_checked_before_any_node_array_is_sized(
+            self, monkeypatch):
+        # the build walk allocates only empty arrays, and the state is
+        # checked before _grow sizes them
+        f = parse("G[0,100] G[0,50000] (x > 0)")
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES",
+                            16 + 32 * 101 + 16 * 50_101 - 1)
+        with mock.patch.object(monitor, "_extended",
+                               side_effect=AssertionError("sized")):
+            with pytest.raises(MemoryError, match="physical memory"):
+                MonitorState(f, X)
 
     def test_arrays_hold_the_first_capacity_not_the_horizon(self):
         # F[0,1e7] decides at sample 0 and the benchmark's W=10,000 stream
@@ -944,3 +960,114 @@ class TestSeededWalk:
         seed = np.array([5.0, 1.0, -1.0, 0.0, -1.0, -0.0, 0.0])
         assert seeds[-1] == (7, 0, 0, seed.tobytes())
         assert math.copysign(1.0, mon.node_entries(1)[0].ub) == 1.0
+
+
+def test_monitor_nodes_follow_iter_nodes_and_node_horizons():
+    # the monitor numbers its nodes as iter_nodes does and sizes each from
+    # node_horizons; under U[0,0] a left subtree's range is empty
+    rng = np.random.default_rng(26)
+    empty = 0
+    for _ in range(60):
+        f = Until(TimeInterval(0.0, 0.0), random_formula(rng, XY, 2),
+                  random_formula(rng, XY, 2))
+        if rng.integers(0, 2):
+            f = random_formula(rng, XY, 1)
+            f = Eventually(TimeInterval(0.0, 2.0),
+                           And(f, Until(TimeInterval(0.0, 0.0), f, f)))
+        mon = MonitorState(f, XY)
+        ranges = node_horizons(mon.formula)
+        want = list(iter_nodes(mon.formula))
+        for row in random_signal(rng, XY, 4).values:
+            got = mon.node_ids()
+            assert [nid for nid, _ in got] == [nid for nid, _ in want]
+            assert all(a is b for (_, a), (_, b) in zip(got, want))
+            for nid, _ in got:
+                lo, hi = ranges[nid]
+                assert list(mon.node_entries(nid)) == list(range(lo, hi + 1))
+                empty += lo > hi
+            if mon.push_sample(row).decided:
+                break
+    assert empty > 0
+
+
+def test_an_atom_with_a_zero_coefficient_starts_unbounded():
+    # 0 * inf is NaN: the atom's range skips a zero coefficient, so it is
+    # y's range, not a NaN range that refuses the atom
+    f = Atom((("x", 0.0), ("y", 1.0)), ">", 0.0)
+    assert MonitorState(f, XY).root_rosi() == RoSI(-INF, INF)
+    mon = MonitorState(Always(TimeInterval(0.0, 2.0), f), XY)
+    assert mon.root_rosi() == RoSI(-INF, INF)
+    values = [[5.0, 1.0], [-3.0, 2.0], [7.0, -1.0]]
+    for i, row in enumerate(values):
+        mon.push_sample(row)
+        prefix = Signal(XY, np.array(values[:i + 1]), 1.0)
+        assert mon.root_rosi() == rosi_naive(mon.formula, prefix)
+
+
+@st.composite
+def _wide_rescan_cases(draw):
+    """The rescan and Until writers at realistic widths: C at a middle rank
+    over a refining child (F[0,m] or a short Until) with a window of 10 to
+    40 samples, or U[a,b] with b up to 40 over point or refining children;
+    under an optional G, with bounds half the time, and a stream that
+    fills every window."""
+    def atom():
+        return draw(st.sampled_from(_ATOMS))
+
+    def point():
+        text = draw(st.sampled_from(["{}", "!({})", "({}) && ({})",
+                                     "({}) || ({})"]))
+        return text.format(*(atom() for _ in range(text.count("{}"))))
+
+    def refining():
+        if draw(st.booleans()):
+            return f"F[0,{draw(st.integers(1, 4))}] ({point()})"
+        a = draw(st.integers(0, 2))
+        return f"({atom()}) U[{a},{a + draw(st.integers(1, 3))}] ({atom()})"
+
+    def operand():
+        return draw(st.sampled_from([point, refining]))()
+
+    if draw(st.booleans()):
+        a, w = draw(st.integers(0, 3)), draw(st.integers(10, 40))
+        k = draw(st.integers(2, w - 1))  # neither a min nor a max
+        tau = k - draw(st.sampled_from([0, 0.5]))
+        text = f"C[{a},{a + w - 1}]^{tau} ({refining()})"
+    else:
+        b = draw(st.integers(1, 40))
+        a = draw(st.integers(0, b))
+        text = f"({operand()}) U[{a},{b}] ({operand()})"
+    if draw(st.booleans()):
+        text = f"G[0,{draw(st.integers(1, 6))}] ({text})"
+    bounds = draw(st.none() | st.fixed_dictionaries(
+        {"x": st.tuples(st.integers(-3, 0), st.integers(0, 3))},
+        optional={"y": st.tuples(st.integers(-3, 0), st.integers(0, 3))}))
+    n = horizon(validate(parse(text), XY)) + draw(st.integers(1, 8))
+    values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=n, max_size=n))
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+              for row in values]
+    return text, bounds, values
+
+
+class TestWideRescan:
+    @given(_wide_rescan_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_entry_matches_rosi_naive_at_wide_windows(self, case):
+        # (text || A) && A, with A the atom x > 0 at sample 200, keeps the
+        # root open through the stream; every node's entries are checked
+        # after every 7th push and after the last
+        text, bounds, values = case
+        f = validate(parse(f"(({text}) || G[200,200] (x > 0)) && "
+                           "G[200,200] (x > 0)"), XY)
+        mon = MonitorState(f, XY, bounds=bounds)
+        for i, row in enumerate(values):
+            mon.push_sample(row)
+            if i % 7 != 6 and i != len(values) - 1:
+                continue
+            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
+            for nid, node in mon.node_ids():
+                for t, got in mon.node_entries(nid).items():
+                    assert got == rosi_naive(node, prefix, t, bounds), \
+                        (text, bounds, i, nid, t)

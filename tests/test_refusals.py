@@ -8,7 +8,7 @@ import pytest
 
 from ctstl import MonitorState, RoSI, Signal, parse, validate
 from ctstl.errors import (NonFiniteMargin, ParamOutOfRange, RankOutOfRange,
-                          WindowExceedsTrace)
+                          UnknownVariable, WindowExceedsTrace)
 from ctstl.generators import glucose_formulas
 from ctstl.logic import Atom
 from ctstl.oracle import rosi_naive
@@ -76,6 +76,8 @@ def _node_entries(nid):
      "expected shape (n, 2), got (2, 3)"),
     (lambda: Signal(("x",), [1.0, np.inf]), ValueError,
      "signal samples must be finite"),
+    (lambda: Signal(("x",), [1.0]).column("y"), UnknownVariable,
+     "unknown variable 'y'; schema is ['x']"),
     # monitor values
     (lambda: RoSI(1.0, 0.0), ValueError,
      "RoSI bounds out of order: [1.0, 0.0]"),

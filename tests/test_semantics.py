@@ -72,6 +72,10 @@ class TestAtoms:
         assert robustness(validate(parse("x > 1"), X), s, 0) == 0.0
 
 
+def test_signal_repr():
+    assert repr(sig(1, 2, 3, delta=0.5)) == "Signal(['x'], n=3, delta=0.5)"
+
+
 class TestBooleanAndTemporal:
     def test_not_negates(self, rng):
         for _ in range(40):

@@ -88,6 +88,14 @@ def test_stream_reader_is_lazy():
         next(rows)
 
 
+def test_a_row_is_numbered_by_its_records_last_line():
+    # blank lines count, and the record "2\n" spans lines 4 and 5
+    text = 'x\n1\n\n"2\n"\n3\n'
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        _, _, rows = open_signal_stream(source)
+        assert list(rows) == [(2, [1.0]), (5, [2.0]), (6, [3.0])]
+
+
 def test_event_json_round_trip():
     ev = MonitorEvent(4, -math.inf, 7.0, None, False)
     assert json.loads(ev.to_json()) == {"i": 4, "lb": -math.inf, "ub": 7.0,
