@@ -7,7 +7,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ParamOutOfRange
+from .errors import check_at_least
 from .monitor import MonitorState
 from .oracle import NaiveMonitor
 from .randgen import random_formula, random_signal
@@ -20,16 +20,6 @@ def _time(fn, *args):
     return perf_counter() - t0, out
 
 
-def _check(seed: int, **sizes: int) -> None:
-    """A seed must be >= 0 (numpy's generators refuse one below) and every
-    size >= 1."""
-    if seed < 0:
-        raise ParamOutOfRange(f"seed must be >= 0, got {seed}")
-    for name, v in sizes.items():
-        if v < 1:
-            raise ParamOutOfRange(f"{name} must be >= 1, got {v}")
-
-
 def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
               seed: int = 0) -> dict:
     """Sliding rank engine vs per-window re-partition on one random trace.
@@ -37,7 +27,8 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
     The engine is the wavelet matrix of ``windows``; the report calls it
     ``worklist``.  Outputs must agree exactly or the report flags it.
     """
-    _check(seed, n=n, w=w)
+    check_at_least(0, seed=seed)  # numpy's generators refuse one below
+    check_at_least(1, n=n, w=w)
     if k is None:
         k = max(1, w // 2)
     rng = np.random.default_rng(seed)
@@ -60,7 +51,8 @@ def bench_kth(n: int = 100_000, w: int = 1_000, k: int | None = None,
 def bench_scaling(n: int = 100_000, w: int = 1_000, seed: int = 0) -> dict:
     """Per-sample engine cost at window w vs 2w (k tracks w/2), each the
     median of three calls."""
-    _check(seed, n=n, w=w)
+    check_at_least(0, seed=seed)
+    check_at_least(1, n=n, w=w)
     rng = np.random.default_rng(seed)
     trace = rng.standard_normal(n)
     w2 = min(2 * w, n)  # degenerate traces: keep the probe window feasible
@@ -90,7 +82,7 @@ def bench_monitor(cases: int = 100, seed: int = 0) -> dict:
     end; the report carries the count so a benchmark run doubles as a
     cross-check.
     """
-    _check(seed)
+    check_at_least(0, seed=seed, cases=cases)
     rng = np.random.default_rng(seed)
     names = ("x", "y")
     mismatch = 0

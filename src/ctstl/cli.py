@@ -12,10 +12,11 @@ import gc
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import CTSTLError, ParamOutOfRange
+from .errors import CTSTLError, ParamOutOfRange, check_at_least
 from .logic import _fmt_num, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
-from .sigfile import (MonitorEvent, Utf8Lines, event_reindexer,
+from .signals import check_bounds
+from .sigfile import (MonitorEvent, Utf8Lines, check_step, event_reindexer,
                       open_signal_stream, read_signal_csv, samples_at_step,
                       write_rows, write_signal_csv)
 from .syntax import parse
@@ -52,7 +53,7 @@ def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
         if name in out:
             raise ParamOutOfRange(f"--bounds given twice for {name!r}")
         out[name] = (lo, hi)
-    return out
+    return check_bounds(out, out)  # the names wait for the header
 
 
 def _sample_index(at: float, delta: float) -> int:
@@ -76,9 +77,10 @@ def _open_source(path: str):
 def _offline_input(args):
     """The parsed formula of ``eval`` or ``rob``, and its signal.
 
-    The formula is parsed before the signal is read, so a bad formula
-    fails at once; validation needs the signal's header and step."""
+    A bad formula or ``--step`` fails before the signal is read;
+    validation needs the signal's header and step."""
     f = parse(_formula_text(args))
+    check_step(args.step)
     with _open_source(args.signal) as fh:
         return f, read_signal_csv(fh, delta=args.step)
 
@@ -117,6 +119,8 @@ def cmd_monitor(args) -> int:
     from .monitor import MonitorState
 
     f = parse(_formula_text(args))
+    check_step(args.step)  # the flags fail before the signal is read
+    bounds = _parse_bounds(args.bounds)
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(_open_source(args.signal))
         trace_fh = stack.enter_context(
@@ -124,8 +128,7 @@ def cmd_monitor(args) -> int:
         lines = Utf8Lines(fh)
         names, has_time, rows = open_signal_stream(lines)
         delta, samples = samples_at_step(has_time, rows, args.step)
-        mon = MonitorState(f, names, delta=delta,
-                           bounds=_parse_bounds(args.bounds))
+        mon = MonitorState(f, names, delta=delta, bounds=bounds)
         out, last = sys.stdout, None
         for i, vals in enumerate(samples):
             v = mon.push_sample(vals)
@@ -182,8 +185,7 @@ def cmd_bench(args) -> int:
 
     from . import bench as benchmod
 
-    if args.cases < 0:  # 0 skips the monitor cross-check
-        raise ParamOutOfRange(f"cases must be >= 0, got {args.cases}")
+    check_at_least(0, cases=args.cases)  # 0 skips the monitor cross-check
     print(json.dumps(benchmod.bench_kth(
         n=args.n, w=args.w, k=args.k, seed=args.seed)))
     print(json.dumps(benchmod.bench_scaling(

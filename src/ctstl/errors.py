@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one count check."""
 
 from __future__ import annotations
 
@@ -89,6 +89,14 @@ class NonFiniteMargin(CTSTLError):
 
 class ParamOutOfRange(CTSTLError):
     """A parameter (generator budget, CLI flag, bounds) is out of range."""
+
+
+def check_at_least(least: int, **counts: int | None) -> None:
+    """Refuse the first count, in argument order, below ``least``; a count
+    of None is not checked."""
+    for name, v in counts.items():
+        if v is not None and v < least:
+            raise ParamOutOfRange(f"{name} must be >= {least}, got {v}")
 
 
 class SignalFormatError(CTSTLError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, check_at_least
 from .logic import _fmt_num
 from .signals import Signal
 
@@ -37,14 +37,9 @@ def _excursion_trace(length: int, seed: int, spread: int | None,
     ``(name, count, band)`` of ``bands``, ``count`` are redrawn uniform in
     ``band``.  The excursions take distinct places in the first ``spread``
     samples (default 80 % of the trace)."""
-    for name, c, _ in bands:
-        if c < 0:
-            raise ParamOutOfRange(f"{name} must be >= 0, got {c}")
-    if length < 1:
-        raise ParamOutOfRange(f"length must be >= 1, got {length}")
-    for name, v in (("seed", seed), ("spread", spread)):
-        if v is not None and v < 0:
-            raise ParamOutOfRange(f"{name} must be >= 0, got {v}")
+    check_at_least(0, **{name: c for name, c, _ in bands})
+    check_at_least(1, length=length)
+    check_at_least(0, seed=seed, spread=spread)
     total = sum(c for _, c, _ in bands)
     region = spread if spread is not None else max(int(0.8 * length), 1)
     region = min(region, length)

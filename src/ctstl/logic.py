@@ -259,8 +259,7 @@ def _reach(f: Formula) -> list[tuple[Formula, int, int]]:
 
 def horizon(f: Formula) -> int:
     """Number of future samples (beyond t) an evaluation at t can touch."""
-    return max((rb + horizon(child) for child, ra, rb in _reach(f)
-                if ra <= rb), default=0)
+    return max(hi for _, hi in node_horizons(f).values())
 
 
 def iter_nodes(f: Formula) -> Iterator[tuple[int, Formula]]:

@@ -256,13 +256,11 @@ def _initial_entry(node: _Node, bounds) -> np.ndarray:
     form = node.form
     if isinstance(form, Atom):
         return np.array(atom_bounds(form, bounds))
+    if isinstance(form, Until):  # its windows lie past the empty arrays
+        return _until_anchor(*node.children, node.lo, *form.span, True)
     kids = [child.init for child in node.children]
     if isinstance(form, Not):
         return -kids[0][::-1]
-    if isinstance(form, Until):
-        # right first; at a = 0, d = 0 contributes the bare right entry,
-        # which dominates the min-with-left candidates at larger d
-        kids = kids[::-1][:1 if form.span[0] == 0 else 2]
     # F, G and C: any rank statistic of identical entries is that entry
     op = max if isinstance(form, Or) else min
     return np.array((op(lo for lo, _ in kids), op(hi for _, hi in kids)))

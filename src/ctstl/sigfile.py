@@ -185,9 +185,7 @@ def samples_at_step(has_time: bool, rows: Rows, step: float | None
                                         head[1][0])
     if step is None:
         step = 1.0
-    if not _step_ok(step):
-        raise SignalFormatError(f"step must be positive and finite, "
-                                f"got {step}")
+    check_step(step)
     if not has_time:
         return step, (vals for _, vals in rows)
 
@@ -271,6 +269,13 @@ def _convert(names: tuple[str, ...], cells: list[str],
 
 def _step_ok(step: float) -> bool:
     return step > 0 and math.isfinite(step)
+
+
+def check_step(step: float | None) -> None:
+    """Refuse a step that is given but not positive and finite."""
+    if step is not None and not _step_ok(step):
+        raise SignalFormatError(f"step must be positive and finite, "
+                                f"got {step}")
 
 
 def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,

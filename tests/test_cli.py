@@ -1025,24 +1025,50 @@ def test_zero_signs_through_the_suffix_walk_are_pinned(
     assert got.hexdigest() == digest
 
 
-@pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])
-def test_bad_formula_fails_before_the_signal_is_read(cmd):
-    # stdin stays open and no byte arrives: the parse error must not wait
-    # for the signal
+def _exit_on_stdin(argv, stdin=subprocess.PIPE):
+    """Exit code and stderr of a CLI child reading the signal from stdin,
+    which is an open pipe that sends no byte, or ``subprocess.DEVNULL``;
+    the child must exit within 30 s."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ctstl.cli", cmd, "--formula", "F[0,", "-"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=env)
+        [sys.executable, "-m", "ctstl.cli", *argv, "-"], stdin=stdin,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     try:
         code = proc.wait(timeout=30)
         err = proc.stderr.read()
     finally:
         proc.kill()
         for fh in (proc.stdin, proc.stdout, proc.stderr):
-            fh.close()
+            if fh is not None:
+                fh.close()
+    return code, err
+
+
+@pytest.mark.parametrize("cmd", ["eval", "rob", "monitor"])
+def test_bad_formula_fails_before_the_signal_is_read(cmd):
+    # stdin stays open and no byte arrives: the parse error must not wait
+    # for the signal
+    code, err = _exit_on_stdin([cmd, "--formula", "F[0,"])
     assert code == 2
     assert err.startswith("error: unexpected end of input at offset 4")
+
+
+@pytest.mark.parametrize("stdin", [subprocess.PIPE, subprocess.DEVNULL],
+                         ids=["silent", "empty"])
+@pytest.mark.parametrize("argv, message", [
+    (["monitor", "--bounds", "garbage"],
+     "bad --bounds 'garbage', expected name=lo:hi"),
+    (["monitor", "--bounds", "x=2:1"],
+     "bounds x=2.0:1.0 need lo <= hi and a finite value between them"),
+    (["monitor", "--step", "0"], "step must be positive and finite, got 0.0"),
+    (["eval", "--step", "0"], "step must be positive and finite, got 0.0"),
+    (["rob", "--step", "-1"], "step must be positive and finite, got -1.0"),
+])
+def test_bad_flags_fail_before_the_signal_is_read(argv, message, stdin):
+    # a silent stdin must not hold the flag's error back, nor an empty one
+    # put a signal error in its place
+    code, err = _exit_on_stdin([*argv, "--formula", "x > 0"], stdin)
+    assert (code, err) == (2, f"error: {message}\n")
 
 
 def test_entry_point_freezes_import_time_objects():

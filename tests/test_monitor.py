@@ -964,20 +964,31 @@ class TestSeededWalk:
 
 def test_monitor_nodes_follow_iter_nodes_and_node_horizons():
     # the monitor numbers its nodes as iter_nodes does and sizes each from
-    # node_horizons; under U[0,0] a left subtree's range is empty
+    # node_horizons; under U[0,0] a left subtree's range is empty.  Before
+    # the first push every node's entries are the oracle's on the empty
+    # prefix: Until's first entry at a = 0, a > 0 and U[0,0], with and
+    # without bounds
     rng = np.random.default_rng(26)
+    no_rows = Signal(XY, np.zeros((0, 2)))
     empty = 0
-    for _ in range(60):
-        f = Until(TimeInterval(0.0, 0.0), random_formula(rng, XY, 2),
+    for case in range(60):
+        span = TimeInterval(*((0.0, 0.0), (0.0, 2.0), (1.0, 3.0))[case % 3])
+        f = Until(span, random_formula(rng, XY, 2),
                   random_formula(rng, XY, 2))
         if rng.integers(0, 2):
             f = random_formula(rng, XY, 1)
-            f = Eventually(TimeInterval(0.0, 2.0),
-                           And(f, Until(TimeInterval(0.0, 0.0), f, f)))
-        mon = MonitorState(f, XY)
+            f = Eventually(TimeInterval(0.0, 2.0), And(f, Until(span, f, f)))
+        lo, hi, bounds = -8, 8, None
+        if case % 2:
+            lo, hi = int(rng.integers(-8, 1)), int(rng.integers(0, 9))
+            bounds = {name: (float(lo), float(hi)) for name in XY}
+        mon = MonitorState(f, XY, bounds=bounds)
+        for nid, node in mon.node_ids():
+            for t, rosi in mon.node_entries(nid).items():
+                assert rosi == rosi_naive(node, no_rows, t, bounds)
         ranges = node_horizons(mon.formula)
         want = list(iter_nodes(mon.formula))
-        for row in random_signal(rng, XY, 4).values:
+        for row in random_signal(rng, XY, 4, lo=lo, hi=hi).values:
             got = mon.node_ids()
             assert [nid for nid, _ in got] == [nid for nid, _ in want]
             assert all(a is b for (_, a), (_, b) in zip(got, want))
