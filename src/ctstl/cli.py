@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from .errors import CTSTLError, ParamOutOfRange, check_at_least
 from .logic import _fmt_num, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
-from .signals import check_bounds
+from .signals import check_range
 from .sigfile import (MonitorEvent, Utf8Lines, check_step, event_reindexer,
                       open_signal_stream, read_signal_csv, samples_at_step,
                       write_rows, write_signal_csv)
@@ -53,7 +53,7 @@ def _parse_bounds(items) -> dict[str, tuple[float, float]] | None:
         if name in out:
             raise ParamOutOfRange(f"--bounds given twice for {name!r}")
         out[name] = (lo, hi)
-    return check_bounds(out, out)  # the names wait for the header
+    return {name: check_range(name, *rng) for name, rng in out.items()}
 
 
 def _sample_index(at: float, delta: float) -> int:
@@ -75,10 +75,8 @@ def _open_source(path: str):
 
 
 def _offline_input(args):
-    """The parsed formula of ``eval`` or ``rob``, and its signal.
-
-    A bad formula or ``--step`` fails before the signal is read;
-    validation needs the signal's header and step."""
+    """The parsed formula of ``eval`` or ``rob``, and its signal: a bad
+    formula or ``--step`` fails before the read, validation after it."""
     f = parse(_formula_text(args))
     check_step(args.step)
     with _open_source(args.signal) as fh:

@@ -256,8 +256,9 @@ def _initial_entry(node: _Node, bounds) -> np.ndarray:
     form = node.form
     if isinstance(form, Atom):
         return np.array(atom_bounds(form, bounds))
-    if isinstance(form, Until):  # its windows lie past the empty arrays
-        return _until_anchor(*node.children, node.lo, *form.span, True)
+    if isinstance(form, Until):  # every column read is init: two suffice
+        return _until_anchor(*node.children, node.lo,
+                             *(min(end, 1) for end in form.span), True)
     kids = [child.init for child in node.children]
     if isinstance(form, Not):
         return -kids[0][::-1]

@@ -111,22 +111,24 @@ def atom_bounds(atom: Atom,
     return lo, hi
 
 
+def check_range(name: str, lo: float, hi: float) -> Bounds:
+    """Variable ``name``'s range as floats; it must hold a finite value
+    (samples are finite): lo <= hi, no NaN end, not both at one infinity."""
+    lo, hi = float(lo), float(hi)
+    if not (lo <= hi and lo < math.inf and hi > -math.inf):
+        raise ParamOutOfRange(
+            f"bounds {name}={lo}:{hi} need lo <= hi and a finite value "
+            f"between them")
+    return lo, hi
+
+
 def check_bounds(var_bounds: Mapping[str, Bounds] | None,
                  names: Sequence[str]) -> dict[str, Bounds]:
-    """Per-variable ranges checked against a schema, as a fresh dict.
-
-    Every name must be in the schema, and every range must hold a finite
-    value (samples are finite): lo <= hi, no NaN end, not both ends at the
-    same infinity.
-    """
+    """Per-variable ranges checked against a schema, as a fresh dict: every
+    name must be in the schema and every range pass ``check_range``."""
     out = {}
     for name, (lo, hi) in (var_bounds or {}).items():
         if name not in names:
             raise UnknownVariable(name, tuple(names))
-        lo, hi = float(lo), float(hi)
-        if not (lo <= hi and lo < math.inf and hi > -math.inf):
-            raise ParamOutOfRange(
-                f"bounds {name}={lo}:{hi} need lo <= hi and a finite value "
-                f"between them")
-        out[name] = (lo, hi)
+        out[name] = check_range(name, lo, hi)
     return out

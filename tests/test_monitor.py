@@ -5,7 +5,9 @@ per-node interval it produces along the stream is known by hand, and the
 verdict must land one sample before the formula horizon.
 """
 
+import contextlib
 import math
+import tracemalloc
 from bisect import insort
 from unittest import mock
 
@@ -212,6 +214,26 @@ class TestStateSize:
             with pytest.raises(MemoryError, match="physical memory"):
                 MonitorState(f, X)
 
+    def test_a_wide_until_reads_no_window_at_build(self, monkeypatch):
+        # the first Until entry reads two columns of its children's init,
+        # so neither a build nor a refusal copies the b+1 of its window.
+        # 16 bytes per entry: the Until's one, its left child's b and its
+        # right child's b+1
+        b = 1_000_000
+        f = parse(f"(x > 0) U[0,{b}] (x > 0)")
+        need = 16 + 16 * b + 16 * (b + 1)
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES", need)
+        with _peak_bytes() as peak:
+            mon = MonitorState(f, X)
+        assert max(_held_bytes(mon)) <= 32 * monitor._FIRST_CAPACITY
+        assert peak[0] < 2**20
+        monkeypatch.setattr(monitor, "_MAX_STATE_BYTES", need - 1)
+        with _peak_bytes() as peak, mock.patch.object(
+                monitor, "_extended", side_effect=AssertionError("sized")):
+            with pytest.raises(MemoryError, match="physical memory"):
+                MonitorState(f, X)
+        assert peak[0] < 2**20
+
     def test_arrays_hold_the_first_capacity_not_the_horizon(self):
         # F[0,1e7] decides at sample 0 and the benchmark's W=10,000 stream
         # at sample 100, long before either outgrows the first capacity
@@ -236,6 +258,19 @@ class TestStateSize:
         assert _held_bytes(mon) == held
         # the entries past the arrays are reported all the same
         assert len(mon.node_entries(len(held) - 1)) == 2 * window + 1
+
+
+@contextlib.contextmanager
+def _peak_bytes():
+    """The peak of the bytes allocated inside the block, numpy's included,
+    left as the one item of the yielded list."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def _held_bytes(mon):
@@ -966,13 +1001,14 @@ def test_monitor_nodes_follow_iter_nodes_and_node_horizons():
     # the monitor numbers its nodes as iter_nodes does and sizes each from
     # node_horizons; under U[0,0] a left subtree's range is empty.  Before
     # the first push every node's entries are the oracle's on the empty
-    # prefix: Until's first entry at a = 0, a > 0 and U[0,0], with and
-    # without bounds
+    # prefix: Until's first entry at a = 0, a = 1, a > 1 and U[0,0], with
+    # and without bounds
     rng = np.random.default_rng(26)
     no_rows = Signal(XY, np.zeros((0, 2)))
     empty = 0
     for case in range(60):
-        span = TimeInterval(*((0.0, 0.0), (0.0, 2.0), (1.0, 3.0))[case % 3])
+        span = TimeInterval(*((0.0, 0.0), (0.0, 2.0), (1.0, 3.0),
+                              (2.0, 5.0))[case // 2 % 4])
         f = Until(span, random_formula(rng, XY, 2),
                   random_formula(rng, XY, 2))
         if rng.integers(0, 2):
