@@ -6,9 +6,16 @@ Exit codes form a scriptable contract: 0 satisfied, 1 violated, 2 error,
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # what the imports below leave lives as long as the process, so a
+    # collection among them would scan it for nothing; the block at the
+    # end freezes it and turns the collector back on
+    gc.disable()
+
 import argparse
 import contextlib
-import gc
 import sys
 from typing import TYPE_CHECKING
 
@@ -121,12 +128,13 @@ def cmd_monitor(args) -> int:
     bounds = _parse_bounds(args.bounds)
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(_open_source(args.signal))
-        trace_fh = stack.enter_context(
-            open(args.trace, "w", encoding="utf-8")) if args.trace else None
         lines = Utf8Lines(fh)
         names, has_time, rows = open_signal_stream(lines)
         delta, samples = samples_at_step(has_time, rows, args.step)
         mon = MonitorState(f, names, delta=delta, bounds=bounds)
+        # opened only now, so a refused call leaves the file as it was
+        trace_fh = stack.enter_context(
+            open(args.trace, "w", encoding="utf-8")) if args.trace else None
         out, last = sys.stdout, None
         for i, vals in enumerate(samples):
             v = mon.push_sample(vals)
@@ -295,4 +303,5 @@ if __name__ == "__main__":
     # of every later garbage collection, so that a collection's cost does
     # not depend on how many objects the imports left.
     gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -1,8 +1,61 @@
-"""Exception types shared across the toolkit, and its one count check."""
+"""Exception types shared across the toolkit, its one count check, and
+the base of its value records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
+
+_set = object.__setattr__  # a record's fields, set past its immutability
+
+
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``, in
+    order.  Two records are equal when they are of one class and their
+    first ``compared`` fields (a class keyword) are equal, and the hash
+    follows those fields.  A field past them (a formula node's ``span`` and
+    ``order``) defaults to None.  Records are written out rather than built
+    by ``dataclasses``, whose generated methods every process would compile
+    at import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared: int) -> None:
+        cls._compared = compared
+        cls._key = attrgetter(*cls.__slots__[:compared])
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if (len(values) < len(args) + len(kwargs) or not
+                    set(fields[:self._compared]) <= values.keys()
+                    <= set(fields)):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{fields}, got {args} and {kwargs}")
+            args = [values.get(n) for n in fields]
+        for name, v in zip(fields, args):
+            _set(self, name, v)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(
+            f"cannot set {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
 class CTSTLError(Exception):
@@ -118,22 +171,22 @@ class UndecodableLine(SignalFormatError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record, compared=2):
     """Character offsets [start, end) into the formula source text."""
-    start: int
-    end: int
+
+    __slots__ = ("start", "end")
 
 
-@dataclass
 class ParseError(CTSTLError):
-    message: str
-    span: SourceSpan
-    expected: frozenset[str] = field(default_factory=frozenset)
+    """Formula text that does not parse: ``span`` locates the fault, and
+    ``expected`` holds the token kinds that would have continued it."""
 
-    def __str__(self) -> str:
-        loc = f"at offset {self.span.start}"
-        if self.expected:
-            opts = ", ".join(sorted(self.expected))
-            return f"{self.message} {loc} (expected one of: {opts})"
-        return f"{self.message} {loc}"
+    def __init__(self, message: str, span: SourceSpan,
+                 expected: frozenset[str] = frozenset()):
+        self.message = message
+        self.span = span
+        self.expected = expected
+        text = f"{message} at offset {span.start}"
+        if expected:
+            text += f" (expected one of: {', '.join(sorted(expected))})"
+        super().__init__(text)

@@ -15,12 +15,12 @@ left argument of Until, which is evaluated on the half-open range [t, t1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
 from .errors import (
     InvalidInterval,
     NonPositiveTau,
+    Record,
     TauOutOfRange,
     UnknownVariable,
     UnvalidatedFormula,
@@ -34,19 +34,16 @@ _SNAP = 1e-9
 COMPARATORS = ("<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(Record, compared=2):
     """Closed interval [lo, hi] in time units (not yet divided by the step)."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
     def __str__(self) -> str:
         return f"[{_fmt_num(self.lo)},{_fmt_num(self.hi)}]"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record, compared=3):
     """Affine comparison ``sum(coeff * var) <op> rhs``.
 
     The robustness signal of an atom is oriented so that positive means
@@ -56,15 +53,15 @@ class Atom:
     ``mu(x) - c >= 0`` and its negation.
     """
 
-    coeffs: tuple[tuple[str, float], ...]
-    op: str
-    rhs: float
+    __slots__ = ("coeffs", "op", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.op not in COMPARATORS:
-            raise ValueError(f"bad comparator {self.op!r}")
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[tuple[str, float], ...], op: str,
+                 rhs: float):
+        if op not in COMPARATORS:
+            raise ValueError(f"bad comparator {op!r}")
+        if not coeffs:
             raise ValueError("atom references no variable")
+        super().__init__(coeffs, op, rhs)
 
     @property
     def strict(self) -> bool:
@@ -79,52 +76,34 @@ class Atom:
         return tuple(name for name, _ in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+class Not(Record, compared=1):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record, compared=2):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Record, compared=2):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Until:
-    interval: TimeInterval
-    left: "Formula"
-    right: "Formula"
-    span: tuple[int, int] | None = field(default=None, compare=False)
+# A temporal node's ``span`` (sample offsets) and a Cumulative node's
+# ``order`` are set by validate() and stay out of equality.
+class Until(Record, compared=3):
+    __slots__ = ("interval", "left", "right", "span")
 
 
-@dataclass(frozen=True)
-class Eventually:
-    interval: TimeInterval
-    child: "Formula"
-    span: tuple[int, int] | None = field(default=None, compare=False)
+class Eventually(Record, compared=2):
+    __slots__ = ("interval", "child", "span")
 
 
-@dataclass(frozen=True)
-class Always:
-    interval: TimeInterval
-    child: "Formula"
-    span: tuple[int, int] | None = field(default=None, compare=False)
+class Always(Record, compared=2):
+    __slots__ = ("interval", "child", "span")
 
 
-@dataclass(frozen=True)
-class Cumulative:
-    interval: TimeInterval
-    tau: float
-    child: "Formula"
-    span: tuple[int, int] | None = field(default=None, compare=False)
-    order: int | None = field(default=None, compare=False)
+class Cumulative(Record, compared=3):
+    __slots__ = ("interval", "tau", "child", "span", "order")
 
 
 Formula = Union[Atom, Not, And, Or, Until, Eventually, Always, Cumulative]
@@ -196,18 +175,18 @@ def validate(f: Formula, schema: tuple[str, ...] | list[str],
                     raise UnknownVariable(name, names)
             # fresh object so a subterm shared between positions cannot
             # alias: downstream passes key nodes by identity
-            return replace(node)
+            return Atom(node.coeffs, node.op, node.rhs)
         if isinstance(node, Not):
-            return replace(node, child=walk(node.child))
+            return Not(walk(node.child))
         if isinstance(node, (And, Or)):
-            return replace(node, left=walk(node.left), right=walk(node.right))
+            return type(node)(walk(node.left), walk(node.right))
         if isinstance(node, Until):
             span = _bind_interval(node.interval, delta)
-            return replace(node, left=walk(node.left), right=walk(node.right),
-                           span=span)
+            return Until(node.interval, walk(node.left), walk(node.right),
+                         span)
         if isinstance(node, (Eventually, Always)):
             span = _bind_interval(node.interval, delta)
-            return replace(node, child=walk(node.child), span=span)
+            return type(node)(node.interval, walk(node.child), span)
         if isinstance(node, Cumulative):
             span = _bind_interval(node.interval, delta)
             if not node.tau > 0:  # NaN too
@@ -218,8 +197,8 @@ def validate(f: Formula, schema: tuple[str, ...] | list[str],
             order = max(1, _snap_ceil(min(node.tau / delta, width + 1)))
             if order > width:
                 raise TauOutOfRange(node.tau, width, delta)
-            return replace(node, child=walk(node.child), span=span,
-                           order=order)
+            return Cumulative(node.interval, node.tau, walk(node.child),
+                              span, order)
         raise TypeError(f"not a formula node: {node!r}")
 
     return walk(f)

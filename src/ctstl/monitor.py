@@ -71,12 +71,12 @@ from __future__ import annotations
 import math
 import os
 from bisect import insort
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, NonFiniteMargin, ParamOutOfRange
+from .errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange, Record,
+                     _set)
 from .logic import (
     Always,
     And,
@@ -105,16 +105,18 @@ _FIRST_CAPACITY = 1024
 _NO_PREFIX = np.full((2, 1), INF)  # Until's left prefix min before d = 1
 
 
-@dataclass(frozen=True)
-class RoSI:
+class RoSI(Record, compared=2):
     """Interval bracketing the robustness of every completion."""
 
-    lb: float
-    ub: float
+    __slots__ = ("lb", "ub")
 
-    def __post_init__(self) -> None:
-        if not self.lb <= self.ub:
-            raise ValueError(f"RoSI bounds out of order: [{self.lb}, {self.ub}]")
+    def __init__(self, lb: float, ub: float):
+        # built per push and per node_entries entry: written out, as the
+        # generic one is slower (so is Verdict's)
+        if not lb <= ub:
+            raise ValueError(f"RoSI bounds out of order: [{lb}, {ub}]")
+        _set(self, "lb", lb)
+        _set(self, "ub", ub)
 
     @property
     def is_point(self) -> bool:
@@ -124,13 +126,16 @@ class RoSI:
         return f"[{self.lb}, {self.ub}]"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, compared=3):
     """Monitoring outcome: True / False / None (unknown) plus evidence."""
 
-    outcome: bool | None
-    rosi: RoSI
-    decided_at: int | None = None
+    __slots__ = ("outcome", "rosi", "decided_at")
+
+    def __init__(self, outcome: bool | None, rosi: RoSI,
+                 decided_at: int | None = None):
+        _set(self, "outcome", outcome)
+        _set(self, "rosi", rosi)
+        _set(self, "decided_at", decided_at)
 
     @property
     def decided(self) -> bool:

@@ -26,9 +26,8 @@ to a structurally identical tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError, SourceSpan
+from .errors import ParseError, Record, SourceSpan, _set
 from .logic import (
     COMPARATORS,
     Always,
@@ -58,12 +57,15 @@ _MASTER = re.compile(r"(?P<WS>\s+)"
                      re.ASCII)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    start: int
-    end: int
+class _Tok(Record, compared=4):
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        # one per token: written out, as the generic one is slower
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @property
     def span(self) -> SourceSpan:

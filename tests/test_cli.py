@@ -285,6 +285,22 @@ class TestMonitor:
         assert [(r[1], r[3], r[4]) for r in cnode] == [
             ("0", "7", "7"), ("1", "8", "8"), ("2", "8", "10")]
 
+    @pytest.mark.parametrize("formula, stdin, message", [
+        ("y > 0", "x\n1\n", "unknown variable 'y'"),
+        ("x > 0", "", "line 1: empty signal stream, header expected"),
+        ("C[0,2]^4 (x > 0)", "x\n1\n", "cumulative threshold 4.0 exceeds"),
+    ], ids=["unknown-variable", "empty-stream", "threshold-past-window"])
+    def test_refused_call_leaves_the_trace_file_alone(self, formula, stdin,
+                                                      message, tmp_path):
+        target = tmp_path / "tr.csv"
+        target.write_bytes(b"0,0,0,1,1\n")
+        code, out, err = run_cli(
+            ["monitor", "--formula", formula, "--trace", str(target), "-"],
+            stdin_text=stdin)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert target.read_bytes() == b"0,0,0,1,1\n"
+
     def test_fractional_step_inferred_before_first_event(self, tmp_path):
         # G[0,1] spans three samples at step 0.5; the monitor must not
         # lock in a unit step from the first timestamped row
@@ -1091,6 +1107,38 @@ def test_entry_point_freezes_import_time_objects():
     assert run_cli(["eval", "--formula", "x > 0", "-"],
                    stdin_text="x\n1\n")[:2] == (0, "true\n")
     assert gc.get_freeze_count() == before
+
+
+def test_entry_point_imports_with_the_collector_off():
+    # `python -m ctstl.cli` runs no collection between its first import and
+    # main()'s definition, and turns the collector back on before main()
+    # runs; a plain import leaves the collector alone
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import gc, json, runpy, sys\n"
+            "during = []\n"
+            "def note(phase, info):\n"
+            "    if (phase == 'start' and 'ctstl.errors' in sys.modules\n"
+            "            and not hasattr(sys.modules['__main__'], 'main')):\n"
+            "        during.append(info['generation'])\n"
+            "sys.argv = ['ctstl', 'eval', '--formula', 'x > 0', '-']\n"
+            "gc.callbacks.append(note)\n"
+            "try:\n"
+            "    runpy.run_module('ctstl.cli', run_name='__main__',\n"
+            "                     alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps([code, during, gc.isenabled(),\n"
+            "                  gc.get_freeze_count() > 0]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], input="x\n1\n",
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "true"
+    assert json.loads(proc.stdout.splitlines()[1]) == [0, [], True, True]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, ctstl.cli\n"
+         "print(gc.isenabled(), gc.get_freeze_count())\n"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -55,6 +55,22 @@ def test_monitor_run_leaves_the_oracle_out():
     assert loaded == [1, True, False]
 
 
+def test_cli_runs_build_no_dataclass():
+    # every record class is written out, so a child compiles none of the
+    # methods ``dataclasses`` generates
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from ctstl.cli import main\n"
+        "codes = []\n"
+        "for argv in (['monitor', '--formula', 'G[0,3] C[0,2]^1 (x > 0)', '-'],\n"
+        "             ['eval', '--formula', 'F[0,2] (x > 0)', '-']):\n"
+        "    sys.stdin = io.StringIO('x\\n1\\n-1\\n2\\n3\\n1\\n2\\n')\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'dataclasses' in sys.modules]))\n")
+    assert loaded == [[0, 0], False]
+
+
 def test_star_import_and_dir_list_every_export():
     missing = _fresh(
         "import json\n"
