@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import CTSTLError, ParamOutOfRange, check_at_least
-from .logic import _fmt_num, _snap_int, validate
+from .logic import _fmt_num, _fmt_nums, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
 from .signals import check_range
 from .sigfile import (MonitorEvent, Utf8Lines, check_step, event_reindexer,
@@ -113,11 +113,18 @@ def cmd_rob(args) -> int:
 
 
 def _trace_rows(mon: MonitorState, i: int, out) -> None:
+    """Each node's entries after sample i, a row per anchor: the node's
+    id, the anchor's time, i and both bounds."""
     delta = mon.delta
     for nid, _ in mon.node_ids():
-        for t, rosi in mon.node_entries(nid).items():
-            out.write(f"{nid},{_fmt_num(t * delta)},{i},"
-                      f"{_fmt_num(rosi.lb)},{_fmt_num(rosi.ub)}\n")
+        lo, hi, pairs, init = mon.node_bounds(nid)
+        times = _fmt_nums([t * delta for t in range(lo, hi + 1)])
+        nums = _fmt_nums([x for pair in pairs for x in pair])
+        out.write("".join([f"{nid},{t},{i},{lb},{ub}\n" for t, lb, ub
+                           in zip(times, nums[::2], nums[1::2])]))
+        # the anchors past the node's arrays hold init
+        tail = ",{},{},{}\n".format(i, *_fmt_nums(init))
+        out.write("".join([f"{nid},{t}{tail}" for t in times[len(pairs):]]))
 
 
 def cmd_monitor(args) -> int:

@@ -26,14 +26,15 @@ back (ra >= 0), so every anchor past the last sample still holds the
 node's ``init``.  A push that reaches the capacity doubles it: the arrays
 are copied into larger ones whose new part holds ``init`` (inf in the
 order-statistic arrays), and the steps are bound anew to them.  A reader
-past a child's arrays sees ``init`` there: an F or G rescan folds it into
-its min or max once, a middle-rank rescan and Until pad the window with
-it, and ``node_entries`` reports it for every anchor of the node's range.
+past a child's arrays sees ``init`` there: an F or G rescan reads its
+child only up to the last sample's anchor and folds ``init`` into its min
+or max once, a middle-rank rescan and Until pad the window with it, and
+``node_entries`` reports it for every anchor of the node's range.
 
 * an atom writes the sample's margin, computed and checked once per push
   by the shared contract, as one point entry;
-* ``neg`` and ``boolean`` recompute the whole span with vectorized
-  interval min/max;
+* ``neg`` recomputes the whole span with vectorized interval negation,
+  and ``boolean`` the hull of its two children's spans with one ufunc;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
   k = 1 for ``F``, k = w for ``G``, ``order`` for ``C``) with two modes,
   chosen by the child's horizon.  Over a point-valued child (``suffix``)
@@ -44,7 +45,8 @@ it, and ``node_entries`` reports it for every anchor of the node's range.
   writer finds the runs by bisection, and skips the push while no anchor
   knows enough samples for either statistic; while no anchor of the span
   knows k samples, the k-th largest is -inf there and the writer searches
-  and recomputes the other statistic's run alone.  Per run, a selection
+  and recomputes the other statistic's run alone, in a walk of its own
+  with one comparison and one append per anchor.  Per run, a selection
   of the values above it seeds a capped sorted list and one walk over
   plain floats recomputes just its anchors, with no list for a statistic
   still infinite there; under an unbounded child such a run stores one
@@ -103,6 +105,7 @@ _MAX_STATE_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 # samples the node arrays hold before they first grow; they double after
 _FIRST_CAPACITY = 1024
 _NO_PREFIX = np.full((2, 1), INF)  # Until's left prefix min before d = 1
+_BOTH = slice(None)  # both rows of an iv
 
 
 class RoSI(Record, compared=2):
@@ -314,22 +317,27 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     known (+inf while m < w-k+1), which is also the (k-(w-m))-th largest.
     Both ranks lie among the w-k+1 smallest knowns, and the anchors' known
     sets are nested suffixes, so one walk from c down to anchor lo, keeping
-    those smallest values sorted, serves every anchor of the run.  When
-    k < w-k+1 the walk ranks the negated values at w-k+1 instead (the k-th
-    largest of x is minus the (w-k+1)-th largest of -x, which swaps and
-    negates A and B), so the list never holds more than cap = min(k,
-    w-k+1) values.  The values above anchor hi only seed the list: past
-    cap of them, ``np.partition`` finds the cap-th smallest, and the
-    values below it and its first ties in arrival order are sorted, which
-    is the list a value-by-value walk builds, ties of 0.0 and -0.0
-    included.  Until an anchor knows k values the walk keeps B alone, the
-    list's last value; A, -inf there already, gets no list.
+    those smallest values sorted, serves every anchor of the run.  The
+    values above anchor hi only seed the list: past cap of them,
+    ``np.partition`` finds the cap-th smallest, and the values below it
+    and its first ties in arrival order are sorted, which is the list a
+    value-by-value walk builds, ties of 0.0 and -0.0 included.
+
+    While anchor lo, which knows the most, knows fewer than k values, A
+    is -inf on the whole run, where the lower bounds and ``neg_above``
+    hold it already, and the walk keeps B alone, the list's last value.
+    Otherwise, when k < w-k+1, the walk ranks the negated values at
+    w-k+1 instead (the k-th largest of x is minus the (w-k+1)-th largest
+    of -x, which swaps and negates A and B), so the list never holds more
+    than cap = min(k, w-k+1) values, and it keeps B alone until an anchor
+    knows k values.
     """
     child = node.children[0]
     a, k = node.a, node.k
     w = node.b - a + 1
     known = child.lb[lo + a - child.lo:c - child.lo + 1]
-    flip = 2 * k < w + 1
+    alone = c - a - lo < k - 1  # A is -inf on the run
+    flip = not alone and 2 * k < w + 1
     if flip:
         k, known = w - k + 1, -known
     cap = w - k + 1
@@ -347,7 +355,25 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
         # a pad of inf takes the place of the values not known yet
         kept = sorted(vals[:skip]) + [INF] * (cap - skip)
         vals = vals[skip:]
-    top, cth, kth = kept[-1], [], []
+    top, cth = kept[-1], []
+    r0, r1 = lo - node.lo, hi - node.lo + 1
+    if alone:
+        for v in vals:
+            if v < top:
+                insort(kept, v)
+                kept.pop()
+                top = kept[-1]
+            cth.append(top)
+        cth.reverse()
+        below = node.below
+        below[r0:r1] = cth
+        if node.open_init:  # (A, B) with A = -inf, which lb holds already
+            node.ub[r0:r1] = below[r0:r1]
+        else:  # max(-inf, y) is y
+            np.minimum(child.init[:, None], below[r0:r1],
+                       out=node.iv[:, r0:r1])
+        return
+    kth = []
     nb = max(k - 1 - skip, 0)  # values walked before an anchor knows k
     for v in vals[:nb]:
         if v < top:
@@ -365,22 +391,14 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     # reversed, the lists start at anchor lo; past kth's end the anchors
     # know fewer than k values, and their A holds -inf already
     cth.reverse()
-    r0 = lo - node.lo
-    r = slice(r0, hi - node.lo + 1)
+    kth.reverse()
     fb, fa = ((node.neg_above, node.below) if flip
               else (node.below, node.neg_above))
-    fb[r] = cth
-    if kth:
-        kth.reverse()
-        fa[r0:r0 + len(kth)] = np.negative(kth)
-    if kth or flip:
-        np.maximum(-node.neg_above[r], np.minimum(child.init[:, None],
-                                                  node.below[r]),
-                   out=node.iv[:, r])
-    elif node.open_init:  # (A, B) with A = -inf, which lb holds already
-        node.ub[r] = node.below[r]
-    else:  # A is -inf on the run, and max(-inf, y) is y
-        np.minimum(child.init[:, None], node.below[r], out=node.iv[:, r])
+    fb[r0:r1] = cth
+    fa[r0:r0 + len(kth)] = np.negative(kth)
+    np.maximum(-node.neg_above[r0:r1], np.minimum(child.init[:, None],
+                                                  node.below[r0:r1]),
+               out=node.iv[:, r0:r1])
 
 
 def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
@@ -393,7 +411,9 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
     ``span``, and its reach (ra, rb).  The step hands the hull of the
     anchors s-rb .. e-ra, within the node's own, to the writer of the
     node's kind, which returns the span it rewrote; the plan stores it in
-    the node's ``span``.  Everything a step needs besides the sample is
+    the node's ``span``.  Boolean and suffix nodes, on every push of the
+    paper's formulas, have steps of their own that take their children's
+    spans directly.  Everything a step needs besides the sample is
     bound here, once; the module functions above are looked up at each
     call, so a test can wrap them.
     """
@@ -422,12 +442,26 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
             iv[:, s - lo:e - lo + 1] = -civ[::-1, s - clo:e - clo + 1]
             return s, e
     elif isinstance(form, (And, Or)):
+        # both reaches are (0, 0), so both children's anchors are the
+        # node's: the step writes the hull of their spans in one ufunc
         op = np.minimum if isinstance(form, And) else np.maximum
 
-        def write(i, s, e):  # boolean
-            op(liv[:, s - llo:e - llo + 1], riv[:, s - rlo:e - rlo + 1],
-               out=iv[:, s - lo:e - lo + 1])
+        def step(i, ys):  # boolean
+            ls, rs = left.span, right.span
+            if ls is None:
+                if rs is None:
+                    return None
+                s, e = rs
+            elif rs is None:
+                s, e = ls
+            else:
+                s = ls[0] if ls[0] < rs[0] else rs[0]
+                e = ls[1] if ls[1] > rs[1] else rs[1]
+            cols = _BOTH, slice(s - lo, e - lo + 1)  # one index for three
+            op(liv[cols], riv[cols], out=iv[cols])
             return s, e
+
+        return step
     else:
         a, b = node.a, node.b = form.span
         if isinstance(form, Until):
@@ -435,7 +469,7 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
             # take plain slices, which is measurably faster on psi_rec
             tmax = min(llo + liv.shape[1] - b, rlo + riv.shape[1] - 1 - b)
 
-            def anchor(t):
+            def anchor(t, i):
                 return _until_anchor(left, right, t, a, b, t > tmax)
         else:
             w = b - a + 1
@@ -443,23 +477,29 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
                       else 1 if isinstance(form, Eventually) else w)
             j = w - node.k
             cn, cinit = civ.shape[1], child.init
-            # F or G: the child's anchors past its arrays hold init, which
-            # joins the window's min or max once
+            # F or G: the child's anchors past sample i hold init, which
+            # joins the window's min or max once, read from the first such
+            # column while the child's arrays hold it
             fold = np.minimum if j == 0 else np.maximum
 
-            def anchor(t):
+            def anchor(t, i):
                 q = t + a - clo
                 if 0 < j < w - 1:  # a middle rank: the (j+1)-th smallest
                     return np.partition(_entries(child, q, w), j, 1)[:, j]
-                x = fold.reduce(civ[:, q:q + w], 1)
-                return fold(cinit, x) if q + w > cn else x
+                n = i + 1 - clo  # the child's columns up to sample i
+                if q + w <= n:
+                    return fold.reduce(civ[:, q:q + w], 1)
+                if n < cn:
+                    return fold.reduce(civ[:, q:n + 1], 1)
+                return fold(cinit, fold.reduce(civ[:, q:n], 1))
 
         if node.below is None:
+            # anchor(t, i) reads sample i's index only in an F or G scan
             def write(i, s, e):  # rescan
                 for t in range(s, e + 1):
                     r = t - lo
                     if lb[r] != ub[r]:  # a settled entry stays settled
-                        iv[:, r] = anchor(t)
+                        iv[:, r] = anchor(t, i)
                 return s, e
         else:
             # -A and B rise with the anchor (see _suffix_push), so child
@@ -472,12 +512,18 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
             # which _suffix_push stores in one row while A is -inf
             node.open_init = cinit.tolist() == [-INF, INF]
 
-            def write(i, s, e):  # suffix
+            def step(i, ys):  # suffix
+                # a point-valued child's span is (i, i) or None, and i lies
+                # in its anchors lo+a .. hi+b, so s <= e
+                if child.span is None:
+                    return None
+                s = i - b if i - b > lo else lo
                 if i - least < s:  # no anchor knows enough samples yet
                     return None
+                e = i - a if i - a < hi else hi
                 x, top = clb.item(i - clo), i - a + 1  # t knows top-t
                 if top - k < s:  # A is -inf on s..e; only B can move
-                    end = min(e, top - kb)
+                    end = top - kb if top - kb < e else e
                     if below.item(end - lo) <= x:
                         return None
                     run = s + int(below[s - lo:end - lo + 1]
@@ -498,6 +544,8 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
                     _suffix_push(node, i, *run)
                 # the parent reads the runs' hull
                 return (runs[0][0], runs[-1][1]) if runs else None
+
+            return step
 
     if len(kids) == 1:
         ((kid, ra, rb),) = kids
@@ -638,15 +686,19 @@ class MonitorState(_PrefixMonitor):
     def node_ids(self) -> list[tuple[int, Formula]]:
         return [(nid, node.form) for nid, node in enumerate(self._pre)]
 
-    def node_entries(self, nid: int) -> dict[int, RoSI]:
-        """Current worklist of one node: anchor instant -> interval, in
-        ascending anchor order."""
+    def node_bounds(self, nid: int) -> tuple[int, int, list, list]:
+        """One node's anchor range lo..hi, the [lb, ub] of each anchor from
+        lo on as far as its arrays reach, and the [lb, ub] of every later
+        anchor, its ``init``."""
         if not 0 <= nid < len(self._pre):
             raise KeyError(nid)
         node = self._pre[nid]
-        out = {t: RoSI(lb, ub)
-               for t, (lb, ub) in enumerate(node.iv.T.tolist(), node.lo)}
-        # the anchors past the node's arrays hold init
-        out.update(dict.fromkeys(range(node.lo + len(out), node.hi + 1),
-                                 RoSI(*node.init.tolist())))
+        return node.lo, node.hi, node.iv.T.tolist(), node.init.tolist()
+
+    def node_entries(self, nid: int) -> dict[int, RoSI]:
+        """Current worklist of one node: anchor instant -> interval, in
+        ascending anchor order."""
+        lo, hi, pairs, init = self.node_bounds(nid)
+        out = {t: RoSI(lb, ub) for t, (lb, ub) in enumerate(pairs, lo)}
+        out.update(dict.fromkeys(range(lo + len(out), hi + 1), RoSI(*init)))
         return out

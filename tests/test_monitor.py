@@ -905,28 +905,43 @@ _WALKED = ("lb", "ub", "neg_above", "below")
 
 
 @st.composite
-def _walk_cases(draw):
+def _walk_cases(draw, paper=None):
     """A rank node over a point child whose zeros come with both signs
     (x < 0 at x = 0 gives -0.0), k on both sides of (w+1)/2, under an
     optional G that gives it anchors the walk passes without writing.
     Optional bounds on x and y, some with a zero end, give the child a
     finite or half-finite initial entry, which the store combines in
     numpy; an unbounded child takes the one-row store while no anchor
-    knows k values."""
-    w = draw(st.integers(1, 30))
-    k = draw(st.integers(1, (w + 1) // 2))
-    k = draw(st.sampled_from([k, w + 1 - k]))
+    knows k values.
+
+    Half the cases, or all when ``paper`` is true, are a C at a rank like
+    the overvoltage budgets', k = w - r for r up to 3, over a stream longer
+    than a + w - k + 1: anchor 0's B turns finite while it knows fewer than
+    k values, so the walk keeps B alone.  Under a G[0,g] that the window
+    outlasts, the parent's span cuts such a run short, and its seed of more
+    than w - k + 1 values goes through np.partition."""
+    if paper is None:
+        paper = draw(st.booleans())
     child = draw(st.sampled_from(["(x > 0) && (y < 0)", "(x > 0) || (y < 0)",
                                   "x < 0", "!(x > 0)"]))
     a = draw(st.integers(0, 2))
-    kind = draw(st.sampled_from("FGC"))
-    head = (f"C[{a},{a + w - 1}]^{k}" if kind == "C"
-            else f"{kind}[{a},{a + w - 1}]")
+    if paper:
+        r, g = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+        w = draw(st.integers(2 * r + g + 4, 40))
+        head = f"C[{a},{a + w - 1}]^{w - r}"
+        n = draw(st.integers(a + r + 2, 80))
+    else:
+        w = draw(st.integers(1, 30))
+        k = draw(st.integers(1, (w + 1) // 2))
+        k = draw(st.sampled_from([k, w + 1 - k]))
+        kind = draw(st.sampled_from("FGC"))
+        head = (f"C[{a},{a + w - 1}]^{k}" if kind == "C"
+                else f"{kind}[{a},{a + w - 1}]")
+        g = draw(st.integers(0, 6))
+        n = draw(st.integers(1, 80))
     text = f"{head} ({child})"
-    g = draw(st.integers(0, 6))
     if g:
         text = f"G[0,{g}] ({text})"
-    n = draw(st.integers(1, 80))
     bound = st.none() | st.tuples(st.sampled_from([-INF, -2.0, 0.0]),
                                   st.sampled_from([0.0, 2.0, INF]))
     bounds = {name: b for name, b in zip(XY, draw(st.tuples(bound, bound)))
@@ -995,6 +1010,86 @@ class TestSeededWalk:
         seed = np.array([5.0, 1.0, -1.0, 0.0, -1.0, -0.0, 0.0])
         assert seeds[-1] == (7, 0, 0, seed.tobytes())
         assert math.copysign(1.0, mon.node_entries(1)[0].ub) == 1.0
+
+
+def _walks_held_to_insort_walk(walks):
+    """A stand-in for ``_suffix_push`` that checks each call against
+    ``_insort_walk`` bit for bit, and appends to ``walks`` its call's
+    (B alone, seed past cap): whether anchor lo knows fewer than k values,
+    and whether more than w - k + 1 values lie above anchor hi."""
+    push = monitor._suffix_push
+
+    def both(node, c, lo, hi):
+        w, k = node.b - node.a + 1, node.k
+        walks.append((c - node.a - lo + 1 < k,
+                      c - node.a - hi > min(k, w - k + 1)))
+        before = [getattr(node, f).copy() for f in _WALKED]
+        _insort_walk(node, c, lo, hi)
+        want = [getattr(node, f).tobytes() for f in _WALKED]
+        for f, arr in zip(_WALKED, before):
+            getattr(node, f)[:] = arr
+        push(node, c, lo, hi)
+        assert [getattr(node, f).tobytes() for f in _WALKED] == want
+
+    return both
+
+
+class TestBAloneWalk:
+    @given(_walk_cases(paper=True))
+    @settings(max_examples=100, deadline=None)
+    def test_paper_rank_walks_keep_b_alone_first(self, case):
+        # the first walk comes when anchor 0 knows w - k + 1 values, fewer
+        # than k, and every entry holds 0 until then, so no verdict comes
+        # before it
+        text, values, bounds = case
+        walks = []
+        mon = MonitorState(parse(text), XY, bounds=bounds)
+        with mock.patch.object(monitor, "_suffix_push",
+                               _walks_held_to_insort_walk(walks)):
+            for row in values:
+                if mon.push_sample(row).decided:
+                    break
+        assert walks and walks[0][0]
+
+    @pytest.mark.parametrize("bounds", [None, {"x": (-2, 2), "y": (-2, 2)}])
+    def test_b_alone_seed_through_partition_keeps_the_first_tie(self,
+                                                                bounds):
+        # C[0,19]^18 keeps its 3 smallest knowns, and G[0,2] gives it
+        # anchors 0..2.  At sample 8 the margin -1 moves B on anchors 0..2,
+        # which know 9, 8 and 7 values: fewer than 18, so A is -inf there.
+        # The 6 values above anchor 2 seed the walk through np.partition:
+        # in walk order -1, 0.0, 0.0, -0.0, -0.0, -0.0, whose 3rd smallest
+        # is a zero; the first ties in arrival order make it 0.0, which no
+        # later zero replaces.  Each row's margin of (x > 0) || (y < 0) is
+        # its key
+        row = {"+0": (0, 1), "-0": (-1, 0), "-1": (-1, 1)}
+        margins = ["+0", "-0", "-0", "-0", "-0", "-0", "+0", "+0", "-1"]
+        walks = []
+        mon = MonitorState(parse("G[0,2] C[0,19]^18 ((x > 0) || (y < 0))"),
+                           XY, bounds=bounds)
+        with mock.patch.object(monitor, "_suffix_push",
+                               _walks_held_to_insort_walk(walks)):
+            for m in margins:
+                assert not mon.push_sample(row[m]).decided
+        assert walks[-1] == (True, True)
+        below = mon._pre[1].below[:3]
+        assert below.tobytes() == np.zeros(3).tobytes()
+
+    def test_b_alone_store_under_a_bounded_child_keeps_a_zero_sign(self):
+        # under x = -2:0 the child x < 0 starts at [0.0, 2], and its margin
+        # at x = 0 is -0.0: two such samples give anchor 0 of C[0,5]^5 its
+        # B, -0.0, while it knows 2 values, fewer than 5.  Both bounds are
+        # min(init, B), and numpy's minimum of 0.0 and -0.0 is -0.0, so the
+        # lower bound takes B's sign too
+        walks = []
+        mon = MonitorState(parse("C[0,5]^5 (x < 0)"), ("x",),
+                           bounds={"x": (-2.0, 0.0)})
+        with mock.patch.object(monitor, "_suffix_push",
+                               _walks_held_to_insort_walk(walks)):
+            for _ in range(2):
+                assert not mon.push_sample([0.0]).decided
+        assert walks == [(True, False)]
+        assert mon._pre[0].iv[:, 0].tobytes() == np.full(2, -0.0).tobytes()
 
 
 def test_monitor_nodes_follow_iter_nodes_and_node_horizons():
