@@ -1,4 +1,4 @@
-"""Command-line front end: eval, rob, monitor, gen, bench.
+"""Command-line front end: eval, rob, monitor, gen.
 
 Exit codes form a scriptable contract: 0 satisfied, 1 violated, 2 error,
 3 undecided at end of input.
@@ -19,7 +19,7 @@ import contextlib
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import CTSTLError, ParamOutOfRange, check_at_least
+from .errors import CTSTLError, ParamOutOfRange
 from .logic import _fmt_num, _fmt_nums, _snap_int, validate
 from .semantics import _sweep_at, robustness_trace
 from .signals import check_range
@@ -28,8 +28,8 @@ from .sigfile import (MonitorEvent, Utf8Lines, check_step, event_reindexer,
                       write_rows, write_signal_csv)
 from .syntax import parse
 
-# The monitor, the generators, the benchmark and json are imported by the
-# commands that use them, so that no other command pays for them.
+# The monitor, the generators and json are imported by the commands that
+# use them, so that no other command pays for them.
 if TYPE_CHECKING:
     from .monitor import MonitorState
 
@@ -193,22 +193,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from . import bench as benchmod
-
-    check_at_least(0, cases=args.cases)  # 0 skips the monitor cross-check
-    print(json.dumps(benchmod.bench_kth(
-        n=args.n, w=args.w, k=args.k, seed=args.seed)))
-    print(json.dumps(benchmod.bench_scaling(
-        n=args.n, w=args.w, seed=args.seed)))
-    if args.cases > 0:
-        print(json.dumps(benchmod.bench_monitor(
-            cases=args.cases, seed=args.seed)))
-    return 0
-
-
 def _add_formula_flags(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--formula", help="formula text")
@@ -273,14 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(parser=q)
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", help="time the sliding-rank engines")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--w", type=int, default=1_000)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20,
-                   help="random streams for the monitor cross-check")
-    p.set_defaults(fn=cmd_bench, parser=p)
     return ap
 
 

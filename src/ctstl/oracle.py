@@ -108,7 +108,7 @@ class NaiveMonitor(_PrefixMonitor):
 
     Every push rebuilds the root interval with rosi_naive, so a push costs
     O(prefix * window) instead of the incremental engine's near-constant
-    work; exists to cross-check verdicts and to be benchmarked against.
+    work; exists to cross-check verdicts.
     """
 
     def __init__(self, f: Formula, schema: Sequence[str], delta: float = 1.0,

@@ -7,8 +7,8 @@ and d distinct values, whatever the width or the rank.  Sliding min and max
 (:func:`sliding_extremum_batch`) is van Herk / Gil-Werman, and the bounded
 Until combine (:func:`until_batch`) is one numpy pass per offset.  The
 naive_* functions recompute every window from scratch; they are the
-re-evaluation baseline the sliding engines are benchmarked and tested
-against.  NaN has no rank, so every entry point rejects it; +-inf is legal.
+re-evaluation baseline the sliding engines are tested against.  NaN has
+no rank, so every entry point rejects it; +-inf is legal.
 """
 
 from __future__ import annotations

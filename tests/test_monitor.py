@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_case
+from conftest import make_case, random_formula, random_signal
 from ctstl import (Always, And, Atom, Eventually, MonitorState, NaiveMonitor,
                    RoSI, Signal, TimeInterval, Until, Verdict, horizon,
                    iter_nodes, node_horizons, parse, robustness, rosi_naive,
@@ -25,7 +25,6 @@ from ctstl import monitor
 from ctstl.errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange,
                           UnknownVariable)
 from ctstl.generators import overvoltage_formulas, overvoltage_trace
-from ctstl.randgen import random_formula, random_signal
 
 X = ("x",)
 XY = ("x", "y")
@@ -959,19 +958,9 @@ class TestSeededWalk:
     def test_seeded_walk_writes_the_bits_of_the_insort_walk(self, case):
         # == cannot see a flipped -0.0, but an event line would
         text, values, bounds = case
-        push = monitor._suffix_push
-
-        def both(node, c, lo, hi):
-            before = [getattr(node, f).copy() for f in _WALKED]
-            _insort_walk(node, c, lo, hi)
-            want = [getattr(node, f).tobytes() for f in _WALKED]
-            for f, arr in zip(_WALKED, before):
-                getattr(node, f)[:] = arr
-            push(node, c, lo, hi)
-            assert [getattr(node, f).tobytes() for f in _WALKED] == want
-
         mon = MonitorState(parse(text), XY, bounds=bounds)
-        with mock.patch.object(monitor, "_suffix_push", both):
+        with mock.patch.object(monitor, "_suffix_push",
+                               _walks_held_to_insort_walk([])):
             for row in values:
                 if mon.push_sample(row).decided:
                     break
@@ -987,20 +976,14 @@ class TestSeededWalk:
         row = {"+0": (0, 1), "-0": (-1, 0), "-1": (-1, 1), "1": (1, 1),
                "5": (5, 1)}
         margins = ["1", "+0", "-0", "-1", "+0", "-1", "1", "5"]
-        push = monitor._suffix_push
+        held = _walks_held_to_insort_walk([])
         seeds = []
 
         def both(node, c, lo, hi):
             child = node.children[0]
             seeds.append((c, lo, hi, child.lb[
                 hi + node.a + 1 - child.lo:c - child.lo + 1][::-1].tobytes()))
-            before = [getattr(node, f).copy() for f in _WALKED]
-            _insort_walk(node, c, lo, hi)
-            want = [getattr(node, f).tobytes() for f in _WALKED]
-            for f, arr in zip(_WALKED, before):
-                getattr(node, f)[:] = arr
-            push(node, c, lo, hi)
-            assert [getattr(node, f).tobytes() for f in _WALKED] == want
+            held(node, c, lo, hi)
 
         mon = MonitorState(parse("G[0,3] C[0,9]^8 ((x > 0) || (y < 0))"),
                            XY)

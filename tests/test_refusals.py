@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ctstl import MonitorState, RoSI, Signal, parse, validate
-from ctstl.bench import bench_monitor
 from ctstl.errors import (NonFiniteMargin, ParamOutOfRange, RankOutOfRange,
                           UnknownVariable, WindowExceedsTrace)
 from ctstl.generators import glucose_formulas
@@ -54,9 +53,6 @@ def _node_entries(nid):
      "rank 0 outside 1..2"),
     (lambda: naive_kth_batch([1.0, np.nan], (0, 0), 1), ValueError,
      "window values must not be NaN"),
-    # the benchmark's counts, as `ctstl bench --cases` refuses them
-    (lambda: bench_monitor(cases=-1), ParamOutOfRange,
-     "cases must be >= 0, got -1"),
     # formula families and validation
     (lambda: glucose_formulas(t1=1), ParamOutOfRange,
      "bad windows t1=1, t2=36"),

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formula_texts, make_case
+from conftest import formula_texts, make_case, random_signal
 from ctstl import (Signal, format_formula, horizon, max_tau_oracle, parse,
                    robustness, robustness_trace, satisfies, validate)
 from ctstl.errors import EmptyAdmissibleRange, RankOutOfRange, TraceTooShort
-from ctstl.randgen import random_signal
 from ctstl.semantics import _signs, _sweep, _sweep_at
 
 X = ("x",)

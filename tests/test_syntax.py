@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_formula
 from ctstl import (Always, And, Atom, Cumulative, Eventually, Not, Or,
                    TimeInterval, Until, format_formula, parse, validate)
 from ctstl.errors import ParseError
 from ctstl.generators import glucose_formulas, overvoltage_formulas
-from ctstl.randgen import random_formula
 
 _name = st.sampled_from(["x", "y", "longish_name2"])
 # integral values of 1e16 and above print by repr, in exponent form
