@@ -33,7 +33,7 @@ _EXPORTS = {
         "Or", "TimeInterval", "Until", "horizon", "iter_nodes",
         "node_horizons", "validate"), "logic"),
     **dict.fromkeys(("MonitorState", "RoSI", "Verdict"), "monitor"),
-    **dict.fromkeys(("NaiveMonitor", "rosi_naive"), "oracle"),
+    "rosi_naive": "oracle",
     **dict.fromkeys((
         "max_tau_oracle", "robustness", "robustness_trace",
         "satisfies"), "semantics"),

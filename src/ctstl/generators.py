@@ -17,6 +17,8 @@ allowed-excursion budget keeps its meaning when the window shrinks.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ParamOutOfRange, check_at_least
@@ -40,6 +42,10 @@ def _excursion_trace(length: int, seed: int, spread: int | None,
     check_at_least(0, **{name: c for name, c, _ in bands})
     check_at_least(1, length=length)
     check_at_least(0, seed=seed, spread=spread)
+    # numpy refuses a length past its largest array with a ValueError
+    if 8 * length > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise MemoryError(
+            f"a trace of {length} samples exceeds physical memory")
     total = sum(c for _, c, _ in bands)
     region = spread if spread is not None else max(int(0.8 * length), 1)
     region = min(region, length)

@@ -32,7 +32,7 @@ or max once, a middle-rank rescan and Until pad the window with it, and
 ``node_entries`` reports it for every anchor of the node's range.
 
 * an atom writes the sample's margin, computed and checked once per push
-  by the shared contract, as one point entry;
+  by ``push_sample``, as one point entry;
 * ``neg`` recomputes the whole span with vectorized interval negation,
   and ``boolean`` the hull of its two children's spans with one ufunc;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
@@ -58,14 +58,10 @@ or max once, a middle-rank rescan and Until pad the window with it, and
   Rescans are exact for any child because a node's ``iv`` always holds
   the current interval, pads included; a settled (point) entry never moves.
 
-The test oracle, ``rosi_naive`` and :class:`NaiveMonitor`, recomputes the
-same intervals by direct recursion in :mod:`ctstl.oracle`, which a
-monitor run does not load.  Both monitors share one verdict contract
-(:class:`_PrefixMonitor`): the prefix bookkeeping, the checks of every
-sample and its atom margins, ``push_sample`` and ``finalize``; each
-supplies only its root interval.  ``finalize`` settles an exactly-zero
-root on a complete trace with the offline sweep's boolean atom map over
-the kept rows.
+The test oracle, ``rosi_naive`` in :mod:`ctstl.oracle`, recomputes any
+node's interval at any anchor by direct recursion; a monitor run does not
+load it.  ``finalize`` settles an exactly-zero root on a complete trace
+with the offline sweep's boolean atom map over the kept rows.
 """
 
 from __future__ import annotations
@@ -149,97 +145,9 @@ class Verdict(Record, compared=3):
 
 
 def _judge(root: RoSI, decided_at: int) -> Verdict:
-    if root.lb > 0:
-        return Verdict(True, root, decided_at)
-    if root.ub < 0:
-        return Verdict(False, root, decided_at)
+    if root.lb > 0 or root.ub < 0:
+        return Verdict(root.lb > 0, root, decided_at)
     return Verdict(None, root, None)
-
-
-class _PrefixMonitor:
-    """Prefix bookkeeping and the verdict contract of both monitors.
-
-    A subclass computes the root interval after each sample in
-    ``_root(i, ys)``, where ``ys`` holds the sample's atom margins, and sets
-    the verdict before any sample; a root returned as the same object as
-    the verdict's keeps the verdict.  Once the verdict is decided, further
-    samples are counted but not evaluated.  Every sample is checked first,
-    even after the verdict: it must be finite, inside its variable's
-    declared bounds, and give every atom a finite margin (finite samples
-    can overflow).  A refused sample changes no state.  Only the first
-    horizon+1 rows are kept, and only while the verdict is open: no later
-    row reaches anchor 0, the only anchor ``finalize`` and the root
-    interval read, and neither reads the rows of a decided verdict.
-    """
-
-    def __init__(self, formula: Formula, schema: Sequence[str],
-                 delta: float, bounds: Mapping[str, Bounds] | None):
-        self.names = tuple(schema)
-        self.delta = float(delta)
-        self.formula = validate(formula, self.names, self.delta)
-        self.bounds = check_bounds(bounds, self.names)
-        self.horizon = horizon(self.formula)
-        self.i = 0
-        self._rows: list[tuple[float, ...]] = []
-        # each distinct atom once, in pre-order, at its position in ys
-        self._atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
-            f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
-        self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
-                        a.sign, a.rhs) for a in self._atom_pos]
-
-    def _prefix(self) -> Signal:
-        return Signal(self.names, np.array(self._rows), self.delta)
-
-    def push_sample(self, x: Sequence[float]) -> Verdict:
-        """Consume one sample vector; returns the (possibly new) verdict."""
-        if len(x) != len(self.names):
-            raise ArityMismatch(len(self.names), len(x))
-        row = tuple(map(float, x))
-        if not all(map(math.isfinite, row)):
-            raise ValueError("signal samples must be finite")
-        # bounds promise every sample's range; a verdict may rest on them
-        if self.bounds:
-            for name, (lo, hi) in self.bounds.items():
-                v = row[self.names.index(name)]
-                if not lo <= v <= hi:
-                    raise ParamOutOfRange(
-                        f"sample {self.i} has {name}={v}, outside its "
-                        f"bounds {name}={lo}:{hi}")
-        ys = []
-        for atom, terms, sign, rhs in self._atoms:
-            acc = 0.0
-            for col, coeff in terms:
-                acc += coeff * row[col]
-            y = sign * (acc - rhs)
-            if not -INF < y < INF:
-                raise NonFiniteMargin(format_formula(atom), self.i, y)
-            ys.append(y)
-        i = self.i
-        self.i += 1
-        if self.verdict.decided:
-            return self.verdict
-        if len(self._rows) <= self.horizon:
-            self._rows.append(row)
-        root = self._root(i, ys)
-        if root is not self.verdict.rosi:  # an unchanged root keeps it
-            self.verdict = _judge(root, decided_at=i)
-        return self.verdict
-
-    def finalize(self) -> Verdict:
-        """Resolve the verdict at end of stream.
-
-        ``_judge`` has decided every root that excludes zero, so an open
-        root is decided here only when it is exactly zero on a complete
-        trace, by the qualitative semantics.  Anything else stays Unknown,
-        with the residual interval attached.
-        """
-        if self.verdict.decided:
-            return self.verdict
-        root = self.verdict.rosi
-        if root.lb == root.ub == 0 and self.i > self.horizon:
-            ok = _sweep_at(self.formula, self._prefix(), 0, boolean=True)
-            self.verdict = Verdict(ok > 0, root, self.i - 1)
-        return self.verdict
 
 
 class _Node:
@@ -581,13 +489,32 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
     return step
 
 
-class MonitorState(_PrefixMonitor):
-    """Single-owner incremental monitor; feed samples with push_sample."""
+class MonitorState:
+    """Single-owner incremental monitor; feed samples with push_sample.
+
+    Every sample is checked first, even after the verdict: it must be
+    finite, inside its variable's bounds, and give every atom a finite
+    margin (finite samples can overflow).  A refused sample changes no
+    state; after the verdict a sample is counted but not evaluated.  Only
+    the first horizon+1 rows, all that reach anchor 0, are kept for
+    ``finalize``, and only while the verdict is open.
+    """
 
     def __init__(self, formula: Formula, schema: Sequence[str],
                  delta: float = 1.0,
                  bounds: Mapping[str, Bounds] | None = None):
-        super().__init__(formula, schema, delta, bounds)
+        self.names = tuple(schema)
+        self.delta = float(delta)
+        self.formula = validate(formula, self.names, self.delta)
+        self.bounds = check_bounds(bounds, self.names)
+        self.horizon = horizon(self.formula)
+        self.i = 0
+        self._rows: list[tuple[float, ...]] = []
+        # each distinct atom once, in pre-order, at its position in ys
+        self._atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
+            f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
+        self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
+                        a.sign, a.rhs) for a in self._atom_pos]
         self._build()
         self.verdict = _judge(self.root_rosi(), decided_at=-1)
 
@@ -660,12 +587,61 @@ class MonitorState(_PrefixMonitor):
 
     # -- update pass --------------------------------------------------
 
-    def _root(self, i: int, ys: list[float]) -> RoSI:
+    def push_sample(self, x: Sequence[float]) -> Verdict:
+        """Consume one sample vector; returns the (possibly new) verdict."""
+        if len(x) != len(self.names):
+            raise ArityMismatch(len(self.names), len(x))
+        row = tuple(map(float, x))
+        if not all(map(math.isfinite, row)):
+            raise ValueError("signal samples must be finite")
+        # bounds promise every sample's range; a verdict may rest on them
+        if self.bounds:
+            for name, (lo, hi) in self.bounds.items():
+                v = row[self.names.index(name)]
+                if not lo <= v <= hi:
+                    raise ParamOutOfRange(
+                        f"sample {self.i} has {name}={v}, outside its "
+                        f"bounds {name}={lo}:{hi}")
+        ys = []
+        for atom, terms, sign, rhs in self._atoms:
+            acc = 0.0
+            for col, coeff in terms:
+                acc += coeff * row[col]
+            y = sign * (acc - rhs)
+            if not -INF < y < INF:
+                raise NonFiniteMargin(format_formula(atom), self.i, y)
+            ys.append(y)
+        i = self.i
+        self.i += 1
+        if self.verdict.decided:
+            return self.verdict
+        if len(self._rows) <= self.horizon:
+            self._rows.append(row)
         if i == self._cap:  # samples come one at a time
             self._grow(2 * i)
         for node, step in self._plan:
             node.span = step(i, ys)
-        return self.root_rosi()
+        root = self.root_rosi()
+        if root is not self.verdict.rosi:  # an unchanged root keeps it
+            self.verdict = _judge(root, decided_at=i)
+        return self.verdict
+
+    def finalize(self) -> Verdict:
+        """Resolve the verdict at end of stream.
+
+        ``_judge`` has decided every root that excludes zero, so an open
+        root is decided here only when it is exactly zero on a complete
+        trace, by the qualitative semantics over the kept rows.  Anything
+        else stays Unknown, with the residual interval attached.
+        """
+        if self.verdict.decided:
+            return self.verdict
+        root = self.verdict.rosi
+        if root.lb == root.ub == 0 and self.i > self.horizon:
+            prefix = Signal(self.names, np.array(self._rows), self.delta)
+            ok = _sweep_at(self.formula, prefix, 0, boolean=True)
+            self.verdict = Verdict(ok > 0, root, self.i - 1)
+        return self.verdict
 
     # -- inspection ---------------------------------------------------
 

@@ -3,15 +3,13 @@ recursion.
 
 ``rosi_naive`` recomputes, for one anchor of a prefix, the interval the
 incremental monitor (:class:`ctstl.monitor.MonitorState`) keeps, and is
-both its correctness oracle and its performance baseline.
-:class:`NaiveMonitor` wraps it behind the same verdict contract for
-engine-against-engine runs.  It lives apart from the monitor, so that a
+its correctness oracle.  It lives apart from the monitor, so that a
 ``ctstl monitor`` child neither compiles nor loads it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .logic import (
     Always,
@@ -26,19 +24,15 @@ from .logic import (
     iter_nodes,
     validate,
 )
-from .monitor import INF, RoSI, _judge, _PrefixMonitor
+from .monitor import INF, RoSI
 from .signals import (Bounds, Signal, atom_bounds, check_bounds,
                       secondary_signal)
 
 
 def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
                bounds: Mapping[str, Bounds] | None = None) -> RoSI:
-    """Interval semantics by direct recursion over the partial trace.
-
-    Instants beyond the prefix contribute the atom-level ranges.  Exact for
-    the same componentwise interval recursion the monitor maintains, and
-    therefore its oracle.
-    """
+    """Interval semantics by direct recursion over the partial trace:
+    instants beyond the prefix contribute the atom-level ranges."""
     f = validate(f, prefix.names, prefix.delta)
     bounds = check_bounds(bounds, prefix.names)
     atoms = [node for _, node in iter_nodes(f) if isinstance(node, Atom)]
@@ -102,19 +96,3 @@ def rosi_naive(f: Formula, prefix: Signal, t: int = 0,
 
     return RoSI(*ev(f, t))
 
-
-class NaiveMonitor(_PrefixMonitor):
-    """Same interface and verdict contract, by full prefix recomputation.
-
-    Every push rebuilds the root interval with rosi_naive, so a push costs
-    O(prefix * window) instead of the incremental engine's near-constant
-    work; exists to cross-check verdicts.
-    """
-
-    def __init__(self, f: Formula, schema: Sequence[str], delta: float = 1.0,
-                 bounds: Mapping[str, Bounds] | None = None):
-        super().__init__(f, schema, delta, bounds)
-        self.verdict = _judge(self._root(-1, []), decided_at=-1)
-
-    def _root(self, i: int, ys: list[float]) -> RoSI:
-        return rosi_naive(self.formula, self._prefix(), 0, self.bounds)

@@ -27,14 +27,22 @@ def _as_trace(trace) -> np.ndarray:
     return arr
 
 
-def _prep(trace, interval, k=1) -> tuple[np.ndarray, int, int]:
-    """The trace from the start of a window (lo, hi) of integer sample
-    offsets, 0 <= lo <= hi, on; the window's width; and a rank k within it
-    as an int."""
-    arr = _as_trace(trace)
+def _window(interval) -> tuple[int, int]:
+    """A window (lo, hi) of integer sample offsets, 0 <= lo <= hi."""
     lo, hi = map(operator.index, interval)
     if not 0 <= lo <= hi:
         raise ValueError(f"bad window [{lo},{hi}]")
+    return lo, hi
+
+
+def _prep(trace, interval, k=1, mode="min") -> tuple[np.ndarray, int, int]:
+    """The trace from the start of a window (lo, hi) on, the window's
+    width, and a rank k within it as an int; an extremum's ``mode`` is
+    checked first."""
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    arr = _as_trace(trace)
+    lo, hi = _window(interval)
     w = hi - lo + 1
     if hi > arr.size - 1:
         raise WindowExceedsTrace(w, arr.size)
@@ -97,9 +105,7 @@ def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:
     of the next, so its min is the backward min at t against the forward
     min at t+w-1.  Max is the negated min of the negated trace.
     """
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    x, w, _ = _prep(trace, interval)
+    x, w, _ = _prep(trace, interval, mode=mode)
     x = x if mode == "min" else -x
     m = x.size - w + 1
     blocks = np.concatenate((x, np.full(-x.size % w, np.inf))).reshape(-1, w)
@@ -119,8 +125,7 @@ def until_batch(lvals, rvals, a: int, b: int) -> np.ndarray:
     """
     larr = _as_trace(lvals)
     rarr = _as_trace(rvals)
-    if not 0 <= a <= b:
-        raise ValueError(f"bad window [{a},{b}]")
+    a, b = _window((a, b))
     m = rarr.size - b
     if b >= 1:
         m = min(m, larr.size - b + 1)
@@ -160,8 +165,6 @@ def naive_kth_batch(trace, interval, k: int) -> np.ndarray:
 
 def naive_extremum_batch(trace, interval, mode: str) -> np.ndarray:
     """Per-window scan min/max; oracle for sliding_extremum_batch."""
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    x, w, _ = _prep(trace, interval)
+    x, w, _ = _prep(trace, interval, mode=mode)
     agg = np.min if mode == "min" else np.max
     return _per_window(x, w, lambda v: agg(v, axis=1))

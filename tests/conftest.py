@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ctstl import Signal, parse, validate
+from ctstl import Signal, Verdict, parse, rosi_naive, validate
 from ctstl.errors import ValidationError
 from ctstl.logic import (Always, And, Atom, Cumulative, Eventually, Formula,
                          Not, Or, TimeInterval, Until)
@@ -85,6 +85,42 @@ def make_case(rng, depth=3, length=30, names=NAMES):
         except ValidationError:
             continue
         return f, random_signal(rng, names, length)
+
+
+def verdict_rule(root, i: int) -> Verdict:
+    """The verdict a monitor owes at sample i (-1 before any sample) when
+    its root interval first reads ``root``: True once lb > 0, False once
+    ub < 0, and open otherwise."""
+    if root.lb > 0:
+        return Verdict(True, root, i)
+    if root.ub < 0:
+        return Verdict(False, root, i)
+    return Verdict(None, root, None)
+
+
+def push_held_to_rosi_naive(mon, rows) -> Verdict:
+    """Push ``rows`` into ``mon``, a new monitor, and after each push hold
+    it to ``rosi_naive`` on the prefix: while the verdict is open, the root
+    interval is the oracle's and the verdict is ``verdict_rule``'s; once
+    decided, the verdict stays as it is.  Returns the last verdict."""
+    names = mon.names
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(names))
+
+    def owed(n: int) -> Verdict:
+        prefix = Signal(names, rows[:n], mon.delta)
+        return verdict_rule(rosi_naive(mon.formula, prefix, 0, mon.bounds),
+                            n - 1)
+
+    assert mon.verdict == owed(0)
+    for i, row in enumerate(rows):
+        prev = mon.verdict
+        got = mon.push_sample(row)
+        if prev.decided:
+            assert got is prev, i
+            continue
+        want = owed(i + 1)
+        assert got == want and mon.root_rosi() == want.rosi, (i, got, want)
+    return mon.verdict
 
 
 # strict and non-strict atoms over x and y; samples are small integers,

@@ -17,12 +17,12 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
-from conftest import random_formula, random_signal
-from ctstl import (MonitorState, NaiveMonitor, Signal, horizon,
-                   max_tau_oracle, naive_kth_batch, parse, robustness,
-                   rosi_naive, satisfies, sliding_extremum_batch,
-                   sliding_kth_batch, validate)
+from conftest import push_held_to_rosi_naive, random_formula, random_signal
+from ctstl import (MonitorState, Signal, horizon, max_tau_oracle,
+                   naive_kth_batch, parse, robustness, satisfies,
+                   sliding_extremum_batch, sliding_kth_batch, validate)
 from ctstl.errors import ValidationError
 from ctstl.generators import (glucose_formulas, glucose_trace,
                               overvoltage_formulas, overvoltage_trace)
@@ -200,17 +200,7 @@ def test_criterion_6_online_naive_agreement():
         rng = np.random.default_rng(6001)
         for _ in range(200):
             f, sig = _random_instance(rng, depth=3, max_len=24)
-            mon = MonitorState(f, XY)
-            ref = NaiveMonitor(f, XY)
-            for i in range(len(sig)):
-                va = mon.push_sample(sig.values[i])
-                vb = ref.push_sample(sig.values[i])
-                prefix = Signal(XY, sig.values[:i + 1], 1.0)
-                assert mon.root_rosi() == rosi_naive(f, prefix)
-                assert (va.outcome, va.decided_at) == \
-                    (vb.outcome, vb.decided_at)
-                if va.decided:
-                    break
+            push_held_to_rosi_naive(MonitorState(f, XY), sig.values)
 
 
 def _timed(fn, *args):
@@ -219,6 +209,7 @@ def _timed(fn, *args):
     return time.perf_counter() - t0, out
 
 
+@pytest.mark.slow
 def test_criterion_7_worklist_vs_naive_scaling():
     with criterion(7, 600.0):
         trace = np.random.default_rng(7001).standard_normal(1_000_000)

@@ -347,6 +347,11 @@ class TestMonitor:
         assert raw.calls == lines
 
 
+# gen lengths past numpy's largest array, where numpy would raise a
+# ValueError: the generator must refuse them as out of memory first
+_HUGE_LENGTHS = (2**62, 10**20)
+
+
 class TestBadInput:
     CASES = [
         (["monitor", "--formula", "G[0,2] (x > 0)", "-"], "t,x\n1,0\n0,1\n",
@@ -374,6 +379,10 @@ class TestBadInput:
         pytest.param(["gen", "glucose", "--spread", "-5", "--out",
                       os.devnull], "", "spread must be >= 0, got -5",
                      id="gen-negative-spread"),
+        *(pytest.param(["gen", "glucose", "--length", str(length), "--out",
+                        os.devnull], "", "out of memory",
+                       id=f"gen-length-{length}")
+          for length in _HUGE_LENGTHS),
         # a field over the CSV reader's size limit; explicit ids keep the
         # long input out of the test names
         *(pytest.param([cmd, "--formula", "G[0,3] (x > 0)", "-"],
@@ -654,21 +663,23 @@ def _cli_runs(draw):
 
 @st.composite
 def _gen_runs(draw):
-    """A gen call with small, possibly negative, integer flags, and whether
-    it gives a negative seed or spread."""
+    """A gen call with small, possibly negative, integer flags, or a length
+    past any array, and whether it gives a negative seed or spread or
+    such a length."""
     scenario, budgets = draw(st.sampled_from([
         ("overvoltage", ["over17", "over14", "over13", "overcap"]),
         ("glucose", ["hypo", "hyper"])]))
     argv = ["gen", scenario]
-    negative = False
+    refused = False
     for flag in ["length", "seed", "spread", *budgets]:
         # the length is always given: its default makes slow runs
-        v = draw(st.integers(-3, 40) if flag == "length"
-                 else st.none() | st.integers(-3, 40))
+        v = draw(st.integers(-3, 40) | st.sampled_from(_HUGE_LENGTHS)
+                 if flag == "length" else st.none() | st.integers(-3, 40))
         if v is not None:
             argv.append(f"--{flag}={v}")
-            negative |= flag in ("seed", "spread") and v < 0
-    return argv, negative
+            refused |= (flag in ("seed", "spread") and v < 0
+                        or v in _HUGE_LENGTHS)
+    return argv, refused
 
 
 class TestFuzz:
@@ -698,14 +709,14 @@ class TestFuzz:
     @given(_gen_runs())
     @settings(max_examples=150, deadline=None)
     def test_gen_keeps_the_exit_contract(self, run):
-        argv, negative = run
+        argv, refused = run
         with tempfile.TemporaryDirectory() as tmp:
             # an exception escaping main() fails the test by itself
             code, _, err = run_cli(
                 [*argv, "--out", os.path.join(tmp, "out.csv")])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
-        if negative:
+        if refused:
             assert code == 2 and err.startswith("error: ")
 
 

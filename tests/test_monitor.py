@@ -1,4 +1,4 @@
-"""Online monitor: interval refinement, decisions, naive agreement.
+"""Online monitor: interval refinement, decisions, oracle agreement.
 
 The streamed G[0,2] C[1,5]^3 (x > 0) example is the golden path: every
 per-node interval it produces along the stream is known by hand, and the
@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_case, random_formula, random_signal
-from ctstl import (Always, And, Atom, Eventually, MonitorState, NaiveMonitor,
-                   RoSI, Signal, TimeInterval, Until, Verdict, horizon,
-                   iter_nodes, node_horizons, parse, robustness, rosi_naive,
-                   satisfies, validate)
+from conftest import (make_case, push_held_to_rosi_naive, random_formula,
+                      random_signal)
+from ctstl import (Always, And, Atom, Eventually, MonitorState, RoSI, Signal,
+                   TimeInterval, Until, Verdict, horizon, iter_nodes,
+                   node_horizons, parse, robustness, rosi_naive, satisfies,
+                   validate)
 from ctstl import monitor
 from ctstl.errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange,
                           UnknownVariable)
@@ -74,13 +75,8 @@ class TestFigureReplay:
         assert mon.root_rosi() == RoSI(7.0, 7.0)
 
     def test_naive_monitor_gives_identical_stream(self, fig4_formula):
-        mon = MonitorState(fig4_formula, X)
-        ref = NaiveMonitor(fig4_formula, X)
-        for v in FIG4:
-            va = mon.push_sample([v])
-            vb = ref.push_sample([v])
-            assert (va.outcome, va.decided_at) == (vb.outcome, vb.decided_at)
-            assert mon.root_rosi() == vb.rosi
+        v = push_held_to_rosi_naive(MonitorState(fig4_formula, X), FIG4)
+        assert (v.outcome, v.decided_at) == (True, 6)
 
 
 class TestRoSIAlgebra:
@@ -112,30 +108,14 @@ class TestAgainstNaiveRecursion:
         for trial in range(12):
             n = horizon(f) + int(rng.integers(1, 5))
             sig = random_signal(rng, names, n)
-            mon = MonitorState(f, names)
-            for i in range(n):
-                mon.push_sample(sig.values[i])
-                if mon.verdict.decided:
-                    break
-                prefix = Signal(names, sig.values[:i + 1], 1.0)
-                want = rosi_naive(f, prefix)
-                assert mon.root_rosi() == want
+            push_held_to_rosi_naive(MonitorState(f, names), sig.values)
 
     def test_random_streams_agree_with_naive(self, rng):
         for _ in range(80):
             f, sig = make_case(rng, depth=3, length=1)
             n = horizon(f) + int(rng.integers(1, 6))
             sig = random_signal(rng, XY, n)
-            mon = MonitorState(f, XY)
-            ref = NaiveMonitor(f, XY)
-            for i in range(n):
-                va = mon.push_sample(sig.values[i])
-                vb = ref.push_sample(sig.values[i])
-                assert mon.root_rosi() == vb.rosi
-                assert (va.outcome, va.decided_at) == \
-                    (vb.outcome, vb.decided_at)
-                if va.decided:
-                    break
+            push_held_to_rosi_naive(MonitorState(f, XY), sig.values)
 
 
 class TestRefinement:
@@ -365,8 +345,6 @@ class TestDecisions:
         with pytest.raises(error):
             MonitorState(f, X, bounds=bounds)
         with pytest.raises(error):
-            NaiveMonitor(f, X, bounds=bounds)
-        with pytest.raises(error):
             rosi_naive(f, prefix, bounds=bounds)
 
     @pytest.mark.parametrize("text,bounds", [
@@ -382,11 +360,9 @@ class TestDecisions:
         with pytest.raises(ParamOutOfRange, match="no finite margin"):
             MonitorState(f, XY, bounds=bounds)
         with pytest.raises(ParamOutOfRange, match="no finite margin"):
-            NaiveMonitor(f, XY, bounds=bounds)
-        with pytest.raises(ParamOutOfRange, match="no finite margin"):
             rosi_naive(f, prefix, bounds=bounds)
 
-    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    @pytest.mark.parametrize("cls", [MonitorState])
     def test_sample_outside_its_bounds_is_refused(self, cls):
         # the bounds alone decide G[0,1] (x > 0) before any sample; a
         # sample outside them is refused all the same, before any state
@@ -401,7 +377,7 @@ class TestDecisions:
         with pytest.raises(ParamOutOfRange):
             mon.push_sample([-3.0])
         assert mon.i == 1 and mon.verdict.outcome is True
-        # the monitors disagreed here when the sample was taken
+        # under a range of one point any other sample is refused too
         mon = cls(parse("F[0,0] ((x > 0) U[0,1] (x > 0))"), X,
                   bounds={"x": (0.0, 0.0)})
         with pytest.raises(ParamOutOfRange):
@@ -412,7 +388,7 @@ class TestDecisions:
         with pytest.raises(ArityMismatch):
             mon.push_sample([1.0, 2.0])
 
-    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    @pytest.mark.parametrize("cls", [MonitorState])
     @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
     def test_non_finite_sample_is_refused(self, cls, bad):
         f = parse("G[0,3] (x > 0)")
@@ -431,7 +407,7 @@ class TestDecisions:
         assert mon.verdict.outcome is None
         assert mon.finalize() == clean.finalize()
 
-    @pytest.mark.parametrize("cls", [MonitorState, NaiveMonitor])
+    @pytest.mark.parametrize("cls", [MonitorState])
     def test_overflowing_margin_is_refused_before_any_state_change(self, cls):
         # 10*1e308 overflows, so the first atom's margin is inf - inf; the
         # stream must go on as if the row had never come
@@ -448,9 +424,8 @@ class TestDecisions:
         want = Verdict(True, RoSI(5.0, 5.0), 3)
         assert mon.verdict == clean.verdict == want
         assert mon.i == clean.i == 4
-        if cls is MonitorState:
-            for nid, _ in mon.node_ids():
-                assert entries(mon, nid) == entries(clean, nid)
+        for nid, _ in mon.node_ids():
+            assert entries(mon, nid) == entries(clean, nid)
         # after the verdict the margins are still checked, and still
         # leave the count alone
         with pytest.raises(NonFiniteMargin, match="at sample 4"):
@@ -473,19 +448,38 @@ class TestDecisions:
     def test_prefix_is_bounded_by_the_horizon(self, text, value):
         f = validate(parse(text), X)
         h = horizon(f)
-        mon, ref = MonitorState(f, X), NaiveMonitor(f, X)
+        mon = MonitorState(f, X)
         n = 10 * (h + 1)
-        for _ in range(n):
-            va = mon.push_sample([value])
-            vb = ref.push_sample([value])
-            assert va == vb
-        assert len(mon._rows) == len(ref._rows) == h + 1
+        v = push_held_to_rosi_naive(mon, [value] * n)
+        assert len(mon._rows) == h + 1
         whole = Signal(X, np.full((n, 1), value), 1.0)
-        assert mon.finalize() == ref.finalize()
-        assert mon.verdict.outcome is satisfies(f, whole, 0)
+        ok = satisfies(f, whole, 0)
+        # an open root is exactly zero here, and finalize settles it
+        assert mon.finalize() == (v if v.decided else
+                                  Verdict(ok, v.rosi, n - 1))
+        assert mon.verdict.outcome is ok
 
 
 _ATOMS = ("x > 0", "x <= 1", "y >= -1", "x + y < 1", "2*y - x > 0")
+
+
+def _clamped(values, bounds):
+    """The rows of ``values`` clamped into ``bounds``, which promise the
+    range of every sample."""
+    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
+    return [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
+            for row in values]
+
+
+def _entries_held_to_rosi_naive(mon, rows, bounds, context, nodes=None):
+    """Every entry of ``nodes`` (every node by default) equals
+    ``rosi_naive``'s over the prefix ``rows``; a failure names ``context``,
+    the node and the anchor."""
+    prefix = Signal(XY, np.array(rows, dtype=float), 1.0)
+    for nid, node in nodes or mon.node_ids():
+        for t, got in mon.node_entries(nid).items():
+            assert got == rosi_naive(node, prefix, t, bounds), \
+                (*context, nid, t)
 
 
 @st.composite
@@ -525,11 +519,7 @@ def _windowed_cases(draw):
         optional={"y": st.tuples(st.integers(-3, 0), st.integers(0, 3))}))
     values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                            min_size=10, max_size=30))
-    # bounds promise the range of every sample, so keep the stream inside
-    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
-    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
-              for row in values]
-    return text, bounds, values
+    return text, bounds, _clamped(values, bounds)
 
 
 class TestPerNodeOracle:
@@ -546,11 +536,8 @@ class TestPerNodeOracle:
             root = mon.root_rosi()
             assert all(b or math.copysign(1.0, b) > 0
                        for b in (root.lb, root.ub)), (text, bounds, i)
-            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
-            for nid, node in mon.node_ids():
-                for t, got in mon.node_entries(nid).items():
-                    assert got == rosi_naive(node, prefix, t, bounds), \
-                        (text, bounds, i, nid, t)
+            _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
+                                        (text, bounds, i))
 
 
 @st.composite
@@ -589,10 +576,7 @@ def _growth_cases(draw):
         [None, {"x": (0, 2), "y": (-2, 0)}, {"x": (-1, 3)}]))
     values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                            min_size=10, max_size=30))
-    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
-    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
-              for row in values]
-    return text, bounds, values
+    return text, bounds, _clamped(values, bounds)
 
 
 class TestGrowth:
@@ -614,11 +598,8 @@ class TestGrowth:
             if mon.verdict.decided:
                 break
             mon.push_sample(row)
-            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
-            for nid, node in mon.node_ids():
-                for t, got in mon.node_entries(nid).items():
-                    assert got == rosi_naive(node, prefix, t, bounds), \
-                        (text, bounds, i, nid, t)
+            _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
+                                        (text, bounds, i))
 
 
 class TestPaperScale:
@@ -674,10 +655,7 @@ def _frontier_cases(draw):
     n = draw(st.integers(1, 120))
     values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                            min_size=n, max_size=n))
-    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
-    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
-              for row in values]
-    return text, bounds, values
+    return text, bounds, _clamped(values, bounds)
 
 
 class TestChangedAnchorFrontier:
@@ -693,11 +671,8 @@ class TestChangedAnchorFrontier:
             if mon.verdict.decided:
                 break
             mon.push_sample(row)
-            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
-            for nid, node in mon.node_ids():
-                for t, got in mon.node_entries(nid).items():
-                    assert got == rosi_naive(node, prefix, t, bounds), \
-                        (text, bounds, i, nid, t)
+            _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
+                                        (text, bounds, i))
 
 
 @st.composite
@@ -719,10 +694,7 @@ def _long_window_cases(draw):
     n = g + a + w + draw(st.integers(0, 10))
     values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                            min_size=n, max_size=n))
-    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
-    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
-              for row in values]
-    return text, bounds, values
+    return text, bounds, _clamped(values, bounds)
 
 
 class TestPartitionSeed:
@@ -747,12 +719,8 @@ class TestPartitionSeed:
         with mock.patch.object(monitor, "_suffix_push", counted):
             for i, row in enumerate(values):
                 mon.push_sample(row)
-                prefix = Signal(XY, np.array(values[:i + 1], dtype=float),
-                                1.0)
-                for nid, node in nodes:
-                    for t, got in mon.node_entries(nid).items():
-                        assert got == rosi_naive(node, prefix, t, bounds), \
-                            (text, bounds, i, nid, t)
+                _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
+                                            (text, bounds, i), nodes)
         assert max(seeds) > 0  # some walk's seed went through np.partition
 
 
@@ -1170,10 +1138,7 @@ def _wide_rescan_cases(draw):
     n = horizon(validate(parse(text), XY)) + draw(st.integers(1, 8))
     values = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                            min_size=n, max_size=n))
-    lims = [(bounds or {}).get(name, (-INF, INF)) for name in XY]
-    values = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(row, lims))
-              for row in values]
-    return text, bounds, values
+    return text, bounds, _clamped(values, bounds)
 
 
 class TestWideRescan:
@@ -1191,8 +1156,5 @@ class TestWideRescan:
             mon.push_sample(row)
             if i % 7 != 6 and i != len(values) - 1:
                 continue
-            prefix = Signal(XY, np.array(values[:i + 1], dtype=float), 1.0)
-            for nid, node in mon.node_ids():
-                for t, got in mon.node_entries(nid).items():
-                    assert got == rosi_naive(node, prefix, t, bounds), \
-                        (text, bounds, i, nid, t)
+            _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
+                                        (text, bounds, i))

@@ -35,6 +35,11 @@ def _node_entries(nid):
     (lambda: naive_extremum_batch(TRACE, (1, 0), "max"), ValueError,
      "bad window [1,0]"),
     (lambda: until_batch(TRACE, TRACE, 2, 1), ValueError, "bad window [2,1]"),
+    # an offset that is not an integer
+    *((call, TypeError, "'float' object cannot be interpreted as an integer")
+      for call in (lambda: sliding_kth_batch(TRACE, (0, 1.5), 1),
+                   lambda: until_batch(TRACE, TRACE, 0.5, 2),
+                   lambda: until_batch(TRACE, TRACE, 0, 2.5))),
     (lambda: sliding_extremum_batch(TRACE, (0, 1), "median"), ValueError,
      "mode must be 'min' or 'max', got 'median'"),
     (lambda: naive_extremum_batch(TRACE, (0, 1), "mean"), ValueError,
