@@ -61,7 +61,8 @@ or max once, a middle-rank rescan and Until pad the window with it, and
 The test oracle, ``rosi_naive`` in :mod:`ctstl.oracle`, recomputes any
 node's interval at any anchor by direct recursion; a monitor run does not
 load it.  ``finalize`` settles an exactly-zero root on a complete trace
-with the offline sweep's boolean atom map over the kept rows.
+with the offline sweep's boolean atom map over the margins the atom nodes
+hold, which are all the samples anchor 0 reads.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ from .logic import (
     node_horizons,
     validate,
 )
-from .semantics import _sweep_at
-from .signals import Bounds, Signal, atom_bounds, check_bounds
+from .semantics import _sweep
+from .signals import Bounds, atom_bounds, check_bounds
 from .syntax import format_formula
 
 INF = math.inf
@@ -495,9 +496,9 @@ class MonitorState:
     Every sample is checked first, even after the verdict: it must be
     finite, inside its variable's bounds, and give every atom a finite
     margin (finite samples can overflow).  A refused sample changes no
-    state; after the verdict a sample is counted but not evaluated.  Only
-    the first horizon+1 rows, all that reach anchor 0, are kept for
-    ``finalize``, and only while the verdict is open.
+    state; after the verdict a sample is counted but not evaluated.  The
+    monitor keeps no row: the atom nodes' entries hold the margins of the
+    samples that reach anchor 0, which is all ``finalize`` reads.
     """
 
     def __init__(self, formula: Formula, schema: Sequence[str],
@@ -509,7 +510,6 @@ class MonitorState:
         self.bounds = check_bounds(bounds, self.names)
         self.horizon = horizon(self.formula)
         self.i = 0
-        self._rows: list[tuple[float, ...]] = []
         # each distinct atom once, in pre-order, at its position in ys
         self._atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
             f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
@@ -528,8 +528,8 @@ class MonitorState:
         allocates only empty arrays; then the state's size over the whole
         horizon, 16 bytes per entry and 16 more per anchor of a ``suffix``
         node, is checked, though the arrays start at ``_FIRST_CAPACITY``
-        samples.  The check bounds the final state: while a growth step
-        copies a node, that node's old arrays are held as well.
+        samples.  The check bounds the final state, all the monitor keeps;
+        while a growth step copies a node, its old arrays are held too.
         """
         ranges = node_horizons(self.formula)
         pre: list[_Node] = []
@@ -615,8 +615,6 @@ class MonitorState:
         self.i += 1
         if self.verdict.decided:
             return self.verdict
-        if len(self._rows) <= self.horizon:
-            self._rows.append(row)
         if i == self._cap:  # samples come one at a time
             self._grow(2 * i)
         for node, step in self._plan:
@@ -631,16 +629,22 @@ class MonitorState:
 
         ``_judge`` has decided every root that excludes zero, so an open
         root is decided here only when it is exactly zero on a complete
-        trace, by the qualitative semantics over the kept rows.  Anything
-        else stays Unknown, with the residual interval attached.
+        trace, by the qualitative semantics over the margins the atom nodes
+        hold: their anchors lo..hi are all the samples anchor 0 reads.
+        Anything else stays Unknown, with the residual interval attached.
         """
         if self.verdict.decided:
             return self.verdict
         root = self.verdict.rosi
         if root.lb == root.ub == 0 and self.i > self.horizon:
-            prefix = Signal(self.names, np.array(self._rows), self.delta)
-            ok = _sweep_at(self.formula, prefix, 0, boolean=True)
-            self.verdict = Verdict(ok > 0, root, self.i - 1)
+            n = self.horizon + 1
+            margins: dict[Atom, np.ndarray] = {}
+            for node in self._pre:
+                if isinstance(node.form, Atom) and node.lo <= node.hi:
+                    y = margins.setdefault(node.form, np.zeros(n))
+                    y[node.lo:node.hi + 1] = node.lb[:node.hi + 1 - node.lo]
+            ok = _sweep(self.formula, n, margins.__getitem__, True)[0]
+            self.verdict = Verdict(bool(ok > 0), root, self.i - 1)
         return self.verdict
 
     # -- inspection ---------------------------------------------------

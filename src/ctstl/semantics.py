@@ -3,13 +3,13 @@
 ``satisfies`` and ``robustness`` follow the defining recursions directly.
 They are the test oracles; nothing outside this module calls them.  Every
 offline answer comes from one bottom-up sweep instead, which runs a
-sliding-window engine per temporal layer.  The sweep has two atom maps:
-the real margin gives the robustness (``robustness_trace``), and +1 where
-the atom holds, -1 elsewhere gives the boolean semantics, since every
-operator is the same lattice operation on {-1, +1} (``C`` at rank k is +1
-exactly when at least k window samples hold).  ``_sweep_at`` reads either
-one at a single anchor t from the rows [t, t + horizon]; ``ctstl eval``,
-``rob --at`` and the monitor's end-of-stream fallback call it.
+sliding-window engine per temporal layer over the atoms' margins: the
+margins give the robustness (``robustness_trace``), and +1 where the atom
+holds, -1 elsewhere, the boolean semantics, since every operator is the
+same lattice operation on {-1, +1} (``C`` at rank k is +1 exactly when at
+least k window samples hold).  ``_sweep_at`` reads either at one anchor t
+from the rows [t, t + horizon], for ``ctstl eval`` and ``rob --at``; the
+monitor's end-of-stream fallback sweeps the margins its atom nodes hold.
 
 Window conventions, fixed once here and reused everywhere:
 
@@ -167,16 +167,11 @@ def robustness(f: Formula, signal: Signal, t: int = 0) -> float:
     return ev(f, t)
 
 
-def _signs(node: Atom, signal: Signal) -> np.ndarray:
-    """+1 where the atom holds, -1 elsewhere."""
-    y = secondary_signal(node, signal)
-    return np.where(y > 0 if node.strict else y >= 0, 1.0, -1.0)
-
-
-def _sweep(f: Formula, signal: Signal, atom_map) -> np.ndarray:
-    """Value at every admissible anchor, atoms mapped by atom_map; f is
-    validated against the signal's names and step."""
-    n = len(signal)
+def _sweep(f: Formula, n: int, margins, boolean: bool) -> np.ndarray:
+    """Value at every admissible anchor of an n-sample trace, where
+    ``margins(atom)`` gives an atom's n margins; with ``boolean`` each
+    margin maps to +1 where the atom holds, -1 elsewhere.  f is validated
+    by the caller."""
     h = horizon(f)
     if n - h <= 0:
         raise EmptyAdmissibleRange(
@@ -184,7 +179,10 @@ def _sweep(f: Formula, signal: Signal, atom_map) -> np.ndarray:
 
     def ev(node: Formula) -> np.ndarray:
         if isinstance(node, Atom):
-            return atom_map(node, signal)
+            y = margins(node)
+            if not boolean:
+                return y
+            return np.where(y > 0 if node.strict else y >= 0, 1.0, -1.0)
         if isinstance(node, Not):
             return -ev(node.child)
         if isinstance(node, (And, Or)):
@@ -219,7 +217,8 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
     length for fixed windows.
     """
     f = validate(f, signal.names, signal.delta)
-    return _sweep(f, signal, secondary_signal)
+    return _sweep(f, len(signal), lambda atom: secondary_signal(atom, signal),
+                  False)
 
 
 def _sweep_at(f: Formula, signal: Signal, t: int, *,
@@ -233,4 +232,6 @@ def _sweep_at(f: Formula, signal: Signal, t: int, *,
     _admissible(f, signal, t)
     rows = Signal(signal.names, signal.values[t:t + horizon(f) + 1],
                   signal.delta)
-    return float(_sweep(f, rows, _signs if boolean else secondary_signal)[0])
+    out = _sweep(f, len(rows), lambda atom: secondary_signal(atom, rows),
+                 boolean)
+    return float(out[0])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, Record, SourceSpan, _set
+from .errors import ParseError, Record, SourceSpan
 from .logic import (
     COMPARATORS,
     Always,
@@ -59,13 +59,6 @@ _MASTER = re.compile(r"(?P<WS>\s+)"
 
 class _Tok(Record, compared=4):
     __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind: str, text: str, start: int, end: int):
-        # one per token: written out, as the generic one is slower
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "start", start)
-        _set(self, "end", end)
 
     @property
     def span(self) -> SourceSpan:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ctstl import Signal, Verdict, parse, rosi_naive, validate
+from ctstl import (Signal, Verdict, horizon, parse, rosi_naive, satisfies,
+                   validate)
 from ctstl.errors import ValidationError
 from ctstl.logic import (Always, And, Atom, Cumulative, Eventually, Formula,
                          Not, Or, TimeInterval, Until)
@@ -102,7 +103,9 @@ def push_held_to_rosi_naive(mon, rows) -> Verdict:
     """Push ``rows`` into ``mon``, a new monitor, and after each push hold
     it to ``rosi_naive`` on the prefix: while the verdict is open, the root
     interval is the oracle's and the verdict is ``verdict_rule``'s; once
-    decided, the verdict stays as it is.  Returns the last verdict."""
+    decided, the verdict stays as it is.  Then ``finalize`` is held to
+    ``satisfies`` (``finalize_held_to_satisfies``).  Returns the last
+    verdict of a push."""
     names = mon.names
     rows = np.asarray(rows, dtype=float).reshape(-1, len(names))
 
@@ -120,7 +123,19 @@ def push_held_to_rosi_naive(mon, rows) -> Verdict:
             continue
         want = owed(i + 1)
         assert got == want and mon.root_rosi() == want.rosi, (i, got, want)
-    return mon.verdict
+    last = mon.verdict
+    finalize_held_to_satisfies(mon, rows)
+    return last
+
+
+def finalize_held_to_satisfies(mon, rows) -> None:
+    """When ``rows``, which start with every row pushed into ``mon``, cover
+    the horizon, hold ``mon.finalize()`` to ``satisfies`` on them: a
+    decided verdict, or one settled at an exactly-zero root after every
+    row, is the boolean semantics."""
+    if len(rows) > horizon(mon.formula):
+        whole = Signal(mon.names, np.asarray(rows, dtype=float), mon.delta)
+        assert mon.finalize().outcome is satisfies(mon.formula, whole, 0)
 
 
 # strict and non-strict atoms over x and y; samples are small integers,

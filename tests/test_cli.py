@@ -1195,6 +1195,39 @@ def test_decided_monitor_keeps_no_rows():
     assert peaks[1] - peaks[0] <= 5 * 1024, peaks
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the child's VmHWM from /proc")
+def test_monitor_state_is_what_the_build_check_counts():
+    # G[0,N] over N+1 rows decides True at the last one.  Every sample
+    # reaches anchor 0, and the state check counts 16 bytes for each of
+    # the atom's N+1 anchors, whose arrays a growth step may size and hold
+    # at up to twice that; a kept copy of the rows would add some 76 bytes
+    # a sample
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys\n"
+            "from ctstl.cli import main\n"
+            "code = main(['monitor', '--formula', sys.argv[1], '-'])\n"
+            "with open('/proc/self/status', encoding='ascii') as fh:\n"
+            "    peak = [ln for ln in fh if ln.startswith('VmHWM:')]\n"
+            "print(code, peak[0].split()[1])\n")
+    rng = np.random.default_rng(34)
+    peaks = []
+    for n in (20_000, 300_000):
+        rows = "".join(f"{v!r}\n" for v in rng.uniform(1, 2, n + 1).tolist())
+        proc = subprocess.run(
+            [sys.executable, "-c", code, f"G[0,{n}] (x > 0)"],
+            input="x\n" + rows, capture_output=True, text=True, env=env,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        last = json.loads(lines[-2])
+        assert (last["i"], last["verdict"]) == (n, True), lines[-2]
+        code_, kib = lines[-1].split()
+        assert code_ == "0"
+        peaks.append(int(kib))
+    assert (peaks[1] - peaks[0]) * 1024 <= 2 * 16 * (n + 2) + 5 * 2**20, peaks
+
+
 def test_benchmark_traced_child_runs(tmp_path):
     # the benchmark's traced child rebinds names in ctstl.cli; a renamed
     # or bypassed binding shows up here, not only in a benchmark run

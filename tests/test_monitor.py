@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_case, push_held_to_rosi_naive, random_formula,
-                      random_signal)
+from conftest import (finalize_held_to_satisfies, make_case,
+                      push_held_to_rosi_naive, random_formula, random_signal)
 from ctstl import (Always, And, Atom, Eventually, MonitorState, RoSI, Signal,
                    TimeInterval, Until, Verdict, horizon, iter_nodes,
                    node_horizons, parse, robustness, rosi_naive, satisfies,
@@ -367,12 +367,15 @@ class TestDecisions:
         # the bounds alone decide G[0,1] (x > 0) before any sample; a
         # sample outside them is refused all the same, before any state
         # changes, so the stream goes on as if it had never come
-        mon = cls(parse("G[0,1] (x > 0)"), X, bounds={"x": (0.5, 2.0)})
+        f, bounds = parse("G[0,1] (x > 0)"), {"x": (0.5, 2.0)}
+        mon, clean = cls(f, X, bounds=bounds), cls(f, X, bounds=bounds)
         assert mon.verdict.outcome is True
         for bad in (-3.0, 2.5):
             with pytest.raises(ParamOutOfRange, match="outside its bounds"):
                 mon.push_sample([bad])
-        assert mon.i == 0 and mon._rows == []
+        assert mon.i == 0
+        for nid, _ in mon.node_ids():
+            assert entries(mon, nid) == entries(clean, nid)
         mon.push_sample([1.0])
         with pytest.raises(ParamOutOfRange):
             mon.push_sample([-3.0])
@@ -416,7 +419,7 @@ class TestDecisions:
         mon.push_sample([1.0, 0.0])
         with pytest.raises(NonFiniteMargin, match="at sample 1"):
             mon.push_sample([1e308, 1e308])
-        assert mon.i == 1 and len(mon._rows) == 1
+        assert mon.i == 1
         for _ in range(4):
             clean.push_sample([1.0, 0.0])
         for _ in range(3):
@@ -451,7 +454,6 @@ class TestDecisions:
         mon = MonitorState(f, X)
         n = 10 * (h + 1)
         v = push_held_to_rosi_naive(mon, [value] * n)
-        assert len(mon._rows) == h + 1
         whole = Signal(X, np.full((n, 1), value), 1.0)
         ok = satisfies(f, whole, 0)
         # an open root is exactly zero here, and finalize settles it
@@ -538,6 +540,7 @@ class TestPerNodeOracle:
                        for b in (root.lb, root.ub)), (text, bounds, i)
             _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
                                         (text, bounds, i))
+        finalize_held_to_satisfies(mon, values)
 
 
 @st.composite

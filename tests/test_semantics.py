@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import formula_texts, make_case, random_signal
 from ctstl import (Signal, format_formula, horizon, max_tau_oracle, parse,
-                   robustness, robustness_trace, satisfies, validate)
+                   robustness, robustness_trace, satisfies,
+                   secondary_signal, validate)
 from ctstl.errors import EmptyAdmissibleRange, RankOutOfRange, TraceTooShort
-from ctstl.semantics import _signs, _sweep, _sweep_at
+from ctstl.semantics import _sweep, _sweep_at
 
 X = ("x",)
 XY = ("x", "y")
@@ -220,7 +221,7 @@ class TestSweepAgainstOracles:
         # and over the rows [t, t+h] of one anchor; the real margins over
         # those rows give the robustness
         f, s = case
-        signs = _sweep(f, s, _signs)
+        signs = _sweep(f, len(s), lambda atom: secondary_signal(atom, s), True)
         assert signs.size == len(s) - horizon(f)
         for t in range(signs.size):
             truth = satisfies(f, s, t)
