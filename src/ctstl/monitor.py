@@ -8,31 +8,32 @@ contribute the per-atom range derived from optional variable bounds
 verdict is final and further samples are ignored.
 
 Update strategy: construction builds a push plan in one recursive pass,
-one step per node in post order, with the node's window, arrays and
-children bound once.  Anchor t of a node reads its children's anchors
-t+ra .. t+rb, the child's reach (``logic._reach``), so a push runs the
-steps in one shape: from the spans of anchors its children rewrote, each
-step takes s-rb .. e-ra within its own anchors, and the writer of its
-kind rewrites those and leaves the span it actually rewrote, or None, in
-the node's ``span``, where its parent reads it.  A node keeps its entries
-in one ``(2, n)`` array ``iv``, lower bounds in row 0 and upper bounds in
-row 1 (``lb`` and ``ub`` are its row views), and each writer updates both
-bounds in one numpy expression.
+one step per node above the atoms in post order, with the node's window,
+arrays and children bound once.  Anchor t of a node reads its children's
+anchors t+ra .. t+rb, the child's reach (``logic._reach``), so a push
+runs the steps in one shape: from the spans of anchors its children
+rewrote, each step takes s-rb .. e-ra within its own anchors, and the
+writer of its kind rewrites those and leaves the span it actually
+rewrote, or None, in the node's ``span``, where its parent reads it.  A
+node keeps its entries in one ``(2, n)`` array ``iv``, lower bounds in
+row 0 and upper bounds in row 1 (``lb`` and ``ub`` are its row views),
+and each writer updates both bounds in one numpy expression.
 
 The arrays follow the stream, not the horizon: every node's arrays (a
 ``suffix`` node's two order-statistic arrays too) hold its anchors below
 one shared sample capacity, ``_FIRST_CAPACITY`` at first.  No reach looks
 back (ra >= 0), so every anchor past the last sample still holds the
-node's ``init``.  A push that reaches the capacity doubles it: the arrays
-are copied into larger ones whose new part holds ``init`` (inf in the
-order-statistic arrays), and the steps are bound anew to them.  A reader
-past a child's arrays sees ``init`` there: an F or G rescan reads its
-child only up to the last sample's anchor and folds ``init`` into its min
-or max once, a middle-rank rescan and Until pad the window with it, and
+node's ``init``.  The push of the last sample below the capacity doubles
+it: the arrays are copied into larger ones whose new part holds ``init``
+(inf in the order-statistic arrays), and the steps are bound anew to
+them.  So the anchor after the last sample is always inside the arrays,
+and an F or G rescan reads its child up to that anchor, whose ``init``
+joins its min or max once.  A reader past a child's arrays sees ``init``
+there: a middle-rank rescan and Until pad the window with it, and
 ``node_entries`` reports it for every anchor of the node's range.
 
-* an atom writes the sample's margin, computed and checked once per push
-  by ``push_sample``, as one point entry;
+* ``push_sample`` writes each atom node's entry at the sample's anchor,
+  the margin it has computed and checked, as one point entry;
 * ``neg`` recomputes the whole span with vectorized interval negation,
   and ``boolean`` the hull of its two children's spans with one ufunc;
 * ``F``, ``G`` and ``C`` are one rank node (rank k of a width-w window:
@@ -310,35 +311,23 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
                out=node.iv[:, r0:r1])
 
 
-def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
-               atom_pos: dict[Atom, int]):
-    """The push step of one node: ``step(i, ys)`` rewrites the node's
-    entries that sample i, of atom margins ``ys``, changes and returns
-    their anchor span, or None.
+def _make_step(node: _Node, kids: list[tuple[_Node, int, int]]):
+    """The push step of one node above the atoms: ``step(i)`` rewrites
+    the node's entries that sample i changes and returns their anchor
+    span, or None.
 
-    ``kids`` holds each child, whose step left its span s..e in its
-    ``span``, and its reach (ra, rb).  The step hands the hull of the
-    anchors s-rb .. e-ra, within the node's own, to the writer of the
-    node's kind, which returns the span it rewrote; the plan stores it in
-    the node's ``span``.  Boolean and suffix nodes, on every push of the
-    paper's formulas, have steps of their own that take their children's
-    spans directly.  Everything a step needs besides the sample is
-    bound here, once; the module functions above are looked up at each
-    call, so a test can wrap them.
+    ``kids`` holds each child, whose step (an atom's ``push_sample``) left
+    its span s..e in its ``span``, and its reach (ra, rb).  The step hands
+    the hull of the anchors s-rb .. e-ra, within the node's own, to the
+    writer of the node's kind, which returns the span it rewrote; the plan
+    stores it in the node's ``span``.  Boolean and suffix nodes, on every
+    push of the paper's formulas, have steps of their own that take their
+    children's spans directly.  Everything a step needs besides the
+    sample's index is bound here, once; the module functions above are
+    looked up at each call, so a test can wrap them.
     """
     form, lo, hi, iv = node.form, node.lo, node.hi, node.iv
     lb, ub = iv
-    if isinstance(form, Atom):
-        q = atom_pos[form]
-
-        def atom(i, ys):
-            if not lo <= i <= hi:
-                return None
-            lb[i - lo] = ub[i - lo] = ys[q]
-            return i, i
-
-        return atom
-
     if isinstance(form, (And, Or, Until)):
         left, right = node.children
         llo, liv, rlo, riv = left.lo, left.iv, right.lo, right.iv
@@ -355,7 +344,7 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
         # node's: the step writes the hull of their spans in one ufunc
         op = np.minimum if isinstance(form, And) else np.maximum
 
-        def step(i, ys):  # boolean
+        def step(i):  # boolean
             ls, rs = left.span, right.span
             if ls is None:
                 if rs is None:
@@ -385,22 +374,16 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
             node.k = (form.order if isinstance(form, Cumulative)
                       else 1 if isinstance(form, Eventually) else w)
             j = w - node.k
-            cn, cinit = civ.shape[1], child.init
             # F or G: the child's anchors past sample i hold init, which
-            # joins the window's min or max once, read from the first such
-            # column while the child's arrays hold it
+            # joins the window's min or max once, read from the column of
+            # anchor i+1; the child's arrays always hold it
             fold = np.minimum if j == 0 else np.maximum
 
             def anchor(t, i):
                 q = t + a - clo
                 if 0 < j < w - 1:  # a middle rank: the (j+1)-th smallest
                     return np.partition(_entries(child, q, w), j, 1)[:, j]
-                n = i + 1 - clo  # the child's columns up to sample i
-                if q + w <= n:
-                    return fold.reduce(civ[:, q:q + w], 1)
-                if n < cn:
-                    return fold.reduce(civ[:, q:n + 1], 1)
-                return fold(cinit, fold.reduce(civ[:, q:n], 1))
+                return fold.reduce(civ[:, q:min(q + w, i + 2 - clo)], 1)
 
         if node.below is None:
             # anchor(t, i) reads sample i's index only in an F or G scan
@@ -419,9 +402,9 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
             keyed = ((k, node.neg_above, -1.0), (kb, below, 1.0))
             # under a child entry of (-inf, inf) an entry is (A, max(A, B)),
             # which _suffix_push stores in one row while A is -inf
-            node.open_init = cinit.tolist() == [-INF, INF]
+            node.open_init = child.init.tolist() == [-INF, INF]
 
-            def step(i, ys):  # suffix
+            def step(i):  # suffix
                 # a point-valued child's span is (i, i) or None, and i lies
                 # in its anchors lo+a .. hi+b, so s <= e
                 if child.span is None:
@@ -459,7 +442,7 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
     if len(kids) == 1:
         ((kid, ra, rb),) = kids
 
-        def step(i, ys):
+        def step(i):
             span = kid.span
             if span is None:
                 return None
@@ -472,7 +455,7 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]],
 
         return step
 
-    def step(i, ys):
+    def step(i):
         s, e = hi + 1, lo - 1
         for kid, ra, rb in kids:
             span = kid.span
@@ -511,17 +494,22 @@ class MonitorState:
         self.horizon = horizon(self.formula)
         self.i = 0
         # each distinct atom once, in pre-order, at its position in ys
-        self._atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
+        atom_pos = {a: q for q, a in enumerate(dict.fromkeys(
             f for _, f in iter_nodes(self.formula) if isinstance(f, Atom)))}
         self._atoms = [(a, [(self.names.index(n), c) for n, c in a.coeffs],
-                        a.sign, a.rhs) for a in self._atom_pos]
+                        a.sign, a.rhs) for a in atom_pos]
         self._build()
+        # push_sample writes these nodes' entries; the plan holds the rest
+        self._atom_nodes = [(node, atom_pos[node.form]) for node in self._pre
+                            if isinstance(node.form, Atom)
+                            and node.lo <= node.hi]
         self.verdict = _judge(self.root_rosi(), decided_at=-1)
 
     # -- construction -------------------------------------------------
 
     def _build(self) -> None:
-        """The push plan: one step per node with anchors, children first.
+        """The push plan: one step per node with anchors, children first,
+        but for the atoms, whose entries ``push_sample`` writes.
 
         Nodes are numbered in pre-order, as ``iter_nodes`` numbers them,
         and each push leaves a step's span in its node's ``span``.  The walk
@@ -548,7 +536,7 @@ class MonitorState:
             suffix = (isinstance(form, (Eventually, Always, Cumulative))
                       and horizon(form.child) == 0)
             node.neg_above = node.below = np.empty(0) if suffix else None
-            if node.lo <= node.hi:
+            if node.lo <= node.hi and not isinstance(form, Atom):
                 wiring.append((node, kids))
             return node
 
@@ -568,10 +556,10 @@ class MonitorState:
 
         No anchor past the last sample has moved from ``init`` (every reach
         has ra >= 0), so the new entries hold ``init`` and the frontier
-        arrays inf.  A push grows the arrays, doubling ``cap``, before it
-        reaches an anchor at ``cap``.  The old steps, which hold the old
-        arrays, go first, so each node's old arrays are freed as soon as
-        its new ones are filled.
+        arrays inf.  Sample ``cap - 1`` grows the arrays, doubling ``cap``,
+        so the anchor after the last sample is always inside them.  The
+        old steps, which hold the old arrays, go first, so each node's old
+        arrays are freed as soon as its new ones are filled.
         """
         self._cap, self._plan = cap, []
         for node in self._pre:
@@ -582,13 +570,14 @@ class MonitorState:
                 if node.below is not None:
                     node.neg_above = _extended(node.neg_above, size, INF)
                     node.below = _extended(node.below, size, INF)
-        self._plan = [(node, _make_step(node, kids, self._atom_pos))
+        self._plan = [(node, _make_step(node, kids))
                       for node, kids in self._wiring]
 
     # -- update pass --------------------------------------------------
 
     def push_sample(self, x: Sequence[float]) -> Verdict:
-        """Consume one sample vector; returns the (possibly new) verdict."""
+        """Consume one sample vector; returns the (possibly new) verdict:
+        the atom nodes take its margins, then the plan's ``step(i)`` run."""
         if len(x) != len(self.names):
             raise ArityMismatch(len(self.names), len(x))
         row = tuple(map(float, x))
@@ -615,10 +604,16 @@ class MonitorState:
         self.i += 1
         if self.verdict.decided:
             return self.verdict
-        if i == self._cap:  # samples come one at a time
-            self._grow(2 * i)
+        if i + 1 == self._cap:  # samples come one at a time
+            self._grow(2 * self._cap)
+        for node, q in self._atom_nodes:  # one point entry at anchor i
+            if node.lo <= i <= node.hi:
+                node.lb[i - node.lo] = node.ub[i - node.lo] = ys[q]
+                node.span = i, i
+            else:
+                node.span = None
         for node, step in self._plan:
-            node.span = step(i, ys)
+            node.span = step(i)
         root = self.root_rosi()
         if root is not self.verdict.rosi:  # an unchanged root keeps it
             self.verdict = _judge(root, decided_at=i)
@@ -639,10 +634,9 @@ class MonitorState:
         if root.lb == root.ub == 0 and self.i > self.horizon:
             n = self.horizon + 1
             margins: dict[Atom, np.ndarray] = {}
-            for node in self._pre:
-                if isinstance(node.form, Atom) and node.lo <= node.hi:
-                    y = margins.setdefault(node.form, np.zeros(n))
-                    y[node.lo:node.hi + 1] = node.lb[:node.hi + 1 - node.lo]
+            for node, _ in self._atom_nodes:
+                y = margins.setdefault(node.form, np.zeros(n))
+                y[node.lo:node.hi + 1] = node.lb[:node.hi + 1 - node.lo]
             ok = _sweep(self.formula, n, margins.__getitem__, True)[0]
             self.verdict = Verdict(bool(ok > 0), root, self.i - 1)
         return self.verdict

@@ -33,7 +33,7 @@ from .logic import _fmt_nums
 from .signals import Signal
 
 _REL_TOL = 1e-9
-# rows per write call of the CSV writers
+# rows per write call of the CSV writers and per conversion of the reader
 _CHUNK_ROWS = 4096
 # a line ends as text mode ends it: at \r\n, \n, or a \r that no \n
 # follows (a \r last in what has arrived waits for the next byte)
@@ -207,12 +207,13 @@ def read_signal_csv(source: IO, delta: float | None = None) -> Signal:
     """Load a whole CSV signal under the step policy of the stream.
 
     The source is read once: a binary one as bytes, decoded as UTF-8 while
-    its rows are read, a text one as its own lines.  All cells become one
-    float64 array in a single conversion, which accepts exactly what
-    ``float()`` accepts.  This path only accepts: on any doubt (a byte
-    that is not UTF-8, a malformed record, a row of the wrong arity, or a
-    check of :func:`_convert` that fails) the stream reads the same input,
-    and its signal or its first error, at its line, is the answer.
+    its rows are read, a text one as its own lines.  Every ``_CHUNK_ROWS``
+    rows become one float64 array in one conversion, which accepts exactly
+    what ``float()`` accepts.  This path only accepts: on any doubt (a byte
+    not UTF-8, a malformed record, a row of the wrong arity, a cell that
+    ``float()`` refuses, or a check of :func:`_convert` that fails) the
+    stream reads the same input, and its signal or its first error, at its
+    line, is the answer.
     """
     binary = _is_binary(source)
     if binary:
@@ -224,17 +225,22 @@ def read_signal_csv(source: IO, delta: float | None = None) -> Signal:
     try:
         rd, names = _read_header(lines)
         width = len(names)
-        cells: list[str] = []  # the cells of every row, end to end
+        parts = []  # the rows converted so far
+        cells: list[str] = []  # the cells of the rows since, end to end
         for row in rd:
             if len(row) == width:
                 cells.extend(row)
+                if len(cells) == _CHUNK_ROWS * width:
+                    parts.append(np.array(cells, dtype=np.float64))
+                    cells = []
             elif row:
                 break
         else:
-            sig = _convert(names, cells, delta)
+            parts.append(np.array(cells, dtype=np.float64))
+            sig = _convert(names, np.concatenate(parts), delta)
             if sig is not None:
                 return sig
-    except (SignalFormatError, csv.Error, UnicodeDecodeError):
+    except (SignalFormatError, csv.Error, ValueError):
         pass
     names, has_time, rows = open_signal_stream(
         io.BytesIO(data) if binary else data)
@@ -242,13 +248,11 @@ def read_signal_csv(source: IO, delta: float | None = None) -> Signal:
     return Signal(names, list(samples), step)
 
 
-def _convert(names: tuple[str, ...], cells: list[str],
+def _convert(names: tuple[str, ...], cells: Sequence,
              delta: float | None) -> Signal | None:
-    """The signal of well-formed cells, or None if any check fails."""
-    try:
-        arr = np.array(cells, dtype=np.float64).reshape(-1, len(names))
-    except ValueError:
-        return None
+    """The signal of every row's cells, end to end, or None if a check
+    fails."""
+    arr = np.asarray(cells, dtype=np.float64).reshape(-1, len(names))
     if not np.isfinite(arr).all():
         return None
     has_time = names[0] == "t"

@@ -1228,6 +1228,37 @@ def test_monitor_state_is_what_the_build_check_counts():
     assert (peaks[1] - peaks[0]) * 1024 <= 2 * 16 * (n + 2) + 5 * 2**20, peaks
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the child's VmHWM from /proc")
+def test_whole_file_reader_holds_no_text_of_every_row(tmp_path):
+    # a read-only rob child over 300,001 generated rows against one over
+    # their first row: the file's bytes and its float64 values may each be
+    # held, and briefly copied, but not a Python string per cell
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONHASHSEED": "0"}
+    code = ("import sys\n"
+            "from ctstl.cli import main\n"
+            "code = main(['rob', '--formula', 'x > 0', sys.argv[1]])\n"
+            "with open('/proc/self/status', encoding='ascii') as fh:\n"
+            "    peak = [ln for ln in fh if ln.startswith('VmHWM:')]\n"
+            "print(code, peak[0].split()[1])\n")
+    big, one = tmp_path / "big.csv", tmp_path / "one.csv"
+    assert main(["gen", "glucose", "--length", "300001", "--out",
+                 str(big)]) == 0
+    one.write_text("".join(big.read_text().splitlines(True)[:2]))
+    peaks = []
+    for path in (one, big):
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code_, kib = proc.stdout.splitlines()[-1].split()
+        assert code_ == "0"
+        peaks.append(int(kib))
+    limit = 2 * big.stat().st_size + 5 * 2**20
+    assert (peaks[1] - peaks[0]) * 1024 <= limit, peaks
+
+
 def test_benchmark_traced_child_runs(tmp_path):
     # the benchmark's traced child rebinds names in ctstl.cli; a renamed
     # or bypassed binding shows up here, not only in a benchmark run

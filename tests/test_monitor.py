@@ -604,6 +604,24 @@ class TestGrowth:
             _entries_held_to_rosi_naive(mon, values[:i + 1], bounds,
                                         (text, bounds, i))
 
+    @pytest.mark.parametrize("text", ["G[0,3000] F[0,1] (x > -9)",
+                                      "F[0,3000] G[0,1] (x > 9)"])
+    def test_entries_match_rosi_naive_where_the_first_capacities_end(
+            self, text):
+        # the root's scan reads its child up to the anchor after the last
+        # sample, which the arrays hold because sample cap - 1 grows them:
+        # every entry is held around pushes 1023 and 2047 of a stream that
+        # keeps the root open
+        rows = [(x, 0) for x in
+                np.random.default_rng(35).integers(-8, 9, 2051).tolist()]
+        mon = MonitorState(parse(text), XY)
+        for i, row in enumerate(rows):
+            mon.push_sample(row)
+            if 1021 <= i <= 1026 or 2045 <= i <= 2050:
+                _entries_held_to_rosi_naive(mon, rows[:i + 1], None,
+                                            (text, i))
+        assert not mon.verdict.decided
+
 
 class TestPaperScale:
     def test_overvoltage_w10k_decides_false_at_sample_100(self):

@@ -229,6 +229,15 @@ def test_whole_file_reader_matches_the_stream_bit_for_bit(case, data):
         _outcome(lambda: _via_stream(raw, step))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_whole_file_reader_matches_the_stream_across_chunks(rows,
+                                                            monkeypatch):
+    # the reader converts every _CHUNK_ROWS rows apart: with chunks of a
+    # few rows, every boundary falls inside the drawn files
+    monkeypatch.setattr(sigfile, "_CHUNK_ROWS", rows)
+    test_whole_file_reader_matches_the_stream_bit_for_bit()
+
+
 def test_csv_error_comes_after_the_errors_of_earlier_rows():
     # a field over csv's size limit stops the reader; rows before it are
     # still checked first, as the stream checks them
