@@ -178,8 +178,8 @@ def _initial_entry(node: _Node, bounds) -> np.ndarray:
         return _until_anchor(*node.children, node.lo,
                              *(min(end, 1) for end in form.span), True)
     kids = [child.init for child in node.children]
-    if isinstance(form, Not):
-        return -kids[0][::-1]
+    if isinstance(form, Not):  # 0.0 - y, not -y: a zero stays 0.0
+        return 0.0 - kids[0][::-1]
     # F, G and C: any rank statistic of identical entries is that entry
     op = max if isinstance(form, Or) else min
     return np.array((op(lo for lo, _ in kids), op(hi for _, hi in kids)))
@@ -229,9 +229,9 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     sets are nested suffixes, so one walk from c down to anchor lo, keeping
     those smallest values sorted, serves every anchor of the run.  The
     values above anchor hi only seed the list: past cap of them,
-    ``np.partition`` finds the cap-th smallest, and the values below it
-    and its first ties in arrival order are sorted, which is the list a
-    value-by-value walk builds, ties of 0.0 and -0.0 included.
+    ``np.partition`` selects the cap smallest, which are sorted.  Equal
+    values are equal bits, as the monitor holds one zero, so this is the
+    list a value-by-value walk builds.
 
     While anchor lo, which knows the most, knows fewer than k values, A
     is -inf on the whole run, where the lower bounds and ``neg_above``
@@ -254,9 +254,7 @@ def _suffix_push(node: _Node, c: int, lo: int, hi: int) -> None:
     skip = c - a - hi  # walk steps before anchor hi
     if skip > cap:
         seed = known[:hi - lo:-1]
-        p = np.partition(seed, cap - 1)[cap - 1]
-        kept = sorted(np.concatenate((seed[seed < p], seed[seed == p]))
-                      [:cap].tolist())
+        kept = sorted(np.partition(seed, cap - 1)[:cap].tolist())
         vals = known[:hi - lo + 1].tolist()
         vals.reverse()
     else:
@@ -336,8 +334,9 @@ def _make_step(node: _Node, kids: list[tuple[_Node, int, int]]):
         clo, civ = child.lo, child.iv
 
     if isinstance(form, Not):
-        def write(i, s, e):  # neg: [-ub, -lb]
-            iv[:, s - lo:e - lo + 1] = -civ[::-1, s - clo:e - clo + 1]
+        def write(i, s, e):  # neg: [0.0 - ub, 0.0 - lb]; a zero stays 0.0
+            np.subtract(0.0, civ[::-1, s - clo:e - clo + 1],
+                        out=iv[:, s - lo:e - lo + 1])
             return s, e
     elif isinstance(form, (And, Or)):
         # both reaches are (0, 0), so both children's anchors are the
@@ -596,7 +595,7 @@ class MonitorState:
             acc = 0.0
             for col, coeff in terms:
                 acc += coeff * row[col]
-            y = sign * (acc - rhs)
+            y = sign * (acc - rhs) + 0.0  # -0.0 + 0.0 is 0.0
             if not -INF < y < INF:
                 raise NonFiniteMargin(format_formula(atom), self.i, y)
             ys.append(y)
@@ -647,11 +646,9 @@ class MonitorState:
 
     def root_rosi(self) -> RoSI:
         """The root interval; the same object while both bounds stay
-        equal.  A zero bound is always +0.0: only the sign of a nonzero
-        robustness carries a verdict."""
+        equal.  A zero bound is 0.0, the only zero the monitor computes:
+        margins add 0.0, and negation subtracts from it."""
         lb, ub = self._pre[0].iv[:, 0].tolist()
-        lb += 0.0
-        ub += 0.0
         r = self._rosi
         if lb != r.lb or ub != r.ub:
             r = self._rosi = RoSI(lb, ub)

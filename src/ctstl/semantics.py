@@ -183,8 +183,8 @@ def _sweep(f: Formula, n: int, margins, boolean: bool) -> np.ndarray:
             if not boolean:
                 return y
             return np.where(y > 0 if node.strict else y >= 0, 1.0, -1.0)
-        if isinstance(node, Not):
-            return -ev(node.child)
+        if isinstance(node, Not):  # 0.0 - y, not -y: a zero stays 0.0
+            return 0.0 - ev(node.child)
         if isinstance(node, (And, Or)):
             left, right = ev(node.left), ev(node.right)
             m = min(left.size, right.size)

@@ -72,6 +72,7 @@ def secondary_signal(atom: Atom, signal: Signal) -> np.ndarray:
         for name, coeff in atom.coeffs:
             acc += coeff * signal.column(name)
         y = atom.sign * (acc - atom.rhs)
+        y += 0.0  # -0.0 + 0.0 is 0.0: a zero margin is 0.0, as online
     ok = np.isfinite(y)
     if not ok.all():
         i = int(ok.argmin())

@@ -88,6 +88,29 @@ def make_case(rng, depth=3, length=30, names=NAMES):
         return f, random_signal(rng, names, length)
 
 
+@st.composite
+def signed_zero_cases(draw, bounded: bool = True):
+    """(formula, rows, bounds): a validated ``random_formula`` over x and
+    y, and rows past its horizon whose cells are 0.0, -0.0 or integers in
+    -2..2.  When ``bounded``, half the cases put x and y under bounds
+    whose ends include zeros of both signs, and the cells keep to them;
+    otherwise bounds is None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = validate(random_formula(rng, NAMES, draw(st.integers(1, 3))), NAMES)
+    bounds = None
+    if bounded and draw(st.booleans()):
+        ends = st.tuples(st.sampled_from([-np.inf, -2.0, -0.0, 0.0]),
+                         st.sampled_from([-0.0, 0.0, 2.0, np.inf]))
+        bounds = dict(zip(NAMES, draw(st.tuples(ends, ends))))
+    cell = st.sampled_from([0.0, -0.0]) | st.integers(-2, 2).map(float)
+    cells = [cell.filter(lambda v, lo=lo, hi=hi: lo <= v <= hi)
+             for lo, hi in ((bounds or {}).get(n, (-np.inf, np.inf))
+                            for n in NAMES)]
+    n = horizon(f) + 1 + draw(st.integers(0, 10))
+    rows = draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
+    return f, np.array(rows, dtype=float), bounds
+
+
 def verdict_rule(root, i: int) -> Verdict:
     """The verdict a monitor owes at sample i (-1 before any sample) when
     its root interval first reads ``root``: True once lb > 0, False once

@@ -832,8 +832,8 @@ def _output_digest(cmd: str, formula: str, work: Path) -> str:
 
 # Monitor formulas stay open for 200 samples or more, so the suffix push
 # runs past each window; together they cover both rank orientations, the
-# rescan mode, Until, negation and zero margins of both signs (x >= 0 and
-# x > 0 give 0.0 at x = 0, x <= 0 and x < 0 give -0.0).
+# rescan mode, Until, negation and zero margins of every comparator (each
+# gives 0.0 at x = 0).
 _PINNED = [
     ("monitor", "G[0,300] !C[0,10]^9 (F[0,3] (x > 45))",
      "be28e8e2f1e12b36755b6684f1a220c9ab66c4343f94c1dd31d7794e181dee09"),
@@ -895,9 +895,9 @@ def test_output_bytes_are_pinned(cmd, formula, digest, tmp_path):
 ])
 def test_output_past_the_first_capacity_is_pinned(formula, digest, tmp_path):
     # the outer window reads past its child's arrays until they grow at
-    # sample 1,024; under x=0:2 a zero sample's -0.0 or 0.0 ties with the
-    # other zero at the end of the child's initial entry.  Recorded from
-    # the monitor that allocated every node's whole range before sample 0.
+    # sample 1,024; under x=0:2 a zero sample's margin, 0.0, ties with the
+    # 0.0 end of the child's initial entry.  Recorded from the monitor that
+    # allocated every node's whole range before sample 0.
     assert monitor._FIRST_CAPACITY == 1024
     sig = tmp_path / "zeros.csv"
     sig.write_text("x\n" + "0\n" * 1030, encoding="utf-8")
@@ -934,9 +934,8 @@ def test_paper_scale_stream_bytes_are_pinned(bounds, digest, tmp_path):
     assert got == digest
 
 
-# x >= 0 gives 0.0 at x = 0 and x <= 0 gives -0.0, so under x=0:1 a root
-# bound moves between the two zeros while its value stays equal; it prints
-# as the one zero 0.0
+# x >= 0 and x <= 0 both give 0.0 at x = 0, so under x=0:1 a root bound
+# stays at zero across pushes; it prints as 0.0
 ZERO_SIGN_FORMULA = \
     "(x <= 0) || G[0,8] (x >= 0.5) || F[0,8] ((x >= 0) && (x <= 0))"
 ZERO_SIGN_ROWS = [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
@@ -948,8 +947,9 @@ ZERO_SIGN_ROWS = [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0]
      [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0], "7d9dc6c75f51392958f6d907eac2a62e2bfd7d6a9bc4c974bb02fd96fdc54b9f"),
 ])
 def test_zero_sign_of_the_root_is_pinned(formula, rows, digest):
-    # every zero bound prints as 0.0: recorded from the monitor that built
-    # a new verdict on every push, with each -0.0 of its lines read as 0.0
+    # every zero bound prints as 0.0, the one zero the monitor holds:
+    # recorded from the monitor that built a new verdict on every push,
+    # with each -0.0 of its lines read as 0.0
     code, out, _ = run_cli(
         ["monitor", "--run-to-end", "--bounds", "x=0:1", "--formula",
          formula, "-"], stdin_text="x\n" + "".join(f"{x}\n" for x in rows))
@@ -990,8 +990,8 @@ def test_reused_event_lines_print_the_pushed_verdict(formula, bounds, rows,
     assert "-0.0" not in out
 
 
-# a row's margin of (x > 0) || (y < 0): 0,1 gives 0.0 and -1,0 gives -0.0,
-# so the rank walks' seeds tie the two zeros
+# a row's margin of (x > 0) || (y < 0): 0,1 and -1,0 both give 0.0, so
+# the rank walks' seeds tie zeros
 _ZERO_WALK_CELLS = ["0,1", "-1,0", "0,1", "-1,0", "1,1", "-1,0", "0,1",
                     "-1,1"]
 _ZERO_WALK_ROWS = [_ZERO_WALK_CELLS[(t * t + 3 * t) % 11 % 8]
@@ -1010,8 +1010,8 @@ def test_zero_signs_through_the_suffix_walk_are_pinned(
         formula, path, digest, tmp_path, monkeypatch):
     # recorded from the suffix push that walked numpy slices and found its
     # runs in a helper of its own, with each -0.0 of its event lines read
-    # as 0.0 (its trace rows print both zeros as 0); each case takes the
-    # path it names: a
+    # as 0.0 (its trace rows print both zeros as 0); every zero the walk
+    # holds is 0.0 now.  Each case takes the path it names: a
     # walk with no anchor at rank k, a rank below (w+1)/2, and a seed of
     # more than cap values, which goes through np.partition
     seen = set()

@@ -1,5 +1,5 @@
-"""The package's export list, its import boundary, and which modules may
-call the oracles."""
+"""The package's export list, its import boundary, which modules may call
+the oracles, and the oldest Python grammar every source file keeps to."""
 
 import ast
 import inspect
@@ -14,6 +14,7 @@ import pytest
 import ctstl
 
 SRC = Path(ctstl.__file__).resolve().parent
+ROOT = SRC.parents[1]
 ORACLES = {"satisfies", "robustness"}
 
 
@@ -129,3 +130,17 @@ def test_recursive_oracles_have_no_caller_outside_semantics():
             found += [(path.name, node.lineno, n)
                       for n in names if n in ORACLES]
     assert not found
+
+
+def test_every_source_file_parses_at_the_python_floor():
+    # the package declares Python 3.10 as its floor, where newer syntax
+    # (except*, PEP 695 generics) is a SyntaxError, whichever Python runs
+    # this test
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

@@ -17,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (finalize_held_to_satisfies, make_case,
-                      push_held_to_rosi_naive, random_formula, random_signal)
-from ctstl import (Always, And, Atom, Eventually, MonitorState, RoSI, Signal,
-                   TimeInterval, Until, Verdict, horizon, iter_nodes,
+                      push_held_to_rosi_naive, random_formula, random_signal,
+                      signed_zero_cases)
+from ctstl import (Always, And, Atom, Eventually, MonitorState, Or, RoSI,
+                   Signal, TimeInterval, Until, Verdict, horizon, iter_nodes,
                    node_horizons, parse, robustness, rosi_naive, satisfies,
-                   validate)
+                   secondary_signal, validate)
 from ctstl import monitor
 from ctstl.errors import (ArityMismatch, NonFiniteMargin, ParamOutOfRange,
                           UnknownVariable)
@@ -289,9 +290,9 @@ class TestDecisions:
         assert mon.root_rosi() == naive
 
     def test_unchanged_root_keeps_its_verdict(self):
-        # a push that leaves both root bounds as they were, a zero that was
-        # of another sign included, returns the same verdict; one that
-        # moves a bound returns a new one.  A zero bound is always 0.0.
+        # a push that leaves both root bounds as they were, a zero bound
+        # included, returns the same verdict; one that moves a bound
+        # returns a new one.  A zero bound is always 0.0.
         f = parse("(x <= 0) || G[0,8] (x >= 0.5) "
                   "|| F[0,8] ((x >= 0) && (x <= 0))")
         mon = MonitorState(f, X, bounds={"x": (0.0, 1.0)})
@@ -548,8 +549,8 @@ def _growth_cases(draw):
     """Parents that read past a child's arrays while the arrays grow from
     one sample: F, G and every rank of C over a refining child, Until with
     b > 0 on either side of one, and && over children of different
-    horizons; half the time under bounds whose 0.0 end ties the -0.0
-    margin of x < 0 at x = 0."""
+    horizons; half the time under bounds whose 0.0 end equals the margin
+    of x < 0 at x = 0, 0.0 as every zero margin is."""
     def atom():
         return draw(st.sampled_from(("x > 0", "x < 0", "y >= 0",
                                      "x + y < 1")))
@@ -894,9 +895,10 @@ _WALKED = ("lb", "ub", "neg_above", "below")
 
 @st.composite
 def _walk_cases(draw, paper=None):
-    """A rank node over a point child whose zeros come with both signs
-    (x < 0 at x = 0 gives -0.0), k on both sides of (w+1)/2, under an
-    optional G that gives it anchors the walk passes without writing.
+    """A rank node over a point child with zero margins from cells of 0.0
+    and -0.0 (x < 0 at x = 0 gives 0.0, the one zero a margin takes), k on
+    both sides of (w+1)/2, under an optional G that gives it anchors the
+    walk passes without writing.
     Optional bounds on x and y, some with a zero end, give the child a
     finite or half-finite initial entry, which the store combines in
     numpy; an unbounded child takes the one-row store while no anchor
@@ -945,7 +947,8 @@ class TestSeededWalk:
     @given(_walk_cases())
     @settings(max_examples=150, deadline=None)
     def test_seeded_walk_writes_the_bits_of_the_insort_walk(self, case):
-        # == cannot see a flipped -0.0, but an event line would
+        # bit for bit: == cannot tell -0.0 from 0.0, and the walk must
+        # hold the one zero, 0.0, as the insort walk does
         text, values, bounds = case
         mon = MonitorState(parse(text), XY, bounds=bounds)
         with mock.patch.object(monitor, "_suffix_push",
@@ -954,14 +957,14 @@ class TestSeededWalk:
                 if mon.push_sample(row).decided:
                     break
 
-    def test_seed_selection_keeps_the_first_tie_of_signed_zeros(self):
+    def test_seed_selection_through_a_zero_tie_keeps_the_one_zero(self):
         # C[0,9]^8 keeps its 3 smallest knowns.  At sample 7 the run is
-        # anchor 0, and its seed is 5, 1, -1, 0.0, -1, -0.0, 0.0 in walk
+        # anchor 0, and its seed is 5, 1, -1, 0.0, -1, 0.0, 0.0 in walk
         # order: more than 3 values, so the seed selects by partition.
-        # After -1, -1 the 3rd smallest is a zero tied three times in both
-        # signs; the insort walk keeps the first in arrival order, 0.0,
-        # which becomes anchor 0's B and upper bound.  Each row's margin of
-        # (x > 0) || (y < 0) is its key
+        # After -1, -1 the 3rd smallest is a zero tied three times; the
+        # "-0" row's margin is 0.0 too, as every zero margin is, so the
+        # tie holds one zero, 0.0, which becomes anchor 0's B and upper
+        # bound.  Each row's margin of (x > 0) || (y < 0) is its key
         row = {"+0": (0, 1), "-0": (-1, 0), "-1": (-1, 1), "1": (1, 1),
                "5": (5, 1)}
         margins = ["1", "+0", "-0", "-1", "+0", "-1", "1", "5"]
@@ -979,7 +982,7 @@ class TestSeededWalk:
         with mock.patch.object(monitor, "_suffix_push", both):
             for m in margins:
                 mon.push_sample(row[m])
-        seed = np.array([5.0, 1.0, -1.0, 0.0, -1.0, -0.0, 0.0])
+        seed = np.array([5.0, 1.0, -1.0, 0.0, -1.0, 0.0, 0.0])
         assert seeds[-1] == (7, 0, 0, seed.tobytes())
         assert math.copysign(1.0, mon.node_entries(1)[0].ub) == 1.0
 
@@ -1024,16 +1027,16 @@ class TestBAloneWalk:
         assert walks and walks[0][0]
 
     @pytest.mark.parametrize("bounds", [None, {"x": (-2, 2), "y": (-2, 2)}])
-    def test_b_alone_seed_through_partition_keeps_the_first_tie(self,
-                                                                bounds):
+    def test_b_alone_seed_through_partition_keeps_the_one_zero(self,
+                                                               bounds):
         # C[0,19]^18 keeps its 3 smallest knowns, and G[0,2] gives it
         # anchors 0..2.  At sample 8 the margin -1 moves B on anchors 0..2,
         # which know 9, 8 and 7 values: fewer than 18, so A is -inf there.
         # The 6 values above anchor 2 seed the walk through np.partition:
-        # in walk order -1, 0.0, 0.0, -0.0, -0.0, -0.0, whose 3rd smallest
-        # is a zero; the first ties in arrival order make it 0.0, which no
-        # later zero replaces.  Each row's margin of (x > 0) || (y < 0) is
-        # its key
+        # in walk order -1 and five zeros, whose 3rd smallest is a zero.
+        # The "-0" rows' margins are 0.0 too, as every zero margin is, so
+        # it is 0.0, which no later zero replaces.  Each row's margin of
+        # (x > 0) || (y < 0) is its key
         row = {"+0": (0, 1), "-0": (-1, 0), "-1": (-1, 1)}
         margins = ["+0", "-0", "-0", "-0", "-0", "-0", "+0", "+0", "-1"]
         walks = []
@@ -1047,12 +1050,11 @@ class TestBAloneWalk:
         below = mon._pre[1].below[:3]
         assert below.tobytes() == np.zeros(3).tobytes()
 
-    def test_b_alone_store_under_a_bounded_child_keeps_a_zero_sign(self):
+    def test_b_alone_store_under_a_bounded_child_holds_the_one_zero(self):
         # under x = -2:0 the child x < 0 starts at [0.0, 2], and its margin
-        # at x = 0 is -0.0: two such samples give anchor 0 of C[0,5]^5 its
-        # B, -0.0, while it knows 2 values, fewer than 5.  Both bounds are
-        # min(init, B), and numpy's minimum of 0.0 and -0.0 is -0.0, so the
-        # lower bound takes B's sign too
+        # at x = 0 is 0.0, as every zero margin is: two such samples give
+        # anchor 0 of C[0,5]^5 its B, 0.0, while it knows 2 values, fewer
+        # than 5.  Both bounds are min(init, B), and both are 0.0
         walks = []
         mon = MonitorState(parse("C[0,5]^5 (x < 0)"), ("x",),
                            bounds={"x": (-2.0, 0.0)})
@@ -1061,7 +1063,68 @@ class TestBAloneWalk:
             for _ in range(2):
                 assert not mon.push_sample([0.0]).decided
         assert walks == [(True, False)]
-        assert mon._pre[0].iv[:, 0].tobytes() == np.full(2, -0.0).tobytes()
+        assert mon._pre[0].iv[:, 0].tobytes() == np.zeros(2).tobytes()
+
+
+def _other_zeros(mon):
+    """(node id, array) of every node array that breaks the one-zero rule:
+    a -0.0 in ``iv``, ``init`` or ``below``, or a +0.0 in ``neg_above``,
+    which holds -A."""
+    bad = []
+    for nid, node in enumerate(mon._pre):
+        for name in ("iv", "init", "below", "neg_above"):
+            arr = getattr(node, name)
+            if arr is not None and np.any(
+                    (arr == 0) & (np.signbit(arr) != (name == "neg_above"))):
+                bad.append((nid, name))
+    return bad
+
+
+_HUGE = [1e300, -1e300, 2.0 ** 53 + 2, 1e-300]
+
+
+class TestOneZero:
+    @given(signed_zero_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_no_node_holds_the_other_zero_after_any_push(self, case):
+        # margins and negation make +0.0 the only zero; every other
+        # operator returns one of its inputs
+        f, rows, bounds = case
+        mon = MonitorState(f, XY, bounds=bounds)
+        assert not _other_zeros(mon), (f, bounds)
+        for i, row in enumerate(rows):
+            if mon.push_sample(row).decided:
+                break
+            assert not _other_zeros(mon), (f, bounds, i)
+
+    @given(st.lists(st.sampled_from([-3.0, -1.0, -0.5, 1.0, 2.0, 1e-3]),
+                    min_size=1, max_size=2),
+           st.sampled_from(["<", "<=", ">", ">="]),
+           st.sampled_from([0.0, -0.0, 1.0, -2.5, *_HUGE]),
+           st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0,
+                                                 0.1, *_HUGE])] * 2),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_atom_entries_are_the_offline_margins_bit_for_bit(
+            self, coeffs, op, rhs, rows):
+        # push_sample and secondary_signal each compute a margin; both
+        # add 0.0, and their sums run in one order, so they agree in every
+        # bit.  G[n,n] (x > 0) keeps the root open, so every push runs
+        atom = Atom(tuple(zip(XY, coeffs)), op, rhs)
+        n = len(rows)
+        keep = parse(f"G[{n},{n}] (x > 0)")
+        f = And(Or(Always(TimeInterval(0.0, float(n)), atom), keep), keep)
+        mon = MonitorState(f, XY)
+        for i, row in enumerate(rows):
+            assert not mon.push_sample(row).decided
+            sig = Signal(XY, np.array(rows[:i + 1]))
+            for node, _ in mon._atom_nodes:
+                end = min(i, node.hi) + 1
+                if end <= node.lo:
+                    continue
+                y = secondary_signal(node.form, sig)[node.lo:end]
+                for bound in (node.lb, node.ub):
+                    assert bound[:end - node.lo].tobytes() == y.tobytes()
 
 
 def test_monitor_nodes_follow_iter_nodes_and_node_horizons():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formula_texts, make_case, random_signal
+from conftest import (formula_texts, make_case, random_signal,
+                      signed_zero_cases)
 from ctstl import (Signal, format_formula, horizon, max_tau_oracle, parse,
                    robustness, robustness_trace, satisfies,
                    secondary_signal, validate)
@@ -201,6 +202,15 @@ class TestRobustnessTrace:
         assert robustness_trace(stale, s).tolist() == [-1.0, 5.0]
         assert robustness_trace(parse("F[0,1] (x > 0)"), s).tolist() == \
             [-1.0, 5.0]
+
+    @given(signed_zero_cases(bounded=False))
+    @settings(max_examples=200, deadline=None)
+    def test_the_sweep_holds_one_zero(self, case):
+        # margins and negation give +0.0, and every engine returns one of
+        # its inputs, so no anchor's robustness is -0.0
+        f, rows, _ = case
+        out = robustness_trace(f, Signal(XY, rows))
+        assert not np.any((out == 0) & np.signbit(out)), f
 
 
 @st.composite
