@@ -36,6 +36,7 @@ from .logic import (
     Or,
     Until,
     horizon,
+    iter_nodes,
     validate,
 )
 from .signals import Signal, secondary_signal
@@ -167,15 +168,20 @@ def robustness(f: Formula, signal: Signal, t: int = 0) -> float:
     return ev(f, t)
 
 
-def _sweep(f: Formula, n: int, margins, boolean: bool) -> np.ndarray:
+def _sweep(f: Formula, n: int, margins, boolean: bool,
+           column=None) -> np.ndarray:
     """Value at every admissible anchor of an n-sample trace, where
     ``margins(atom)`` gives an atom's n margins; with ``boolean`` each
     margin maps to +1 where the atom holds, -1 elsewhere.  f is validated
-    by the caller."""
+    by the caller.  Given ``column(name)``, a variable's n samples, the
+    ``C`` nodes of a group of :func:`_shared_ranks` share one rank matrix;
+    boolean sweeps give none, as their +-1 traces' matrix has one level."""
     h = horizon(f)
     if n - h <= 0:
         raise EmptyAdmissibleRange(
             f"trace of length {n} is shorter than horizon {h} + 1")
+    shared = {} if column is None else _shared_ranks(f)
+    picked: dict[int, np.ndarray] = {}  # members' samples, until read
 
     def ev(node: Formula) -> np.ndarray:
         if isinstance(node, Atom):
@@ -201,12 +207,36 @@ def _sweep(f: Formula, n: int, margins, boolean: bool) -> np.ndarray:
             mode = "max" if isinstance(node, Eventually) else "min"
             return sliding_extremum_batch(ev(node.child), node.span, mode)
         if isinstance(node, Cumulative):
-            return sliding_kth_batch(ev(node.child), node.span, node.order)
+            y = ev(node.child)  # a member's margin is checked as ever
+            if id(node) not in shared:
+                return sliding_kth_batch(y, node.span, node.order)
+            name, ids, ks = shared[id(node)]
+            if id(node) not in picked:
+                cols = sliding_kth_batch(column(name), node.span, ks)
+                picked.update(zip(ids, cols.T))
+            sel = Signal((name,), picked.pop(id(node)))
+            return secondary_signal(node.child, sel)
         raise TypeError(f"not a formula node: {node!r}")
 
     out = ev(f)
     assert out.size == n - h
     return out
+
+
+def _shared_ranks(f: Formula) -> dict[int, tuple]:
+    """Each C node over a one-variable atom whose (variable, span) others
+    share, by id: the group's variable, ids and ranks on its column.  A
+    margin falling as the variable rises takes the column's rank w-k+1."""
+    groups: dict[tuple, list] = {}
+    for _, c in iter_nodes(f):
+        if isinstance(c, Cumulative) and isinstance(c.child, Atom) \
+                and len(c.child.coeffs) == 1:
+            (name, coeff), = c.child.coeffs
+            w = c.span[1] - c.span[0] + 1
+            k = c.order if c.child.sign * coeff >= 0 else w + 1 - c.order
+            groups.setdefault((name, c.span), []).append((id(c), k))
+    return {nid: (name, *zip(*g)) for (name, _), g in groups.items()
+            if len(g) > 1 for nid, _ in g}
 
 
 def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
@@ -218,7 +248,7 @@ def robustness_trace(f: Formula, signal: Signal) -> np.ndarray:
     """
     f = validate(f, signal.names, signal.delta)
     return _sweep(f, len(signal), lambda atom: secondary_signal(atom, signal),
-                  False)
+                  False, signal.column)
 
 
 def _sweep_at(f: Formula, signal: Signal, t: int, *,
@@ -233,5 +263,5 @@ def _sweep_at(f: Formula, signal: Signal, t: int, *,
     rows = Signal(signal.names, signal.values[t:t + horizon(f) + 1],
                   signal.delta)
     out = _sweep(f, len(rows), lambda atom: secondary_signal(atom, rows),
-                 boolean)
+                 boolean, None if boolean else rows.column)
     return float(out[0])

@@ -282,21 +282,34 @@ def check_step(step: float | None) -> None:
                                 f"got {step}")
 
 
+def _fmt_runs(col: np.ndarray) -> list[str]:
+    """``_fmt_nums`` of a column, formatting each run of equal values once:
+    0.0 and -0.0 share a run (both print 0); each NaN starts its own."""
+    head = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    text = np.array(_fmt_nums(col[head].tolist()), dtype=object)
+    return text.repeat(np.diff(head, append=col.size)).tolist()
+
+
 def write_rows(out: IO[str], values: np.ndarray, step: float | None = None,
                end: str = "\n") -> None:
     """Write the rows of a 2-D float array as CSV, each line ended by `end`.
 
     Numbers are written as :func:`ctstl.logic._fmt_nums` writes them.
     With a step, each row starts with its time, the row index times the
-    step.  A few thousand rows go to each ``write`` call.
+    step.  A few thousand rows go to each ``write`` call, as one join.
     """
     n = values.shape[0]
     for a in range(0, n, _CHUNK_ROWS):
         b = min(n, a + _CHUNK_ROWS)
-        cols = [_fmt_nums(col) for col in values[a:b].T.tolist()]
+        cols = list(values[a:b].T)
         if step is not None:
-            cols.insert(0, _fmt_nums((np.arange(a, b) * step).tolist()))
-        out.write(end.join(map(",".join, zip(*cols))) + end)
+            cols.insert(0, np.arange(a, b) * step)
+        width = 2 * len(cols)  # each cell, then "," or `end`
+        parts = [","] * (width * (b - a))
+        for j, col in enumerate(cols):
+            parts[2 * j::width] = _fmt_runs(col)
+        parts[width - 1::width] = [end] * (b - a)
+        out.write("".join(parts))
 
 
 def write_signal_csv(dest: IO[str], signal: Signal,

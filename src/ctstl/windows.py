@@ -35,10 +35,10 @@ def _window(interval) -> tuple[int, int]:
     return lo, hi
 
 
-def _prep(trace, interval, k=1, mode="min") -> tuple[np.ndarray, int, int]:
+def _prep(trace, interval, k=1, mode="min") -> tuple[np.ndarray, int, list]:
     """The trace from the start of a window (lo, hi) on, the window's
-    width, and a rank k within it as an int; an extremum's ``mode`` is
-    checked first."""
+    width, and the ranks within it, k or each of a sequence k, as ints;
+    an extremum's ``mode`` is checked first."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     arr = _as_trace(trace)
@@ -46,14 +46,15 @@ def _prep(trace, interval, k=1, mode="min") -> tuple[np.ndarray, int, int]:
     w = hi - lo + 1
     if hi > arr.size - 1:
         raise WindowExceedsTrace(w, arr.size)
-    k = int(k)
-    if not 1 <= k <= w:
-        raise RankOutOfRange(k, w)
-    return arr[lo:], w, k
+    ks = [int(j) for j in k] if np.ndim(k) else [int(k)]
+    for j in ks:
+        if not 1 <= j <= w:
+            raise RankOutOfRange(j, w)
+    return arr[lo:], w, ks
 
 
-def _wavelet_kth(values, w, k) -> np.ndarray:
-    """k-th largest of every complete width-w window, as a wavelet matrix.
+def _wavelet_kth(values, w, ks) -> np.ndarray:
+    """Row j: the ks[j]-th largest of every complete width-w window.
 
     The trace becomes ranks into ``uniq``, its distinct values in order, and
     each window [t, t+w) asks for its (w-k)-th smallest rank.  All windows
@@ -61,39 +62,52 @@ def _wavelet_kth(values, w, k) -> np.ndarray:
     Ordonez, "The wavelet matrix", SPIRE 2012).  At each level a prefix
     count of zero bits moves every window's range onto the zero part or the
     one part of the next level's sequence, whichever holds the rank it
-    seeks, and a stable partition by the bit builds that sequence.  A level
-    is dropped once used, so memory is O(n + m).  After the last level a
-    window's range holds only entries of the answer's rank.  Positions are
-    int32, which holds traces of fewer than 2**31 samples.  0.0 and -0.0
-    share a rank, so which of them answers is unspecified, as in
-    :func:`naive_kth_batch`.
+    seeks (:func:`_descend`, one rank at a time, so each temporary is m
+    long), and a stable partition by the bit builds that sequence once for
+    all ranks.  A level is dropped once used, so memory is O(n + m * r)
+    for r ranks.  After the last level a window's range holds only entries
+    of the answer's rank.  Positions are int32, which holds traces of
+    fewer than 2**31 samples.  0.0 and -0.0 share a rank, so which of them
+    answers is unspecified, as in :func:`naive_kth_batch`.
     """
     uniq, seq = np.unique(values, return_inverse=True)
     seq = seq.astype(np.int32)
     m = values.size - w + 1
-    lo = np.arange(m, dtype=np.int32)
+    lo = np.tile(np.arange(m, dtype=np.int32), (len(ks), 1))
     hi = lo + np.int32(w)
-    q = np.full(m, w - k, dtype=np.int32)
+    q = (w - np.array(ks, dtype=np.int32))[:, None].repeat(m, axis=1)
     zeros = np.zeros(values.size + 1, dtype=np.int32)
     for s in reversed(range((uniq.size - 1).bit_length())):
         one = (seq & (1 << s)) > 0
         np.cumsum(~one, out=zeros[1:])
-        zl, zh = zeros[lo], zeros[hi]
-        z = zh - zl  # entries of each window with bit s clear
-        up = q >= z  # the rank sought has bit s set
-        q -= z * up
-        lo = np.where(up, lo - zl + zeros[-1], zl)
-        hi = np.where(up, hi - zh + zeros[-1], zh)
+        for j in range(len(ks)):
+            _descend(zeros, lo[j], hi[j], q[j])
         seq = seq[np.argsort(one, kind="stable")]
-    return uniq[seq[lo]]
+    del hi, q, zeros  # freed before the answers are gathered
+    return uniq[np.take(seq, lo, out=lo)]
 
 
-def sliding_kth_batch(trace, interval, k: int) -> np.ndarray:
+def _descend(zeros, lo, hi, q) -> None:
+    """Move each window's range [lo, hi) in place onto the part of the next
+    level holding its q-th smallest entry; ``zeros`` counts zero bits."""
+    zl, zh = zeros[lo], zeros[hi]
+    z = zh - zl  # entries of each window with the bit clear
+    up = q >= z  # the rank sought has the bit set
+    q -= z * up
+    lo[:] = np.where(up, lo - zl + zeros[-1], zl)
+    hi[:] = np.where(up, hi - zh + zeros[-1], zh)
+
+
+def sliding_kth_batch(trace, interval, k) -> np.ndarray:
     """k-th largest of trace[t+lo .. t+hi] for every admissible t.
 
     Output index t runs from 0; entry t covers the window anchored at t.
+    With a sequence of ranks k, column j of an (anchors, len(k)) array
+    answers k[j], all over one wavelet matrix.
     """
-    return _wavelet_kth(*_prep(trace, interval, k))
+    x, w, ks = _prep(trace, interval, k)
+    out = _wavelet_kth(x, w, ks)
+    return out.T if np.ndim(k) else out[0]
 
 
 def sliding_extremum_batch(trace, interval, mode: str) -> np.ndarray:
@@ -152,15 +166,17 @@ def _per_window(x: np.ndarray, w: int, agg) -> np.ndarray:
     return out
 
 
-def naive_kth_batch(trace, interval, k: int) -> np.ndarray:
+def naive_kth_batch(trace, interval, k) -> np.ndarray:
     """Per-window rank by re-partitioning every window from scratch.
 
-    O(n * w) total work; the baseline the incremental engine is measured
-    against.
+    O(n * w) total work per rank, k as in :func:`sliding_kth_batch`; the
+    baseline the incremental engine is measured against.
     """
-    x, w, k = _prep(trace, interval, k)
-    return _per_window(
-        x, w, lambda v: np.partition(v, w - k, axis=1)[:, w - k])
+    x, w, ks = _prep(trace, interval, k)
+    out = np.array([_per_window(
+        x, w, lambda v: np.partition(v, w - j, axis=1)[:, w - j])
+        for j in ks]).reshape(len(ks), x.size - w + 1)
+    return out.T if np.ndim(k) else out[0]
 
 
 def naive_extremum_batch(trace, interval, mode: str) -> np.ndarray:

@@ -813,6 +813,69 @@ class TestSweepOutput:
                 old.getvalue().split("\r\n")
 
 
+@st.composite
+def _runs(draw, pool, n: int) -> list[float]:
+    """n values as runs of equal values from pool, each 1 to 4 long."""
+    out: list[float] = []
+    while len(out) < n:
+        out += [draw(pool)] * draw(st.integers(1, 4))
+    return out[:n]
+
+
+class TestRunWriter:
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_across_chunk_boundaries_print_as_each_row(self, chunk,
+                                                            data):
+        # the writer formats each run of equal values once per chunk; with
+        # chunks of a few rows, runs cross every boundary.  Held to one
+        # _fmt_num per cell, with and without a time column
+        finite = data.draw(st.booleans())
+        pool = _ROB_VALUES.filter(math.isfinite) if finite else _ROB_VALUES
+        width = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(0, 4 * chunk + 2))
+        values = np.array([data.draw(_runs(pool, n)) for _ in range(width)],
+                          dtype=np.float64).T
+        step = data.draw(st.sampled_from([1.0, 0.1, 300.0, 1e15]))
+        timed = data.draw(st.booleans())
+        want = [",".join([_fmt_num(i * step)] * timed
+                         + [_fmt_num(v) for v in row])
+                for i, row in enumerate(values.tolist())]
+        with mock.patch.object(sigfile, "_CHUNK_ROWS", chunk):
+            out = io.StringIO()
+            sigfile.write_rows(out, values, step if timed else None)
+            assert out.getvalue() == "".join(f"{row}\n" for row in want)
+            if finite:
+                names = ("a", "b", "c")[:width]
+                out = io.StringIO()
+                write_signal_csv(out, Signal(names, values, step), timed)
+                head = ",".join(("t",) * timed + names)
+                assert out.getvalue() == \
+                    "".join(f"{row}\r\n" for row in [head, *want])
+
+
+@pytest.mark.parametrize("cmd", [["rob", "--sweep"], ["rob", "--at", "0"],
+                                 ["eval", "--at", "0"]],
+                         ids=["rob-sweep", "rob-at", "eval-at"])
+@pytest.mark.parametrize("formula, rows, says", [
+    # the two C layers over x share one rank matrix in the rob sweeps; the
+    # atom over y between them overflows at sample 1
+    ("C[0,2]^1 (x > 0) && (1e308 * y > 0) && C[0,2]^2 (x < 1)",
+     "1,1\n0,10\n2,1\n-1,1\n",
+     "atom 1e+308*y > 0 has the non-finite margin inf at sample 1"),
+    # the second member of a group overflows after the group's ranks
+    ("C[0,2]^1 (x > 0) && C[0,2]^2 (1e308 * x < 1)",
+     "1,1\n10,1\n2,1\n-1,1\n",
+     "atom 1e+308*x < 1 has the non-finite margin -inf at sample 1"),
+], ids=["between-layers", "in-a-layer"])
+def test_an_overflowing_margin_is_named_as_without_shared_ranks(
+        cmd, formula, rows, says):
+    code, out, err = run_cli([*cmd, "--formula", formula, "-"],
+                             stdin_text="x,y\n" + rows)
+    assert (code, out, err) == (2, "", f"error: {says}\n")
+
+
 def _output_digest(cmd: str, formula: str, work: Path) -> str:
     """sha256 of the exit code, stdout and ``--trace`` file of one run on
     a 400-row integer signal that passes through zero in both columns."""

@@ -56,6 +56,10 @@ def _node_entries(nid):
      "rank 3 outside 1..2"),
     (lambda: naive_kth_batch(TRACE, (1, 2), 0), RankOutOfRange,
      "rank 0 outside 1..2"),
+    # a bad rank inside a sequence, the first one in order
+    *((call, RankOutOfRange, "rank 3 outside 1..2")
+      for call in (lambda: sliding_kth_batch(TRACE, (0, 1), [2, 3, 0]),
+                   lambda: naive_kth_batch(TRACE, (0, 1), [2, 3, 0]))),
     (lambda: naive_kth_batch([1.0, np.nan], (0, 0), 1), ValueError,
      "window values must not be NaN"),
     # formula families and validation

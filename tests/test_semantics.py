@@ -15,8 +15,13 @@ from conftest import (formula_texts, make_case, random_signal,
 from ctstl import (Signal, format_formula, horizon, max_tau_oracle, parse,
                    robustness, robustness_trace, satisfies,
                    secondary_signal, validate)
+from ctstl import windows
 from ctstl.errors import EmptyAdmissibleRange, RankOutOfRange, TraceTooShort
-from ctstl.semantics import _sweep, _sweep_at
+from ctstl.generators import (glucose_formulas, glucose_trace,
+                              overvoltage_formulas, overvoltage_trace)
+from ctstl.logic import (COMPARATORS, And, Atom, Cumulative, Not, Or,
+                         TimeInterval)
+from ctstl.semantics import _shared_ranks, _sweep, _sweep_at
 
 X = ("x",)
 XY = ("x", "y")
@@ -238,6 +243,90 @@ class TestSweepAgainstOracles:
             assert signs[t] == (1.0 if truth else -1.0), (f, t)
             assert (_sweep_at(f, s, t, boolean=True) > 0) is truth, (f, t)
             assert _sweep_at(f, s, t, boolean=False) == robustness(f, s, t)
+
+
+@st.composite
+def _shared_rank_cases(draw):
+    """2 to 4 C layers of one span over one-variable atoms of one
+    variable, which share a rank matrix, beside a C over a two-variable
+    atom and a C over a negation, joined in a random order, over a trace
+    with ties and signed zeros."""
+    a, w = draw(st.integers(0, 2)), draw(st.integers(1, 5))
+    var = draw(st.sampled_from(XY))
+    coeff = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -0.3, -7.25])
+
+    def atom(*names):
+        return Atom(tuple((v, draw(coeff)) for v in names),
+                    draw(st.sampled_from(COMPARATORS)),
+                    draw(st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.5])))
+
+    def cum(child):
+        tau = draw(st.integers(1, w)) - draw(st.sampled_from([0, 0.5]))
+        return Cumulative(TimeInterval(a, a + w - 1), tau, child)
+
+    layers = [cum(atom(var)) for _ in range(draw(st.integers(2, 4)))]
+    layers += [cum(atom(*XY)), cum(Not(atom(var)))]
+    f, *rest = draw(st.permutations(layers))
+    for g in rest:
+        f = draw(st.sampled_from([And, Or]))(f, g)
+    f = validate(f, XY)
+    n = horizon(f) + 1 + draw(st.integers(0, 6))
+    cell = st.sampled_from([0.0, -0.0, 0.5, -1.5]) | \
+        st.integers(-2, 2).map(float)
+    rows = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    return f, Signal(XY, rows)
+
+
+class TestSharedRanks:
+    @given(_shared_rank_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_ranks_match_the_recursion_at_every_anchor(self, case):
+        f, s = case
+        assert len(_shared_ranks(f)) >= 2
+        sweep = robustness_trace(f, s)
+        assert not np.any((sweep == 0) & np.signbit(sweep)), f
+        for t in range(sweep.size):
+            want = robustness(f, s, t)
+            assert sweep[t] == want, (f, t)
+            assert _sweep_at(f, s, t, boolean=False) == want, (f, t)
+
+    @staticmethod
+    def _matrices(monkeypatch, text, sig, boolean=False):
+        """The rank matrices one sweep of text over sig builds."""
+        built = []
+        kth = windows._wavelet_kth
+
+        def counted(values, w, ks):
+            built.append(list(ks))
+            return kth(values, w, ks)
+
+        monkeypatch.setattr(windows, "_wavelet_kth", counted)
+        f = validate(parse(text), sig.names)
+        if boolean:
+            _sweep(f, len(sig), lambda atom: secondary_signal(atom, sig), True)
+        else:
+            robustness_trace(f, sig)
+        return built
+
+    def test_overvoltage_layers_share_one_matrix(self, monkeypatch):
+        # phi5's three C[0,W] layers are over atoms of v alone; each v < c
+        # falls as v rises, so rank k of its window is rank w - k + 1 of v
+        window = 200
+        sig, _ = overvoltage_trace(2 * window + 11, 0, over17=17,
+                                   over14=14, over13=130)
+        phi5 = overvoltage_formulas(window=window)["phi5"]
+        assert self._matrices(monkeypatch, phi5, sig) == \
+            [[202 - 184, 202 - 170, 202 - 40]]
+        # a boolean sweep keeps one matrix of one level per layer
+        assert len(self._matrices(monkeypatch, phi5, sig, True)) == 3
+
+    def test_glucose_builds_one_matrix_per_child(self, monkeypatch):
+        # x < 70 (rank 12 of 289, falling with x) and x > 180 (rank 72)
+        # share one; the in-range conjunction is not an atom and keeps its
+        # own
+        sig, _ = glucose_trace(400, 0, hypo=10, hyper=60)
+        built = self._matrices(monkeypatch, glucose_formulas()["phi5"], sig)
+        assert built == [[290 - 12, 72], [202]]
 
 
 class TestRankOracle:

@@ -40,6 +40,24 @@ def test_sliding_kth_property(data):
     assert sliding_kth_batch(vals, (0, w - 1), k).tolist() == want
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_sequences_stack_the_single_rank_calls(data):
+    # several ranks over one matrix answer as one call per rank would
+    inf = float("inf")
+    vals = data.draw(st.lists(st.integers(-4, 4).map(float)
+                              | st.sampled_from([0.0, -0.0, inf, -inf]),
+                              min_size=1, max_size=40))
+    a = data.draw(st.integers(0, len(vals) - 1))
+    b = data.draw(st.integers(a, len(vals) - 1))
+    ks = data.draw(st.lists(st.integers(1, b - a + 1), max_size=4))
+    for engine in (sliding_kth_batch, naive_kth_batch):
+        got = engine(vals, (a, b), ks)
+        assert got.shape == (len(vals) - b, len(ks))
+        for j, k in enumerate(ks):
+            assert got[:, j].tolist() == engine(vals, (a, b), k).tolist()
+
+
 class TestSlidingExtremum:
     def test_small(self):
         tr = [2, -1, 7]
